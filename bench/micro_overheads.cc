@@ -30,7 +30,6 @@
 #include "moca/runtime/latency_model.h"
 #include "moca/sched/scheduler.h"
 #include "sim/arbiter.h"
-#include "sim/event_queue.h"
 
 using namespace moca;
 
@@ -156,73 +155,6 @@ BM_SweepEngine_RunIndexed(benchmark::State &state)
     benchmark::DoNotOptimize(sink.load());
 }
 BENCHMARK(BM_SweepEngine_RunIndexed)->Arg(16)->Arg(256);
-
-constexpr Cycles kEqWidth = 512;
-
-/** Fill `q` with `n` pending events spread over ~n calendar days. */
-void
-fillEventQueue(sim::EventQueue &q, std::size_t n, Rng &rng)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        q.push(kEqWidth *
-                   (1 + static_cast<Cycles>(rng.uniformInt(
-                            0, static_cast<int>(
-                                   std::min<std::size_t>(n, 1u << 20))))),
-               static_cast<sim::SimEventKind>(
-                   rng.uniformInt(0, static_cast<int>(
-                                         sim::kNumSimEventKinds) - 1)),
-               static_cast<int>(i % 4096));
-}
-
-/** Calendar-queue hold pattern: pop the min, push a replacement at a
- *  random future offset, holding `n` events pending.  The flat-cost
- *  claim behind the event kernel: this must not grow with n. */
-void
-BM_EventQueue_PushPop(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    sim::EventQueue q(kEqWidth);
-    Rng rng(17);
-    fillEventQueue(q, n, rng);
-    for (auto _ : state) {
-        const sim::SimEvent ev = q.pop();
-        q.push(ev.at + kEqWidth *
-                           (1 + static_cast<Cycles>(
-                                    rng.uniformInt(0, 127))),
-               ev.kind, ev.jobId);
-        benchmark::DoNotOptimize(ev.at);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueue_PushPop)
-    ->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
-
-/** Lazy-invalidation mix: cancel one job's pending event, re-arm it,
- *  then pop/push the global min — the reschedule-heavy pattern a
- *  policy-driven kernel produces.  invalidate() itself is O(1); the
- *  stale entries are swept out as the calendar advances. */
-void
-BM_EventQueue_InvalidatePushPop(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    sim::EventQueue q(kEqWidth);
-    Rng rng(23);
-    fillEventQueue(q, n, rng);
-    int job = 0;
-    for (auto _ : state) {
-        job = (job + 1) % 4096;
-        q.invalidate(sim::SimEventKind::ThrottleWindow, job);
-        const sim::SimEvent ev = q.pop();
-        q.push(ev.at + kEqWidth *
-                           (1 + static_cast<Cycles>(
-                                    rng.uniformInt(0, 127))),
-               sim::SimEventKind::ThrottleWindow, job);
-        benchmark::DoNotOptimize(ev.at);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueue_InvalidatePushPop)
-    ->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
 void
 BM_ComputeOnlyEstimate(benchmark::State &state)

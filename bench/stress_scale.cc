@@ -426,8 +426,8 @@ main(int argc, char **argv)
         std::fprintf(f, "  ],\n");
         if (both) {
             // Per-tier speedup-vs-scale summary: the flat-cost claim
-            // the calendar-queue kernel makes is that this column
-            // does not collapse as traces grow.
+            // the event kernel makes is that this column does not
+            // collapse as traces grow.
             std::fprintf(f, "  \"speedup_vs_scale\": [\n");
             for (std::size_t k = 0; k < tasks_list.size(); ++k) {
                 const int tasks = tasks_list[k];

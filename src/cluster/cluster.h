@@ -1,26 +1,23 @@
 /**
  * @file
- * Cluster fleet simulator: co-simulates N independent `sim::Soc`
- * instances (homogeneous or heterogeneous configurations) under one
- * cluster-level event loop, with a front-end `Dispatcher` deciding
- * task placement at arrival time.
+ * Cluster fleet simulator API: co-simulates N independent `sim::Soc`
+ * instances (homogeneous or heterogeneous configurations) with a
+ * front-end `Dispatcher` deciding task placement at arrival time.
  *
  * Execution model.  SoCs share nothing — each owns its tiles, L2, and
- * DRAM channel — so between cluster-level events (task arrivals) every
- * SoC evolves independently.  The loop therefore advances each busy
- * SoC through its own next-event times up to the next arrival (the
- * exact clamp `Soc::stepOnce(horizon)` provides), snapshots every
- * SoC's load, asks the dispatcher for a placement, injects the task
- * into the chosen SoC at its exact dispatch cycle, and repeats;
- * after the last arrival the fleet drains to completion.  The
- * advance between dispatch points runs on the conservative-PDES
- * engine (cluster/parallel.h): SoCs are sharded across
- * `ClusterConfig::jobs` workers with an epoch barrier at every
- * arrival, and the run is bit-identical for every jobs value (each
- * SoC's own kernel is deterministic and owned by one worker), so a
- * cluster run is a pure function of (configs, dispatcher spec, task
- * stream, seed) — and a 1-SoC cluster replays the single-SoC
- * scenario path bit-identically.
+ * DRAM channel — so between task arrivals every SoC evolves
+ * independently.  runCluster hands its arrival-sorted task stream to
+ * the fleet driver (serve/serve.h, which also runs the closed-loop
+ * serving experiments): at each arrival the conservative-PDES engine
+ * (cluster/parallel.h) advances every SoC to the arrival cycle, the
+ * coordinator snapshots every SoC's load, asks the dispatcher for a
+ * placement, and injects the task into the chosen SoC at its exact
+ * dispatch cycle; after the last arrival the fleet drains to
+ * completion.  SoCs are sharded across `ClusterConfig::jobs` workers
+ * and the run is bit-identical for every jobs value, so a cluster run
+ * is a pure function of (configs, dispatcher spec, task stream, seed)
+ * — and a 1-SoC cluster replays the single-SoC scenario path
+ * bit-identically.
  *
  * Results come back as a `ClusterResult`: fleet-level SLA rate,
  * p50/p95/p99 end-to-end latency, total STP, a per-SoC utilization /
@@ -70,9 +67,6 @@ struct ClusterConfig
      * Must be >= 1 (fatal otherwise).
      */
     int jobs = 1;
-
-    /** Per-SoC deadlock bound; 0 uses each SocConfig's maxCycles. */
-    Cycles maxCycles = 0;
 
     /**
      * Wall-clock phase profiling (see ClusterResult::phases and
@@ -149,10 +143,10 @@ struct ClusterResult
 
     /**
      * Serving-control-loop outcome rates, all fractions of the
-     * attempts the front-end handled.  Always zero for plain
-     * open-loop runCluster runs (there is no client to time out and
-     * no admission controller to shed); the closed-loop serve driver
-     * fills them from its counters.
+     * attempts the front-end handled.  Always zero for runCluster
+     * runs (there is no client to time out and no admission
+     * controller to shed); closed-loop runServe runs fill them from
+     * the driver's counters.
      */
     double shedRate = 0.0;    ///< Attempts rejected by admission.
     double retryRate = 0.0;   ///< Attempts that were client retries.
@@ -193,7 +187,8 @@ struct ClusterResult
 /**
  * Run one cluster: place and execute `tasks` (sorted by arrival) on
  * the fleet described by `cfg`.  Fatal on empty fleets, unknown
- * policy/dispatcher specs, or an unsorted task stream.
+ * policy/dispatcher specs, jobs < 1, or an unsorted task stream.
+ * Defined in serve/serve.cc beside the fleet driver it wraps.
  */
 ClusterResult runCluster(const ClusterConfig &cfg,
                          const std::vector<ClusterTask> &tasks);

@@ -6,11 +6,9 @@
 
 namespace moca::cluster {
 
-ParallelEngine::ParallelEngine(
-    std::vector<sim::Soc *> socs, int jobs,
-    std::function<void(std::size_t)> on_advanced, bool profile)
-    : socs_(std::move(socs)), on_advanced_(std::move(on_advanced)),
-      profile_(profile)
+ParallelEngine::ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
+                               bool profile)
+    : socs_(std::move(socs)), profile_(profile)
 {
     if (jobs < 1)
         fatal("cluster jobs must be >= 1 (got %d); 0 workers cannot "
@@ -86,8 +84,6 @@ ParallelEngine::runShard(Shard &shard)
         if (!soc.done() && soc.now() < horizon_)
             ++shard.stepped;
         soc.advanceTo(horizon_);
-        if (on_advanced_)
-            on_advanced_(i);
         shard.minNextEvent =
             std::min(shard.minNextEvent, soc.nextEventTime());
     }

@@ -1,17 +1,18 @@
 /**
  * @file
  * Sharded parallel fleet execution: a conservative parallel-discrete-
- * event-simulation (PDES) kernel for the cluster simulator.
+ * event-simulation (PDES) kernel for the fleet driver (serve/serve.cc).
  *
- * SoCs share nothing between cluster-level events (task arrivals), so
+ * SoCs share nothing between fleet-level events (task arrivals), so
  * the fleet parallelizes with *zero fidelity loss*: the engine
  * partitions the SoCs into per-worker shards, and each *epoch* every
  * worker advances its shard's SoCs up to the shared conservative
- * horizon — the next arrival/dispatch time, which is exactly the
- * lookahead a conservative PDES needs, and exactly the clamp
- * `sim::Soc::advanceTo(horizon)` provides.  A barrier then returns
- * control to the single-threaded dispatcher loop, which consumes
- * arrivals, polls load snapshots (assembled in SoC-index order
+ * horizon — the next front-end event (an arrival, a timeout, a
+ * control tick), which is exactly the lookahead a conservative PDES
+ * needs, and exactly the clamp `sim::Soc::advanceTo(horizon)`
+ * provides.  A barrier then returns
+ * control to the single-threaded coordinator, which harvests
+ * completions and polls load snapshots (both in SoC-index order
  * regardless of which worker produced the state), and injects the
  * placed tasks before releasing the next epoch.
  *
@@ -43,9 +44,8 @@
  * epochs / stepped-SoC counts / stall counts so lookahead quality is
  * observable in ClusterResult.
  *
- * This container is single-core: the engine's job here is to prove
- * the determinism contract and bound the epoch overhead (the TSan CI
- * lane runs it at jobs=4); wall-clock speedup lands on real hardware.
+ * The TSan CI lane runs the engine at jobs=4 to check the barrier
+ * discipline; the determinism contract holds for every jobs value.
  */
 
 #ifndef MOCA_CLUSTER_PARALLEL_H
@@ -53,7 +53,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -109,18 +108,12 @@ class ParallelEngine
      *        (not owned; must outlive the engine).
      * @param jobs worker count; shard count is min(jobs, socs.size())
      *        with contiguous index blocks.  Fatal when jobs < 1.
-     * @param on_advanced optional per-SoC hook run by the owning
-     *        worker right after the SoC reaches the epoch horizon
-     *        (e.g. harvesting completed-job feedback).  Called with
-     *        the SoC index; must be safe to call concurrently for
-     *        *different* indices.
      * @param profile accumulate per-worker shard-advance and
      *        barrier-wait wall time (via the common/walltime.h shim;
      *        see phaseTotals()).  Purely diagnostic — off by default
      *        so the hot path pays nothing.
      */
     ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
-                   std::function<void(std::size_t)> on_advanced = {},
                    bool profile = false);
     ~ParallelEngine();
 
@@ -134,11 +127,11 @@ class ParallelEngine
     }
 
     /**
-     * One conservative epoch: advance every SoC to `horizon`
-     * (sim::kNoHorizon drains the fleet to completion), run the
-     * on_advanced hook per SoC, and synchronize.  Returns after the
-     * barrier, so the caller observes every shard's writes; skipped
-     * entirely (a horizon stall) when fleetNextEvent() >= horizon.
+     * One conservative epoch: advance every active SoC to `horizon`
+     * (sim::kNoHorizon drains the fleet to completion) and
+     * synchronize.  Returns after the barrier, so the caller observes
+     * every shard's writes; skipped entirely (a horizon stall) when
+     * fleetNextEvent() >= horizon.
      */
     void advanceFleet(Cycles horizon);
 
@@ -219,7 +212,6 @@ class ParallelEngine
     /** Per-slot activation mask (see setActive); char, not bool, so
      *  workers read plain bytes their own shard never writes. */
     std::vector<char> active_;
-    std::function<void(std::size_t)> on_advanced_;
     std::vector<Shard> shards_;
     std::vector<std::thread> workers_;
 

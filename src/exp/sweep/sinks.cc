@@ -2,28 +2,12 @@
 
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace moca::exp {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 void
 writeTextFile(const std::string &path, const std::string &text)

@@ -115,26 +115,39 @@ struct ClientState
     bool issueScheduled = false;
 };
 
+/**
+ * The fleet driver behind both runServe (closed-loop clients) and
+ * cluster::runCluster (a fixed-arrival task stream).  It owns the only
+ * code that builds the fleet, snapshots SocLoad, harvests
+ * completions, records PDES epoch spans, and aggregates the
+ * ClusterResult.
+ */
 class ServeDriver
 {
   public:
-    explicit ServeDriver(const ServeConfig &cfg);
+    /**
+     * @param slot_cfgs per-slot SoC configurations (size = fleet).
+     * @param stream fixed-arrival request stream sorted by arrival, or
+     *        null for the closed-loop client pool of cfg.clients.
+     */
+    ServeDriver(const ServeConfig &cfg,
+                std::vector<sim::SocConfig> slot_cfgs,
+                const std::vector<cluster::ClusterTask> *stream);
     ServeResult run();
 
   private:
     const ServeConfig &cfg_;
-    Cycles hardCap_;
+    std::vector<sim::SocConfig> slotCfgs_;
+    Cycles hardCap_ = 0;
 
-    std::function<Cycles(dnn::ModelId)> isoCal_; ///< Single-tile.
-    std::function<Cycles(dnn::ModelId)> iso_;    ///< Full-SoC.
     std::unique_ptr<ClientPool> pool_; ///< Closed loop only.
     std::unique_ptr<AdmissionPolicy> admission_;
     std::unique_ptr<cluster::Dispatcher> dispatcher_;
     Autoscaler autoscaler_;
     FailureInjector injector_;
 
-    /** The request population (attributes + per-attempt timeout);
-     *  closed loop from the pool, open loop from the synthesizer. */
+    /** The request population (attributes + per-attempt timeout):
+     *  the client pool's, or the fixed-arrival stream's. */
     std::vector<cluster::ClusterTask> reqTasks_;
     std::vector<Cycles> reqTimeout_;
     std::vector<ReqProgress> progress_;
@@ -187,23 +200,26 @@ class ServeDriver
             cfg_.capture->frontend.record(now_, kind, id);
     }
 
-    /** Per-slot SoC configuration: the slot index becomes the SoC's
-     *  trace/telemetry identity. */
-    sim::SocConfig socCfgFor(std::size_t slot_idx) const
+    /** Boot a fresh SoC (and policy instance) into a slot; the slot
+     *  index becomes the SoC's trace/telemetry identity. */
+    void bootSoc(std::size_t slot_idx);
+
+    /** Full-SoC isolated latency of `id` on slot `slot_idx`'s
+     *  hardware: the normalization of every latency metric. */
+    Cycles isoLatency(std::size_t slot_idx, dnn::ModelId id) const
     {
-        sim::SocConfig soc_cfg = cfg_.soc;
-        soc_cfg.socId = static_cast<int>(slot_idx);
-        return soc_cfg;
+        const sim::SocConfig &c = slotCfgs_[slot_idx];
+        return exp::isolatedLatency(id, c.numTiles, c);
     }
 
     Cycles chunkTarget(Cycles limit) const;
     Cycles deferDelay() const
     {
         // Deferred/capacity-held requests re-try at the control
-        // cadence; with an unbounded quantum (open-loop replay) the
-        // scheduler period stands in as the polling interval.
+        // cadence; with an unbounded quantum the scheduler period
+        // stands in as the polling interval.
         return cfg_.controlQuantum > 0 ? cfg_.controlQuantum
-                                       : cfg_.soc.schedPeriod;
+                                       : slotCfgs_.front().schedPeriod;
     }
     void advanceTo(Cycles target);
     void harvest();
@@ -222,53 +238,43 @@ class ServeDriver
     void finalize();
 };
 
-ServeDriver::ServeDriver(const ServeConfig &cfg)
-    : cfg_(cfg),
-      hardCap_(cfg.maxCycles != 0 ? cfg.maxCycles
-                                  : cfg.soc.maxCycles),
+ServeDriver::ServeDriver(const ServeConfig &cfg,
+                         std::vector<sim::SocConfig> slot_cfgs,
+                         const std::vector<cluster::ClusterTask> *stream)
+    : cfg_(cfg), slotCfgs_(std::move(slot_cfgs)),
       autoscaler_(cfg.autoscaler), injector_(cfg.failures)
 {
-    if (cfg_.numSocs < 1)
-        fatal("serving fleet needs at least one SoC (got %d)",
-              cfg_.numSocs);
-    if (cfg_.autoscaler.enabled &&
-        cfg_.autoscaler.maxSocs > cfg_.numSocs)
+    const int n = static_cast<int>(slotCfgs_.size());
+    if (cfg_.autoscaler.enabled && cfg_.autoscaler.maxSocs > n)
         fatal("autoscaler maxSocs %d exceeds the fleet size %d",
-              cfg_.autoscaler.maxSocs, cfg_.numSocs);
-    if (cfg_.autoscaler.enabled &&
-        cfg_.autoscaler.minSocs > cfg_.numSocs)
+              cfg_.autoscaler.maxSocs, n);
+    if (cfg_.autoscaler.enabled && cfg_.autoscaler.minSocs > n)
         fatal("autoscaler minSocs %d exceeds the fleet size %d",
-              cfg_.autoscaler.minSocs, cfg_.numSocs);
-
-    // Two oracle flavors, matching the open-loop cluster path:
-    // workload calibration (SLA targets, arrival spacing, think
-    // time) uses the *single-tile* isolated latency, while metric
-    // normalization uses the *full-SoC* isolated latency.
-    isoCal_ = [this](dnn::ModelId id) {
-        return exp::isolatedLatency(id, 1, cfg_.soc);
-    };
-    iso_ = [this](dnn::ModelId id) {
-        return exp::isolatedLatency(id, cfg_.soc.numTiles, cfg_.soc);
-    };
+              cfg_.autoscaler.minSocs, n);
+    for (const sim::SocConfig &c : slotCfgs_)
+        hardCap_ = std::max(hardCap_, c.maxCycles);
 
     admission_ = AdmissionRegistry::instance().make(cfg_.admission);
     dispatcher_ = cluster::DispatcherRegistry::instance().make(
-        cfg_.dispatcher, cfg_.numSocs, cfg_.dispatcherSeed);
+        cfg_.dispatcher, n, cfg_.dispatcherSeed);
 
     // The request population: pre-generated, policy-independent.
-    if (cfg_.openLoop) {
-        cluster::SynthConfig synth = cfg_.synth;
-        synth.fleetTiles = cfg_.numSocs * cfg_.soc.numTiles;
-        reqTasks_ = cluster::synthesizeTasks(synth, isoCal_);
+    if (stream != nullptr) {
+        // Request ids are stream indices.  Each issue schedules the
+        // next one (handleIssue), so equal arrivals keep stream order.
+        reqTasks_ = *stream;
         reqTimeout_.assign(reqTasks_.size(), 0);
-        for (std::size_t i = 0; i < reqTasks_.size(); ++i) {
-            // Dense ids double as queue indices; synthesizeTasks
-            // already assigns them in arrival order.
-            push(reqTasks_[i].arrival, EvKind::Issue,
-                 static_cast<int>(i));
-        }
+        if (!reqTasks_.empty())
+            push(reqTasks_.front().arrival, EvKind::Issue, 0);
     } else {
-        pool_ = std::make_unique<ClientPool>(cfg_.clients, isoCal_);
+        // Workload calibration (SLA targets, think time) uses the
+        // *single-tile* isolated latency, while metric normalization
+        // uses the full-SoC one (isoLatency).
+        const sim::SocConfig &cal = slotCfgs_.front();
+        pool_ = std::make_unique<ClientPool>(
+            cfg_.clients, [&cal](dnn::ModelId id) {
+                return exp::isolatedLatency(id, 1, cal);
+            });
         reqTasks_.reserve(
             static_cast<std::size_t>(pool_->totalRequests()));
         reqTimeout_.reserve(reqTasks_.capacity());
@@ -280,42 +286,52 @@ ServeDriver::ServeDriver(const ServeConfig &cfg)
             static_cast<std::size_t>(pool_->numClients()));
     }
     progress_.resize(reqTasks_.size());
+    respLatency_.reserve(reqTasks_.size());
+    respNormLatency_.reserve(reqTasks_.size());
+    clientLatency_.reserve(reqTasks_.size());
 
     // The fleet: every slot starts Up with one incarnation.
-    slots_.resize(static_cast<std::size_t>(cfg_.numSocs));
-    std::vector<sim::Soc *> fleet;
-    fleet.reserve(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot &slot = slots_[i];
-        const sim::SocConfig soc_cfg = socCfgFor(i);
-        slot.policies.push_back(exp::PolicyRegistry::instance().make(
-            cfg_.policy, soc_cfg));
-        slot.socs.push_back(std::make_unique<sim::Soc>(
-            soc_cfg, *slot.policies.back()));
-        if (cfg_.capture)
-            slot.socs.back()->trace().enable();
-        slot.socs.back()->beginRun(cfg_.soc.maxCycles);
-        slot.jobReq.emplace_back();
-        slot.seen.push_back(0);
-        fleet.push_back(slot.socs.back().get());
-    }
-    upCount_ = cfg_.numSocs;
+    slots_.resize(slotCfgs_.size());
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        bootSoc(i);
+    upCount_ = n;
     if (cfg_.capture)
         cfg_.capture->frontend.enable();
 
     // Completion *reactions* must run on the coordinator, so the
     // engine gets no per-advance callback; harvest() walks the slots
     // in index order after every epoch instead.
+    std::vector<sim::Soc *> fleet;
+    fleet.reserve(slots_.size());
+    for (Slot &slot : slots_)
+        fleet.push_back(&slot.live());
     engine_ = std::make_unique<cluster::ParallelEngine>(
-        std::move(fleet), cfg_.jobs, nullptr, cfg_.profile);
+        std::move(fleet), cfg_.jobs, cfg_.profile);
 
-    if (!cfg_.openLoop)
+    if (pool_)
         for (int c = 0; c < pool_->numClients(); ++c)
             maybeScheduleIssue(c, 0);
     if (injector_.enabled())
         push(injector_.firstFailure(), EvKind::Fail);
     if (cfg_.autoscaler.enabled)
         push(cfg_.autoscaler.interval, EvKind::ScaleTick);
+}
+
+void
+ServeDriver::bootSoc(std::size_t slot_idx)
+{
+    Slot &slot = slots_[slot_idx];
+    sim::SocConfig soc_cfg = slotCfgs_[slot_idx];
+    soc_cfg.socId = static_cast<int>(slot_idx);
+    slot.policies.push_back(
+        exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg));
+    slot.socs.push_back(
+        std::make_unique<sim::Soc>(soc_cfg, *slot.policies.back()));
+    if (cfg_.capture)
+        slot.socs.back()->trace().enable();
+    slot.socs.back()->beginRun();
+    slot.jobReq.emplace_back();
+    slot.seen.push_back(0);
 }
 
 Cycles
@@ -347,7 +363,8 @@ ServeDriver::advanceTo(Cycles target)
     }
     if (cfg_.capture) {
         // Epoch/stall spans on the front-end clock, delta'd from the
-        // engine's counters (see the cluster-run equivalent).
+        // engine's counters so the exporter can draw the PDES
+        // timeline.
         const cluster::EpochStats &after = engine_->stats();
         if (after.epochs > before.epochs)
             cfg_.capture->epochs.push_back(
@@ -398,9 +415,9 @@ ServeDriver::harvest()
             respLatency_.push_back(latency);
             respNormLatency_.push_back(
                 latency /
-                static_cast<double>(iso_(reqTasks_[static_cast<
-                                             std::size_t>(req)]
-                                             .model)));
+                static_cast<double>(isoLatency(
+                    i, reqTasks_[static_cast<std::size_t>(req)]
+                           .model)));
             if (jr.slaMet())
                 ++respMet_;
             if (workload::priorityGroup(jr.spec.priority) ==
@@ -469,7 +486,7 @@ ServeDriver::handleIssue(int req)
         p.issued = true;
         p.firstIssue = now_;
         res_.requests++;
-        if (!cfg_.openLoop) {
+        if (pool_) {
             const ClientRequest &cr = pool_->request(req);
             ClientState &c =
                 clients_[static_cast<std::size_t>(cr.client)];
@@ -479,6 +496,10 @@ ServeDriver::handleIssue(int req)
             // The window may still have room: the next request
             // thinks from this issue, not from a completion.
             maybeScheduleIssue(cr.client, now_);
+        } else if (static_cast<std::size_t>(req) + 1 <
+                   reqTasks_.size()) {
+            push(reqTasks_[static_cast<std::size_t>(req) + 1].arrival,
+                 EvKind::Issue, req + 1);
         }
     }
 
@@ -561,7 +582,7 @@ ServeDriver::failAttempt(int req)
     ReqProgress &p = progress_[static_cast<std::size_t>(req)];
     p.token++; // Invalidate any pending timeout of the old attempt.
     p.inFlight = false;
-    if (!cfg_.openLoop && p.retriesUsed < cfg_.clients.maxRetries) {
+    if (pool_ && p.retriesUsed < cfg_.clients.maxRetries) {
         p.retriesUsed++;
         res_.retries++;
         push(now_ + pool_->backoff(p.retriesUsed), EvKind::Issue,
@@ -584,7 +605,7 @@ ServeDriver::resolveRequest(int req, bool success, Cycles finish)
     if (!success)
         res_.giveUps++;
     res_.endCycle = std::max(res_.endCycle, finish);
-    if (!cfg_.openLoop) {
+    if (pool_) {
         const ClientRequest &cr = pool_->request(req);
         ClientState &c =
             clients_[static_cast<std::size_t>(cr.client)];
@@ -694,19 +715,9 @@ ServeDriver::handleRecover(int slot_idx)
     // Reboot: a fresh SoC (and fresh policy state) joins the slot.
     // Its clock starts at 0 with nothing queued, so it reports
     // kNoEvent and costs the engine nothing until placed on.
-    const sim::SocConfig soc_cfg =
-        socCfgFor(static_cast<std::size_t>(slot_idx));
-    slot.policies.push_back(
-        exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg));
-    slot.socs.push_back(std::make_unique<sim::Soc>(
-        soc_cfg, *slot.policies.back()));
-    if (cfg_.capture)
-        slot.socs.back()->trace().enable();
-    slot.socs.back()->beginRun(cfg_.soc.maxCycles);
-    slot.jobReq.emplace_back();
-    slot.seen.push_back(0);
+    bootSoc(static_cast<std::size_t>(slot_idx));
     engine_->replaceSoc(static_cast<std::size_t>(slot_idx),
-                        slot.socs.back().get());
+                        &slot.live());
     engine_->setActive(static_cast<std::size_t>(slot_idx), true);
     slot.state = SlotState::Up;
     noteUpChange(+1);
@@ -775,11 +786,15 @@ ServeDriver::run()
             continue;
         }
         const Event ev = queue_.top();
-        if (ev.at > now_) {
+        if (pool_ && ev.at > now_) {
             advanceTo(chunkTarget(ev.at));
             continue; // Harvest may have scheduled earlier events.
         }
         queue_.pop();
+        // A fixed-arrival stream reacts to nothing, so every arrival
+        // is one epoch barrier; a tied arrival is a horizon stall.
+        if (!pool_)
+            advanceTo(ev.at);
         if (cfg_.profile)
             coordTimer_.restart();
         switch (ev.kind) {
@@ -795,8 +810,9 @@ ServeDriver::run()
 
     // Drain the orphans (and draining slots); failed slots stay
     // frozen.  Leftover control events are dead — every request is
-    // resolved.
-    advanceTo(sim::kNoHorizon);
+    // resolved.  An idle fleet needs no drain epoch.
+    if (engine_->fleetNextEvent() != sim::kNoEvent)
+        advanceTo(sim::kNoHorizon);
     finalize();
     return res_;
 }
@@ -807,7 +823,7 @@ ServeDriver::finalize()
     cluster::ClusterResult &out = res_.cluster;
     out.dispatcher = cfg_.dispatcher;
     out.policy = cfg_.policy;
-    out.numSocs = cfg_.numSocs;
+    out.numSocs = static_cast<int>(slots_.size());
     out.numTasks = res_.attempts;
     out.epochs = engine_->stats().epochs;
     out.horizonStalls = engine_->stats().horizonStalls;
@@ -819,6 +835,8 @@ ServeDriver::finalize()
     }
     out.perSoc.resize(slots_.size());
 
+    std::uint64_t completed = 0;
+    bool sampled = false;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         Slot &slot = slots_[i];
         cluster::SocShare &share = out.perSoc[i];
@@ -846,10 +864,10 @@ ServeDriver::finalize()
                     events.end());
             }
         }
-        if (cfg_.capture && slot.live().sampler())
-            cfg_.capture->socSeries.push_back(
-                slot.live().sampler()->series());
-        share.metrics = metrics::computeMetrics(all, iso_);
+        sampled = sampled || slot.live().sampler() != nullptr;
+        completed += all.size();
+        share.metrics = metrics::computeMetrics(
+            all, [&](dnn::ModelId id) { return isoLatency(i, id); });
         share.dramBusyFraction = cycles > 0
             ? busy_weighted / static_cast<double>(cycles)
             : 0.0;
@@ -859,6 +877,19 @@ ServeDriver::finalize()
         out.stp += share.metrics.stp;
         out.makespan = std::max(out.makespan, share.makespan);
     }
+    // Sampled series stay socId-indexed: an unsampled slot of a mixed
+    // fleet contributes an empty series.
+    if (cfg_.capture && sampled)
+        for (Slot &slot : slots_)
+            cfg_.capture->socSeries.push_back(
+                slot.live().sampler() ? slot.live().sampler()->series()
+                                      : obs::Timeseries{});
+    if (completed + res_.lostJobs != res_.attempts)
+        panic("fleet lost tasks: %llu placed, %llu completed, %llu "
+              "lost to SoC failures",
+              static_cast<unsigned long long>(res_.attempts),
+              static_cast<unsigned long long>(completed),
+              static_cast<unsigned long long>(res_.lostJobs));
 
     // Client-facing fleet aggregates: responses only.
     out.slaRate = res_.responses > 0
@@ -925,8 +956,60 @@ ServeDriver::finalize()
 ServeResult
 runServe(const ServeConfig &cfg)
 {
-    ServeDriver driver(cfg);
+    if (cfg.numSocs < 1)
+        fatal("serving fleet needs at least one SoC (got %d)",
+              cfg.numSocs);
+    ServeDriver driver(
+        cfg,
+        std::vector<sim::SocConfig>(
+            static_cast<std::size_t>(cfg.numSocs), cfg.soc),
+        nullptr);
     return driver.run();
 }
 
 } // namespace moca::serve
+
+namespace moca::cluster {
+
+ClusterConfig
+ClusterConfig::homogeneous(int n, const sim::SocConfig &soc)
+{
+    if (n < 1)
+        fatal("cluster needs at least one SoC (got %d)", n);
+    ClusterConfig cfg;
+    cfg.socs.assign(static_cast<std::size_t>(n), soc);
+    return cfg;
+}
+
+ClusterResult
+runCluster(const ClusterConfig &cfg,
+           const std::vector<ClusterTask> &tasks)
+{
+    if (cfg.socs.empty())
+        fatal("cluster needs at least one SoC");
+    for (std::size_t i = 1; i < tasks.size(); ++i)
+        if (tasks[i].arrival < tasks[i - 1].arrival)
+            fatal("cluster task stream must be sorted by arrival "
+                  "(task %d at %llu after task %d at %llu)",
+                  tasks[i].id,
+                  static_cast<unsigned long long>(tasks[i].arrival),
+                  tasks[i - 1].id,
+                  static_cast<unsigned long long>(
+                      tasks[i - 1].arrival));
+
+    // Always-admit, no autoscaler, no failures, no timeouts, and an
+    // unbounded control quantum: the fleet advances exactly from one
+    // arrival to the next, then drains.
+    serve::ServeConfig sc;
+    sc.policy = cfg.policy;
+    sc.dispatcher = cfg.dispatcher;
+    sc.dispatcherSeed = cfg.dispatcherSeed;
+    sc.jobs = cfg.jobs;
+    sc.controlQuantum = 0;
+    sc.profile = cfg.profile;
+    sc.capture = cfg.capture;
+    serve::ServeDriver driver(sc, cfg.socs, &tasks);
+    return driver.run().cluster;
+}
+
+} // namespace moca::cluster

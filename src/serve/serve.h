@@ -1,10 +1,12 @@
 /**
  * @file
- * The closed-loop serving driver: ties the client population
- * (serve/client.h), admission control (serve/admission.h), the
- * autoscaler (serve/autoscaler.h), and failure injection
- * (serve/failure.h) around the conservative-PDES fleet engine
- * (cluster/parallel.h) into one deterministic serving loop.
+ * The fleet driver: ties the client population (serve/client.h),
+ * admission control (serve/admission.h), the autoscaler
+ * (serve/autoscaler.h), and failure injection (serve/failure.h)
+ * around the conservative-PDES fleet engine (cluster/parallel.h) into
+ * one deterministic serving loop.  It is the only fleet driver:
+ * cluster::runCluster (cluster/cluster.h) is defined next to runServe
+ * and feeds the same loop a fixed-arrival task stream.
  *
  * Execution model.  The front end keeps a single event queue —
  * client issues, retries, per-attempt timeouts, admission re-tries
@@ -25,12 +27,12 @@
  * a *fresh* SoC into the slot.  The dispatcher and admission policy
  * only ever see the Up slots.
  *
- * The open-loop synthesizer remains available as a degenerate pool
- * (openLoop = true): the request stream comes from
- * cluster::synthesizeTasks with fixed arrival cycles, no think time,
- * no timeouts, no retries — with always-admit, no autoscaler, no
- * failures, and an unbounded control quantum it replays
- * cluster::runCluster bit-identically.
+ * Open loop.  runCluster replaces the client pool with its task
+ * stream: fixed arrival cycles, no think time, no timeouts, no
+ * retries, always-admit, no autoscaler, no failures, and an unbounded
+ * control quantum.  Every arrival is then one epoch barrier (a tied
+ * arrival counts a horizon stall), and after the last arrival the
+ * fleet drains.
  */
 
 #ifndef MOCA_SERVE_SERVE_H
@@ -69,24 +71,14 @@ struct ServeConfig
     /**
      * Control quantum in cycles: the fleet never advances more than
      * this far without a harvest/reaction point.  0 = unbounded
-     * (advance straight to the next front-end event — the open-loop
-     * replay mode).  Smaller quanta react faster but cost more
-     * barrier epochs.
+     * (advance straight to the next front-end event).  Smaller quanta
+     * react faster but cost more barrier epochs.
      */
     Cycles controlQuantum = 50'000;
-
-    /** Front-end deadlock bound; fatal when the serving clock passes
-     *  it with requests unresolved.  0 uses soc.maxCycles. */
-    Cycles maxCycles = 0;
 
     ClientPoolConfig clients;
     AutoscalerConfig autoscaler;
     FailureConfig failures;
-
-    /** Degenerate open-loop pool: replay a synthesized fixed-arrival
-     *  stream (`synth`) instead of the closed-loop clients. */
-    bool openLoop = false;
-    cluster::SynthConfig synth;
 
     /** Wall-clock phase profiling (see ClusterResult::phases);
      *  diagnostic only, keep off for timing=0 baselines. */
@@ -152,10 +144,10 @@ struct ServeResult
 };
 
 /**
- * Run one closed-loop (or degenerate open-loop) serving experiment.
- * Deterministic: a pure function of `cfg`, bit-identical for every
- * `jobs` value.  Fatal on invalid configuration or an unresolvable
- * stall (maxCycles).
+ * Run one closed-loop serving experiment.  Deterministic: a pure
+ * function of `cfg`, bit-identical for every `jobs` value.  Fatal on
+ * invalid configuration or when the serving clock passes
+ * soc.maxCycles with requests unresolved (deadlock).
  */
 ServeResult runServe(const ServeConfig &cfg);
 

@@ -192,8 +192,8 @@ struct SocConfig
 
     /**
      * Identity of this SoC within a fleet (stamped on trace events
-     * and telemetry series).  0 for standalone runs; runCluster and
-     * the serve driver assign slot indices.
+     * and telemetry series).  0 for standalone runs; the fleet driver
+     * (serve/serve.cc) assigns slot indices.
      */
     int socId = 0;
 

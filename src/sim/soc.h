@@ -14,8 +14,8 @@
  * (latency = max(C, M) + f * min(C, M), Algorithm 1 semantics).
  *
  * The *quantum* kernel steps fixed cfg.quantum chunks, so cost scales
- * with simulated cycles.  The *event* kernel (sim/event_queue.h)
- * advances time directly to the earliest upcoming state change — next
+ * with simulated cycles.  The *event* kernel (stepEvent) advances
+ * time directly to the earliest upcoming state change — next
  * arrival, periodic scheduler tick, stall expiry, layer completion,
  * binding throttle-window rollover — rounded up to the quantum grid;
  * demands, grants, and per-layer rates are piecewise-constant between
@@ -98,7 +98,7 @@ class Soc
     // --- Resumable stepping (cluster co-simulation) -------------------
     //
     // run() is equivalent to beginRun(); while (stepOnce()) {};
-    // finishRun().  A co-simulator (cluster::Cluster) instead steps
+    // finishRun().  A co-simulator (the fleet driver) instead steps
     // each SoC up to a *horizon* — the next cluster-level event, e.g.
     // the arrival of a task the front-end dispatcher has not placed
     // yet — injects the task into the chosen SoC at its exact

@@ -504,7 +504,16 @@ TEST(Cluster, HeterogeneousFleetRuns)
     const auto tasks = synthTasks(testSynth(120, 12, 23), cfg);
     const auto res = cluster::runCluster(cc, tasks);
     EXPECT_EQ(res.numTasks, 120u);
-    EXPECT_EQ(res.perSoc.size(), 2u);
+    ASSERT_EQ(res.perSoc.size(), 2u);
+
+    // Pinned values: each slot builds its SoC from, and normalizes by
+    // the isolated latency of, its *own* config — normalizing the
+    // 4-tile SoC by the 8-tile oracle would move every metric below.
+    EXPECT_EQ(res.slaRate, 107.0 / 120.0);
+    EXPECT_DOUBLE_EQ(res.stp, 58.661226511797523);
+    EXPECT_DOUBLE_EQ(res.normLatency.p99, 10.053129605501811);
+    EXPECT_EQ(res.perSoc[0].makespan, 27'068'096u);
+    EXPECT_EQ(res.perSoc[1].makespan, 31'073'728u);
 }
 
 TEST(Cluster, UnsortedTasksDie)

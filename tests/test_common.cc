@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and
- * distributions, statistics accumulators, tables, argument parsing.
+ * distributions, statistics accumulators, tables, JSON escaping,
+ * argument parsing.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 
 #include "common/argparse.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -179,6 +181,14 @@ TEST(Table, CsvQuoting)
     Table t({"h"});
     t.row().cell("va,lue");
     EXPECT_NE(t.csv().find("\"va,lue\""), std::string::npos);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlChars)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("\n\t\r"), "\\n\\t\\r");
+    EXPECT_EQ(jsonEscape(std::string("x\x01y")), "x\\u0001y");
 }
 
 TEST(ArgMap, ParsesTypes)

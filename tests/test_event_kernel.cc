@@ -19,7 +19,6 @@
 #include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
-#include "sim/event_queue.h"
 #include "sim/soc.h"
 
 namespace moca {
@@ -63,200 +62,6 @@ relDelta(double a, double b)
 {
     const double denom = std::max(std::abs(a), std::abs(b));
     return denom > 0.0 ? std::abs(a - b) / denom : 0.0;
-}
-
-// --- EventQueue --------------------------------------------------------
-
-TEST(EventQueue, PopsInTimeOrderWithDeterministicTies)
-{
-    sim::EventQueue q;
-    q.push(300, sim::SimEventKind::LayerCompletion, 2);
-    q.push(100, sim::SimEventKind::SchedTick);
-    q.push(300, sim::SimEventKind::Arrival);
-    q.push(300, sim::SimEventKind::LayerCompletion, 1);
-    q.push(200, sim::SimEventKind::StallExpiry, 0);
-    ASSERT_EQ(q.size(), 5u);
-
-    EXPECT_EQ(q.top().at, 100u);
-    EXPECT_EQ(q.pop().kind, sim::SimEventKind::SchedTick);
-    EXPECT_EQ(q.pop().kind, sim::SimEventKind::StallExpiry);
-    // Equal-time events break ties on kind, then job id.
-    EXPECT_EQ(q.pop().kind, sim::SimEventKind::Arrival);
-    EXPECT_EQ(q.pop().jobId, 1);
-    EXPECT_EQ(q.pop().jobId, 2);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, ClearAndReuse)
-{
-    sim::EventQueue q;
-    q.push(5, sim::SimEventKind::Arrival);
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    q.push(7, sim::SimEventKind::SchedTick);
-    EXPECT_EQ(q.top().at, 7u);
-}
-
-namespace {
-
-/** Reference implementation: a plain binary min-heap over the same
- *  (at, kind, jobId) order the calendar queue promises. */
-class RefHeap
-{
-  public:
-    void push(Cycles at, sim::SimEventKind kind, int job_id)
-    {
-        heap_.push_back({at, kind, job_id});
-        std::push_heap(heap_.begin(), heap_.end(), later);
-    }
-    sim::SimEvent pop()
-    {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        const sim::SimEvent e = heap_.back();
-        heap_.pop_back();
-        return e;
-    }
-    bool empty() const { return heap_.empty(); }
-
-  private:
-    static bool later(const sim::SimEvent &a, const sim::SimEvent &b)
-    {
-        return b < a;
-    }
-    std::vector<sim::SimEvent> heap_;
-};
-
-/** Deterministic 64-bit LCG (tests must not depend on libc rand). */
-std::uint64_t
-lcg(std::uint64_t &s)
-{
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    return s >> 11;
-}
-
-} // anonymous namespace
-
-TEST(EventQueue, DifferentialPopOrderMatchesReferenceHeap)
-{
-    // Random interleaved push/pop streams: the calendar queue's pop
-    // sequence must be identical to the reference heap's, element by
-    // element, across bucket wraps and resizes.
-    for (std::uint64_t seed : {1ull, 42ull, 1337ull}) {
-        std::uint64_t s = seed * 2654435761ull + 12345;
-        sim::EventQueue q(512);
-        RefHeap ref;
-        Cycles base = 0;
-        int pending = 0;
-        for (int round = 0; round < 5000; ++round) {
-            const bool do_push =
-                pending == 0 || lcg(s) % 3 != 0;
-            if (do_push) {
-                // Mostly near-future events, occasionally a far
-                // outlier (exercises the min-scan fallback).
-                const Cycles at = base + (lcg(s) % 100 == 0
-                    ? 512 * (lcg(s) % 100000)
-                    : lcg(s) % (512 * 8));
-                const auto kind = static_cast<sim::SimEventKind>(
-                    lcg(s) % sim::kNumSimEventKinds);
-                const int job = static_cast<int>(lcg(s) % 32) - 1;
-                q.push(at, kind, job);
-                ref.push(at, kind, job);
-                ++pending;
-            } else {
-                const sim::SimEvent a = q.pop();
-                const sim::SimEvent b = ref.pop();
-                EXPECT_EQ(a.at, b.at);
-                EXPECT_EQ(a.kind, b.kind);
-                EXPECT_EQ(a.jobId, b.jobId);
-                base = std::max(base, a.at); // Time moves forward.
-                --pending;
-            }
-        }
-        while (!ref.empty()) {
-            const sim::SimEvent a = q.pop();
-            const sim::SimEvent b = ref.pop();
-            ASSERT_EQ(a.at, b.at);
-            ASSERT_EQ(a.kind, b.kind);
-            ASSERT_EQ(a.jobId, b.jobId);
-        }
-        EXPECT_TRUE(q.empty());
-    }
-}
-
-TEST(EventQueue, InvalidateDropsStaleAndKeepsLive)
-{
-    sim::EventQueue q(512);
-    q.push(100, sim::SimEventKind::StallExpiry, 3);
-    q.push(200, sim::SimEventKind::StallExpiry, 3);
-    q.push(150, sim::SimEventKind::LayerCompletion, 3);
-    q.push(120, sim::SimEventKind::StallExpiry, 4);
-    ASSERT_EQ(q.size(), 4u);
-
-    // Drop job 3's stall events only: size reflects live events and
-    // the stale ones are skipped on pop.
-    q.invalidate(sim::SimEventKind::StallExpiry, 3);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.top().jobId, 4);
-
-    // A push after the invalidation is live again (new generation).
-    q.push(300, sim::SimEventKind::StallExpiry, 3);
-    EXPECT_EQ(q.size(), 3u);
-
-    EXPECT_EQ(q.pop().jobId, 4);
-    EXPECT_EQ(q.pop().kind, sim::SimEventKind::LayerCompletion);
-    const sim::SimEvent last = q.pop();
-    EXPECT_EQ(last.at, 300u);
-    EXPECT_EQ(last.jobId, 3);
-    EXPECT_TRUE(q.empty());
-
-    // Invalidating with nothing pending is a harmless no-op.
-    q.invalidate(sim::SimEventKind::Arrival);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, InvalidatedTopRecomputes)
-{
-    sim::EventQueue q(512);
-    q.push(100, sim::SimEventKind::LayerCompletion, 1);
-    q.push(900, sim::SimEventKind::SchedTick);
-    EXPECT_EQ(q.top().at, 100u);
-    // Invalidate the cached minimum: top must settle on the tick.
-    q.invalidate(sim::SimEventKind::LayerCompletion, 1);
-    EXPECT_EQ(q.top().at, 900u);
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, BucketWrapAndGrow)
-{
-    // More events than 2x the initial bucket count forces a resize;
-    // days far beyond the bucket count force index wrap-around.
-    sim::EventQueue q(512);
-    const std::size_t initial = q.buckets();
-    std::vector<Cycles> ats;
-    for (Cycles i = 0; i < 200; ++i) {
-        const Cycles at = (i * 37) % 199 * 512 * 3 + i;
-        ats.push_back(at);
-        q.push(at, sim::SimEventKind::Arrival,
-               static_cast<int>(i));
-    }
-    EXPECT_GT(q.buckets(), initial);
-    std::sort(ats.begin(), ats.end());
-    for (Cycles expect : ats)
-        EXPECT_EQ(q.pop().at, expect);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FarFutureGapUsesMinScan)
-{
-    // A lone event many calendar years past now: pop must find it
-    // without walking every intervening day.
-    sim::EventQueue q(512);
-    q.push(512ull * 1000 * 1000, sim::SimEventKind::SchedTick);
-    EXPECT_EQ(q.top().at, 512ull * 1000 * 1000);
-    q.push(64, sim::SimEventKind::Arrival);
-    EXPECT_EQ(q.pop().at, 64u);
-    EXPECT_EQ(q.pop().at, 512ull * 1000 * 1000);
-    EXPECT_TRUE(q.empty());
 }
 
 // --- Solo parity -------------------------------------------------------

@@ -6,8 +6,8 @@
  * across PDES worker counts (failures and admission control
  * included), the forced-timeout retry path, the autoscaler's
  * drain-never-loses-work invariant, mid-run SoC fail/recover on both
- * time-advance kernels and both in-flight policies, and the
- * open-loop degenerate mode replaying cluster::runCluster.
+ * time-advance kernels and both in-flight policies, and goodput
+ * wiring through cluster::runCluster.
  */
 
 #include <gtest/gtest.h>
@@ -374,53 +374,6 @@ TEST(Serve, FailRecoverMidRunBothKernelsBothPolicies)
                 EXPECT_EQ(r.requeued, 0u);
             }
         }
-    }
-}
-
-TEST(Serve, OpenLoopDegenerateModeReplaysRunCluster)
-{
-    const sim::SocConfig soc = testSoc();
-    const int socs = 2;
-    cluster::SynthConfig synth;
-    synth.numTasks = 24;
-    synth.set = workload::WorkloadSet::A;
-    synth.fleetTiles = socs * soc.numTiles;
-    synth.seed = 11;
-    const auto tasks =
-        cluster::synthesizeTasks(synth, [&](dnn::ModelId id) {
-            return exp::isolatedLatency(id, 1, soc);
-        });
-
-    cluster::ClusterConfig cc =
-        cluster::ClusterConfig::homogeneous(socs, soc);
-    const cluster::ClusterResult direct =
-        cluster::runCluster(cc, tasks);
-
-    ServeConfig sc;
-    sc.soc = soc;
-    sc.numSocs = socs;
-    sc.openLoop = true;
-    sc.synth = synth;
-    sc.controlQuantum = 0;
-    const ServeResult r = serve::runServe(sc);
-
-    // Same placements, same job outcomes: the closed-loop driver
-    // degenerates to the open-loop cluster path bit-identically.
-    EXPECT_EQ(r.requests, static_cast<std::uint64_t>(tasks.size()));
-    EXPECT_EQ(r.giveUps, 0u);
-    EXPECT_EQ(r.cluster.slaRate, direct.slaRate);
-    EXPECT_EQ(r.cluster.slaRateHigh, direct.slaRateHigh);
-    EXPECT_EQ(r.cluster.latency.p50, direct.latency.p50);
-    EXPECT_EQ(r.cluster.latency.p95, direct.latency.p95);
-    EXPECT_EQ(r.cluster.latency.p99, direct.latency.p99);
-    EXPECT_EQ(r.cluster.normLatency.p99, direct.normLatency.p99);
-    EXPECT_EQ(r.cluster.stp, direct.stp);
-    EXPECT_EQ(r.cluster.makespan, direct.makespan);
-    ASSERT_EQ(r.cluster.perSoc.size(), direct.perSoc.size());
-    for (std::size_t i = 0; i < direct.perSoc.size(); ++i) {
-        EXPECT_EQ(r.cluster.perSoc[i].tasks, direct.perSoc[i].tasks);
-        EXPECT_EQ(r.cluster.perSoc[i].makespan,
-                  direct.perSoc[i].makespan);
     }
 }
 

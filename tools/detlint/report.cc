@@ -7,38 +7,10 @@
 
 #include <sstream>
 
+#include "src/common/json.h"
 #include "tools/detlint/detlint.h"
 
 namespace detlint {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 formatText(const Report &report)
@@ -68,10 +40,10 @@ formatJson(const Report &report)
     for (std::size_t i = 0; i < report.findings.size(); ++i) {
         const Finding &f = report.findings[i];
         out << (i == 0 ? "" : ",") << "\n    {\"rule\": \""
-            << jsonEscape(f.rule) << "\", \"file\": \""
-            << jsonEscape(f.file) << "\", \"line\": " << f.line
-            << ", \"message\": \"" << jsonEscape(f.message)
-            << "\", \"snippet\": \"" << jsonEscape(f.snippet)
+            << moca::jsonEscape(f.rule) << "\", \"file\": \""
+            << moca::jsonEscape(f.file) << "\", \"line\": " << f.line
+            << ", \"message\": \"" << moca::jsonEscape(f.message)
+            << "\", \"snippet\": \"" << moca::jsonEscape(f.snippet)
             << "\"}";
     }
     out << (report.findings.empty() ? "" : "\n  ") << "]\n}\n";
