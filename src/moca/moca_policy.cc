@@ -257,8 +257,11 @@ MocaPolicy::maybeRepartition(sim::Soc &soc, sim::SchedEvent event)
     if (!cfg_.enableComputeRepartition)
         return;
     const int per_slot = tilesPerSlot(soc);
-    const auto running = soc.runningJobs();
-    const auto waiting = soc.waitingJobs();
+    // Bound by reference (no per-call copies): resizeJob below changes
+    // neither set's membership, and the loop breaks right after its
+    // one resizeJob.
+    const auto &running = soc.runningJobs();
+    const auto &waiting = soc.waitingJobs();
     const double migration =
         static_cast<double>(soc.config().migrationCycles);
 

@@ -38,7 +38,11 @@ class Policy
     /**
      * Main scheduling hook.  Inspect the Soc's job queues and issue
      * control calls (startJob / resizeJob / pauseJob /
-     * configureThrottle).  Invoked whenever `event` occurs.
+     * configureThrottle).  Invoked whenever `event` occurs, with
+     * one exception: PeriodicTick is not delivered while the SoC has
+     * no running and no waiting job, so an idle gap costs O(1)
+     * however long it is.  A policy must therefore be a no-op on
+     * such a tick, read time from soc.now(), and never count ticks.
      */
     virtual void schedule(Soc &soc, SchedEvent event) = 0;
 

@@ -492,6 +492,22 @@ Soc::invokePolicy(SchedEvent event)
     policy_.schedule(*this, event);
 }
 
+void
+Soc::skipIdleTicks(Cycles limit)
+{
+    if (limit <= next_sched_tick_)
+        return;
+    const Cycles period = cfg_.schedPeriod;
+    const Cycles k = (limit - next_sched_tick_ + period - 1) / period;
+    if (trace_.enabled()) {
+        // Keep the event log identical to firing each tick in turn.
+        for (Cycles i = 0; i < k; ++i)
+            trace_.record(next_sched_tick_ + i * period,
+                          TraceEventKind::SchedTick, -1);
+    }
+    next_sched_tick_ += k * period;
+}
+
 // --- Shared step phases -----------------------------------------------
 
 bool
@@ -510,13 +526,20 @@ Soc::schedulingPoints(Cycles horizon)
 
     const Cycles na = nextArrivalCycle();
     if (na != kNoArrival) {
-        // Idle-advance to the next arrival, but never past a periodic
-        // tick (the tick cadence stays exact across idle gaps) or the
+        // Idle-advance to the next arrival, but never past the
         // caller's horizon (a co-simulator may inject work there).
-        Cycles target = std::min(na, next_sched_tick_);
-        if (horizon != 0)
-            target = std::min(target, horizon);
-        now_ = std::max(now_, target);
+        const Cycles limit = horizon != 0 ? std::min(na, horizon) : na;
+        if (waiting_ids_.empty()) {
+            // An empty SoC: every policy is a no-op on a tick here
+            // (see Policy), so skip the ticks strictly before `limit`
+            // in closed form.  The grid stays 0-based, so the first
+            // real tick fires where it would had every tick fired.
+            skipIdleTicks(limit);
+            now_ = std::max(now_, limit);
+            return false;
+        }
+        // Waiting jobs: a tick may start one, so stop at each tick.
+        now_ = std::max(now_, std::min(limit, next_sched_tick_));
         return false;
     }
     // No arrivals left and nothing running: the policy must start a

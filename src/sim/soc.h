@@ -23,6 +23,13 @@
  * Both kernels fire the periodic tick at the exact schedPeriod
  * cadence and admit arrivals at their exact dispatch cycle.
  *
+ * Idle gaps cost O(1) kernel iterations under both kernels: a SoC
+ * with no running and no waiting job jumps straight to its next
+ * arrival (or the caller's horizon), skipping the periodic ticks in
+ * between in closed form.  No policy acts on such a tick (see
+ * Policy), and the next tick still lands on the same schedPeriod
+ * grid, so results are identical to firing every tick.
+ *
  * Layer DRAM traffic is determined at layer start from the job's
  * *effective* L2 share (capacity divided among co-runners), which
  * models shared-cache capacity contention.  Scheduling points invoke
@@ -67,6 +74,9 @@ struct SocStats
      *  the quantum kernel, variable-length steps under the event
      *  kernel (the kernel-speedup ratio is quanta_q / quanta_e). */
     std::uint64_t quanta = 0;
+    /** Policy::schedule() calls actually made.  Periodic ticks skipped
+     *  on an empty SoC (see Policy) invoke nothing and are not
+     *  counted, so an idle gap adds nothing here. */
     std::uint64_t schedInvocations = 0;
     /** Steps where oversubscribed interleaved demand degraded the
      *  effective DRAM bandwidth. */
@@ -397,12 +407,21 @@ class Soc
     /**
      * Handle the scheduling points at `now_`: admit due arrivals,
      * fire the periodic tick, and — when nothing is running — advance
-     * idle time to the next arrival or tick (or invoke the policy one
-     * last time before declaring deadlock), clamped to `horizon`
-     * (0 = unbounded).  Returns true when jobs are running (the
-     * caller may step); false re-enters the caller's loop.
+     * idle time to the next tick (jobs waiting) or straight to the
+     * next arrival (nothing waiting either: skipIdleTicks), or invoke
+     * the policy one last time before declaring deadlock, clamped to
+     * `horizon` (0 = unbounded).  Returns true when jobs are running
+     * (the caller may step); false re-enters the caller's loop.
      */
     bool schedulingPoints(Cycles horizon);
+
+    /**
+     * Advance next_sched_tick_ past every tick strictly before
+     * `limit` without invoking the policy (the idle branch of
+     * schedulingPoints on a SoC with no running and no waiting job).
+     * O(1) unless tracing, which still logs each skipped tick.
+     */
+    void skipIdleTicks(Cycles limit);
 
     /**
      * Demand phase: each running job's DMA byte demand over `horizon`

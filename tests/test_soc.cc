@@ -299,5 +299,97 @@ TEST(Soc, AdvanceToHorizonZeroIsNoOpAndNextEventTracksClock)
     EXPECT_EQ(soc.nextEventTime(), kNoEvent);
 }
 
+// --- Idle gaps cost O(1) kernel iterations ------------------------------
+
+/** Periodic ticks in `soc`'s trace, checking each sits on the
+ *  schedPeriod grid. */
+std::size_t
+gridTicks(const Soc &soc, SimKernel k)
+{
+    std::size_t ticks = 0;
+    for (const auto &e : soc.trace().events()) {
+        if (e.kind != TraceEventKind::SchedTick)
+            continue;
+        EXPECT_EQ(e.cycle % soc.config().schedPeriod, 0u)
+            << simKernelName(k) << " tick at " << e.cycle;
+        ++ticks;
+    }
+    return ticks;
+}
+
+TEST(Soc, IdleGapCostsConstantIterations)
+{
+    // The shape of a rebooted fleet SoC: booted at cycle 0, its first
+    // job placed ~1e5 scheduler periods later.  Firing every tick on
+    // the way would take ~100k iterations and policy calls.
+    constexpr Cycles kGap = 10'000'000'000ULL;
+    for (SimKernel k : {SimKernel::Quantum, SimKernel::Event}) {
+        SocConfig cfg;
+        cfg.kernel = k;
+        exp::SoloPolicy policy(cfg.numTiles);
+        Soc soc(cfg, policy);
+        soc.trace().enable();
+        soc.beginRun();
+        soc.injectJob(spec(0, dnn::ModelId::Kws, kGap));
+
+        std::size_t iterations = 0;
+        while (soc.stepOnce())
+            ++iterations;
+        soc.finishRun();
+
+        ASSERT_EQ(soc.results().size(), 1u) << simKernelName(k);
+        EXPECT_EQ(soc.results()[0].firstStart, kGap)
+            << simKernelName(k);
+        EXPECT_LT(iterations, 1'000u) << simKernelName(k);
+        EXPECT_LT(soc.stats().schedInvocations, 1'000u)
+            << simKernelName(k);
+        // The trace still logs every tick on the grid, as if each had
+        // fired.
+        EXPECT_EQ(gridTicks(soc, k), soc.now() / cfg.schedPeriod + 1)
+            << simKernelName(k);
+    }
+}
+
+TEST(Soc, IdleGapStopsAtHorizonAndKeepsTickGrid)
+{
+    constexpr Cycles kGap = 10'000'000'000ULL;
+    for (SimKernel k : {SimKernel::Quantum, SimKernel::Event}) {
+        SocConfig cfg;
+        cfg.kernel = k;
+        exp::SoloPolicy policy(cfg.numTiles);
+        Soc soc(cfg, policy);
+        soc.trace().enable();
+        soc.beginRun();
+        soc.injectJob(spec(0, dnn::ModelId::Kws, kGap));
+
+        // An off-grid horizon mid-gap is hit exactly...
+        const Cycles off_grid = kGap / 2 + 12'345;
+        soc.advanceTo(off_grid);
+        EXPECT_EQ(soc.now(), off_grid) << simKernelName(k);
+        // ... and so is an on-grid one, whose tick fires on resume.
+        const Cycles on_grid = off_grid - 12'345 + cfg.schedPeriod;
+        soc.advanceTo(on_grid);
+        EXPECT_EQ(soc.now(), on_grid) << simKernelName(k);
+        EXPECT_EQ(soc.trace().count(TraceEventKind::SchedTick),
+                  on_grid / cfg.schedPeriod)
+            << simKernelName(k);
+        soc.stepOnce(on_grid + 1);
+        EXPECT_EQ(soc.trace().events().back().kind,
+                  TraceEventKind::SchedTick)
+            << simKernelName(k);
+        EXPECT_EQ(soc.trace().events().back().cycle, on_grid)
+            << simKernelName(k);
+
+        soc.advanceTo(kNoHorizon);
+        soc.finishRun();
+        EXPECT_EQ(soc.results()[0].firstStart, kGap)
+            << simKernelName(k);
+        EXPECT_LT(soc.stats().schedInvocations, 1'000u)
+            << simKernelName(k);
+        EXPECT_EQ(gridTicks(soc, k), soc.now() / cfg.schedPeriod + 1)
+            << simKernelName(k);
+    }
+}
+
 } // namespace
 } // namespace moca::sim
