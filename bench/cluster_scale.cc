@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -62,17 +63,6 @@
 using namespace moca;
 
 namespace {
-
-std::vector<int>
-parseIntList(const std::string &what, const std::string &text)
-{
-    std::vector<int> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(static_cast<int>(parseIntValue(what, tok)));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
 
 std::vector<dnn::ModelId>
 parseMix(const std::string &text)
@@ -297,59 +287,51 @@ main(int argc, char **argv)
 
     const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"cluster_scale\",\n");
-        std::fprintf(f, "  \"process\": \"%s\",\n",
-                     cluster::arrivalProcessName(process));
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
-        std::fprintf(f, "  \"cells\": [\n");
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto &cell = cells[i];
+        std::vector<JsonValue> rows;
+        for (const auto &cell : cells) {
             const auto &r = cell.result;
-            std::fprintf(
-                f,
-                "    {\"socs\": %d, \"tasks\": %d, "
-                "\"dispatcher\": \"%s\", \"policy\": \"%s\",\n"
-                "     \"sla_rate\": %.6f, \"sla_rate_high\": %.6f, "
-                "\"stp\": %.6f,\n"
-                "     \"goodput\": %.4f, \"shed_rate\": %.6f, "
-                "\"retry_rate\": %.6f, \"timeout_rate\": %.6f,\n"
-                "     \"latency_p50\": %.1f, \"latency_p95\": %.1f, "
-                "\"latency_p99\": %.1f,\n"
-                "     \"norm_p50\": %.4f, \"norm_p95\": %.4f, "
-                "\"norm_p99\": %.4f,\n"
-                "     \"makespan\": %llu, \"balance_cv\": %.4f, "
-                "\"sim_steps\": %llu,\n"
-                "     \"epochs\": %llu, \"horizon_stalls\": %llu, "
-                "\"mean_socs_stepped\": %.4f, \"wall_s\": %.6f}%s\n",
-                cell.socs, cell.tasks, cell.dispatcher.c_str(),
-                cell.policy.c_str(), r.slaRate, r.slaRateHigh,
-                r.stp, r.goodput, r.shedRate, r.retryRate,
-                r.timeoutRate, r.latency.p50, r.latency.p95,
-                r.latency.p99,
-                r.normLatency.p50, r.normLatency.p95,
-                r.normLatency.p99,
-                static_cast<unsigned long long>(r.makespan),
-                r.balanceCv,
-                static_cast<unsigned long long>(r.simSteps),
-                static_cast<unsigned long long>(r.epochs),
-                static_cast<unsigned long long>(r.horizonStalls),
-                r.meanSocsStepped,
-                record_wall ? cell.wall : 0.0,
-                i + 1 < cells.size() ? "," : "");
+            rows.push_back(jsonObject(
+                {{{"socs", cell.socs},
+                  {"tasks", cell.tasks},
+                  {"dispatcher", cell.dispatcher},
+                  {"policy", cell.policy}},
+                 {{"sla_rate", jsonFixed(r.slaRate, 6)},
+                  {"sla_rate_high", jsonFixed(r.slaRateHigh, 6)},
+                  {"stp", jsonFixed(r.stp, 6)}},
+                 {{"goodput", jsonFixed(r.goodput, 4)},
+                  {"shed_rate", jsonFixed(r.shedRate, 6)},
+                  {"retry_rate", jsonFixed(r.retryRate, 6)},
+                  {"timeout_rate", jsonFixed(r.timeoutRate, 6)}},
+                 {{"latency_p50", jsonFixed(r.latency.p50, 1)},
+                  {"latency_p95", jsonFixed(r.latency.p95, 1)},
+                  {"latency_p99", jsonFixed(r.latency.p99, 1)}},
+                 {{"norm_p50", jsonFixed(r.normLatency.p50, 4)},
+                  {"norm_p95", jsonFixed(r.normLatency.p95, 4)},
+                  {"norm_p99", jsonFixed(r.normLatency.p99, 4)}},
+                 {{"makespan", r.makespan},
+                  {"balance_cv", jsonFixed(r.balanceCv, 4)},
+                  {"sim_steps", r.simSteps}},
+                 {{"epochs", r.epochs},
+                  {"horizon_stalls", r.horizonStalls},
+                  {"mean_socs_stepped", jsonFixed(r.meanSocsStepped, 4)},
+                  {"wall_s",
+                   jsonFixed(record_wall ? cell.wall : 0.0, 6)}}},
+                5));
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n",
-                     timing ? total_wall : 0.0);
-        std::fclose(f);
+        const std::string doc = jsonDocument(
+            {{{"bench", "cluster_scale"}},
+             {{"process", cluster::arrivalProcessName(process)}},
+             {{"load_factor", jsonFixed(load, 3)}},
+             {{"seed", seed}},
+             {{"kernel", sim::simKernelName(base.kernel)}},
+             {{"jobs", exp::resolveJobs(opts.jobs)}},
+             {{"cells", jsonArray(rows, 4, 2)}},
+             {{"total", jsonObject({{{"wall_s",
+                                      jsonFixed(timing ? total_wall
+                                                       : 0.0,
+                                                6)}}})}}});
+        if (!writeTextFile(json, doc))
+            fatal("cannot write %s", json.c_str());
         std::printf("wrote %s\n", json.c_str());
     }
     return 0;

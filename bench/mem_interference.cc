@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -204,37 +205,23 @@ main(int argc, char **argv)
 
     const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"mem_interference\",\n");
-        std::fprintf(f, "  \"tasks\": %d,\n", tasks);
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"cells\": [\n");
+        std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             const auto &r = results[i];
-            std::fprintf(
-                f,
-                "    {\"mix\": \"%s\", \"mem\": \"%s\", "
-                "\"policy\": \"%s\", \"sla\": %.6f, "
-                "\"sla_high\": %.6f, \"stp\": %.6f, "
-                "\"row_hit_rate\": %.6f, \"bank_cv\": %.6f, "
-                "\"l2_conflict_bytes\": %.0f, \"makespan\": %llu}%s\n",
-                workload::workloadSetName(keys[i].set),
-                keys[i].mem.c_str(), keys[i].policy.c_str(),
-                r.metrics.slaRate, r.metrics.slaRateHigh,
-                r.metrics.stp, r.memTraffic.rowHitRate(),
-                r.memTraffic.bankBytesCv(),
-                r.memTraffic.l2ConflictLostBytes,
-                static_cast<unsigned long long>(r.makespan),
-                i + 1 < keys.size() ? "," : "");
+            rows.push_back(jsonObject(
+                {{{"mix", workload::workloadSetName(keys[i].set)},
+                  {"mem", keys[i].mem},
+                  {"policy", keys[i].policy},
+                  {"sla", jsonFixed(r.metrics.slaRate, 6)},
+                  {"sla_high", jsonFixed(r.metrics.slaRateHigh, 6)},
+                  {"stp", jsonFixed(r.metrics.stp, 6)},
+                  {"row_hit_rate", jsonFixed(r.memTraffic.rowHitRate(), 6)},
+                  {"bank_cv", jsonFixed(r.memTraffic.bankBytesCv(), 6)},
+                  {"l2_conflict_bytes",
+                   jsonFixed(r.memTraffic.l2ConflictLostBytes, 0)},
+                  {"makespan", r.makespan}}}));
         }
-        std::fprintf(f, "  ],\n  \"margins\": [\n");
-        bool first = true;
+        std::vector<JsonValue> margin_rows;
         for (const auto &mem_spec : mems) {
             if (!have_moca)
                 break;
@@ -244,20 +231,27 @@ main(int argc, char **argv)
                 if (policy == "moca")
                     continue;
                 const Acc &a = per_policy.at(policy);
-                std::fprintf(
-                    f,
-                    "%s    {\"mem\": \"%s\", \"vs\": \"%s\", "
-                    "\"moca_sla_x\": %.4f, \"moca_stp_x\": %.4f}",
-                    first ? "" : ",\n", mem_spec.c_str(),
-                    policy.c_str(),
-                    a.sla > 0.0 ? moca.sla / a.sla : 0.0,
-                    a.stp > 0.0 ? moca.stp / a.stp : 0.0);
-                first = false;
+                margin_rows.push_back(jsonObject(
+                    {{{"mem", mem_spec},
+                      {"vs", policy},
+                      {"moca_sla_x",
+                       jsonFixed(a.sla > 0.0 ? moca.sla / a.sla : 0.0, 4)},
+                      {"moca_stp_x",
+                       jsonFixed(a.stp > 0.0 ? moca.stp / a.stp : 0.0,
+                                 4)}}}));
             }
         }
-        std::fprintf(f, "\n  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n", wall);
-        std::fclose(f);
+        const std::string doc = jsonDocument(
+            {{{"bench", "mem_interference"}},
+             {{"tasks", tasks}},
+             {{"load_factor", jsonFixed(load, 3)}},
+             {{"seed", seed}},
+             {{"kernel", sim::simKernelName(base.kernel)}},
+             {{"cells", jsonArray(rows, 4, 2)}},
+             {{"margins", jsonArray(margin_rows, 4, 2)}},
+             {{"total", jsonObject({{{"wall_s", jsonFixed(wall, 6)}}})}}});
+        if (!writeTextFile(json, doc))
+            fatal("cannot write %s", json.c_str());
         std::printf("wrote %s\n", json.c_str());
     }
     return 0;

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -65,28 +66,6 @@
 using namespace moca;
 
 namespace {
-
-std::vector<int>
-parseIntList(const std::string &what, const std::string &text)
-{
-    std::vector<int> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(static_cast<int>(parseIntValue(what, tok)));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
-
-std::vector<double>
-parseDoubleList(const std::string &what, const std::string &text)
-{
-    std::vector<double> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(parseDoubleValue(what, tok));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
 
 struct Cell
 {
@@ -391,124 +370,99 @@ main(int argc, char **argv)
 
     const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"serve_loop\",\n");
-        std::fprintf(f,
-                     "  \"socs\": %d, \"rpc\": %d, "
-                     "\"outstanding\": %d,\n",
-                     socs, rpc, outstanding);
-        std::fprintf(f,
-                     "  \"think_factor\": %.3f, "
-                     "\"timeout_scale\": %.3f, \"retries\": %d,\n",
-                     think, timeout_scale, retries);
-        std::fprintf(f,
-                     "  \"downtime\": %.1f, \"inflight\": \"%s\", "
-                     "\"autoscale\": %d,\n",
-                     downtime, serve::inflightPolicyName(inflight),
-                     autoscale ? 1 : 0);
-        std::fprintf(f,
-                     "  \"control_quantum\": %llu, \"seed\": %llu, "
-                     "\"kernel\": \"%s\",\n",
-                     static_cast<unsigned long long>(quantum),
-                     static_cast<unsigned long long>(seed),
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
-        std::fprintf(f, "  \"cells\": [\n");
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto &cell = cells[i];
+        std::vector<JsonValue> rows;
+        for (const auto &cell : cells) {
             const auto &r = cell.result;
             const auto &c = r.cluster;
-            std::fprintf(
-                f,
-                "    {\"family\": \"%s\", \"scenario\": \"%s\", "
-                "\"dispatcher\": \"%s\", \"policy\": \"%s\",\n"
-                "     \"requests\": %llu, \"attempts\": %llu, "
-                "\"responses\": %llu, \"give_ups\": %llu,\n"
-                "     \"timeouts\": %llu, \"retries\": %llu, "
-                "\"shed\": %llu, \"deferrals\": %llu, "
-                "\"orphans\": %llu,\n"
-                "     \"requeued\": %llu, \"lost_jobs\": %llu, "
-                "\"fail_events\": %llu, \"recover_events\": %llu,\n"
-                "     \"scale_ups\": %llu, \"scale_downs\": %llu, "
-                "\"success_rate\": %.6f,\n"
-                "     \"sla_rate\": %.6f, \"sla_rate_high\": %.6f, "
-                "\"goodput\": %.4f,\n"
-                "     \"shed_rate\": %.6f, \"retry_rate\": %.6f, "
-                "\"timeout_rate\": %.6f,\n"
-                "     \"norm_p50\": %.4f, \"norm_p99\": %.4f, "
-                "\"client_p50\": %.1f, \"client_p99\": %.1f,\n"
-                "     \"stp\": %.6f, \"makespan\": %llu, "
-                "\"balance_cv\": %.4f, \"epochs\": %llu,\n"
-                "     \"mean_up_socs\": %.4f, \"end_cycle\": %llu, "
-                "\"wall_s\": %.6f}%s\n",
-                cell.family.c_str(), cell.scenario.c_str(),
-                cell.dispatcher.c_str(), cell.policy.c_str(),
-                static_cast<unsigned long long>(r.requests),
-                static_cast<unsigned long long>(r.attempts),
-                static_cast<unsigned long long>(r.responses),
-                static_cast<unsigned long long>(r.giveUps),
-                static_cast<unsigned long long>(r.timeouts),
-                static_cast<unsigned long long>(r.retries),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.deferrals),
-                static_cast<unsigned long long>(r.orphans),
-                static_cast<unsigned long long>(r.requeued),
-                static_cast<unsigned long long>(r.lostJobs),
-                static_cast<unsigned long long>(r.failEvents),
-                static_cast<unsigned long long>(r.recoverEvents),
-                static_cast<unsigned long long>(r.scaleUps),
-                static_cast<unsigned long long>(r.scaleDowns),
-                r.successRate, c.slaRate, c.slaRateHigh, c.goodput,
-                c.shedRate, c.retryRate, c.timeoutRate,
-                c.normLatency.p50, c.normLatency.p99,
-                r.clientLatency.p50, r.clientLatency.p99, c.stp,
-                static_cast<unsigned long long>(c.makespan),
-                c.balanceCv,
-                static_cast<unsigned long long>(c.epochs),
-                r.meanUpSocs,
-                static_cast<unsigned long long>(r.endCycle),
-                record_wall ? cell.wall : 0.0,
-                i + 1 < cells.size() ? "," : "");
+            rows.push_back(jsonObject(
+                {{{"family", cell.family},
+                  {"scenario", cell.scenario},
+                  {"dispatcher", cell.dispatcher},
+                  {"policy", cell.policy}},
+                 {{"requests", r.requests},
+                  {"attempts", r.attempts},
+                  {"responses", r.responses},
+                  {"give_ups", r.giveUps}},
+                 {{"timeouts", r.timeouts},
+                  {"retries", r.retries},
+                  {"shed", r.shed},
+                  {"deferrals", r.deferrals},
+                  {"orphans", r.orphans}},
+                 {{"requeued", r.requeued},
+                  {"lost_jobs", r.lostJobs},
+                  {"fail_events", r.failEvents},
+                  {"recover_events", r.recoverEvents}},
+                 {{"scale_ups", r.scaleUps},
+                  {"scale_downs", r.scaleDowns},
+                  {"success_rate", jsonFixed(r.successRate, 6)}},
+                 {{"sla_rate", jsonFixed(c.slaRate, 6)},
+                  {"sla_rate_high", jsonFixed(c.slaRateHigh, 6)},
+                  {"goodput", jsonFixed(c.goodput, 4)}},
+                 {{"shed_rate", jsonFixed(c.shedRate, 6)},
+                  {"retry_rate", jsonFixed(c.retryRate, 6)},
+                  {"timeout_rate", jsonFixed(c.timeoutRate, 6)}},
+                 {{"norm_p50", jsonFixed(c.normLatency.p50, 4)},
+                  {"norm_p99", jsonFixed(c.normLatency.p99, 4)},
+                  {"client_p50", jsonFixed(r.clientLatency.p50, 1)},
+                  {"client_p99", jsonFixed(r.clientLatency.p99, 1)}},
+                 {{"stp", jsonFixed(c.stp, 6)},
+                  {"makespan", c.makespan},
+                  {"balance_cv", jsonFixed(c.balanceCv, 4)},
+                  {"epochs", c.epochs}},
+                 {{"mean_up_socs", jsonFixed(r.meanUpSocs, 4)},
+                  {"end_cycle", r.endCycle},
+                  {"wall_s",
+                   jsonFixed(record_wall ? cell.wall : 0.0, 6)}}},
+                5));
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"margins\": [\n");
-        for (std::size_t i = 0; i < margins.size(); ++i) {
-            const Margin &mg = margins[i];
+        std::vector<JsonValue> margin_rows;
+        for (const Margin &mg : margins) {
             const auto &rr = mg.refCell->result.cluster;
-            std::fprintf(
-                f,
-                "    {\"family\": \"%s\", \"scenario\": \"%s\", "
-                "\"dispatcher\": \"%s\", \"ref\": \"%s\",\n"
-                "     \"ref_sla\": %.6f, \"ref_goodput\": %.4f, "
-                "\"baselines\": [",
-                mg.refCell->family.c_str(),
-                mg.refCell->scenario.c_str(),
-                mg.refCell->dispatcher.c_str(), ref.c_str(),
-                rr.slaRate, rr.goodput);
-            for (std::size_t o = 0; o < mg.others.size(); ++o) {
-                const auto &oc = mg.others[o]->result.cluster;
-                std::fprintf(
-                    f,
-                    "%s\n      {\"policy\": \"%s\", "
-                    "\"sla_rate\": %.6f, \"goodput\": %.4f, "
-                    "\"sla_ratio\": %.4f, "
-                    "\"goodput_ratio\": %.4f}",
-                    o > 0 ? "," : "",
-                    mg.others[o]->policy.c_str(), oc.slaRate,
-                    oc.goodput,
-                    rr.slaRate / std::max(oc.slaRate, 1e-3),
-                    rr.goodput / std::max(oc.goodput, 1e-3));
+            std::vector<JsonValue> baselines;
+            for (const Cell *other : mg.others) {
+                const auto &oc = other->result.cluster;
+                baselines.push_back(jsonObject(
+                    {{{"policy", other->policy},
+                      {"sla_rate", jsonFixed(oc.slaRate, 6)},
+                      {"goodput", jsonFixed(oc.goodput, 4)},
+                      {"sla_ratio",
+                       jsonFixed(rr.slaRate / std::max(oc.slaRate, 1e-3),
+                                 4)},
+                      {"goodput_ratio",
+                       jsonFixed(rr.goodput / std::max(oc.goodput, 1e-3),
+                                 4)}}}));
             }
-            std::fprintf(f, "]}%s\n",
-                         i + 1 < margins.size() ? "," : "");
+            margin_rows.push_back(jsonObject(
+                {{{"family", mg.refCell->family},
+                  {"scenario", mg.refCell->scenario},
+                  {"dispatcher", mg.refCell->dispatcher},
+                  {"ref", ref}},
+                 {{"ref_sla", jsonFixed(rr.slaRate, 6)},
+                  {"ref_goodput", jsonFixed(rr.goodput, 4)},
+                  {"baselines", jsonArray(baselines, 6, -1)}}},
+                5));
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n",
-                     timing ? total_wall : 0.0);
-        std::fclose(f);
+        const std::string doc = jsonDocument(
+            {{{"bench", "serve_loop"}},
+             {{"socs", socs}, {"rpc", rpc}, {"outstanding", outstanding}},
+             {{"think_factor", jsonFixed(think, 3)},
+              {"timeout_scale", jsonFixed(timeout_scale, 3)},
+              {"retries", retries}},
+             {{"downtime", jsonFixed(downtime, 1)},
+              {"inflight", serve::inflightPolicyName(inflight)},
+              {"autoscale", autoscale ? 1 : 0}},
+             {{"control_quantum", quantum},
+              {"seed", seed},
+              {"kernel", sim::simKernelName(base.kernel)}},
+             {{"jobs", exp::resolveJobs(opts.jobs)}},
+             {{"cells", jsonArray(rows, 4, 2)}},
+             {{"margins", jsonArray(margin_rows, 4, 2)}},
+             {{"total", jsonObject({{{"wall_s",
+                                      jsonFixed(timing ? total_wall
+                                                       : 0.0,
+                                                6)}}})}}});
+        if (!writeTextFile(json, doc))
+            fatal("cannot write %s", json.c_str());
         std::printf("wrote %s\n", json.c_str());
     }
     return 0;

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -66,18 +67,6 @@ class TimingSink : public exp::ResultSink
     WallTimer timer_;
 };
 
-std::vector<int>
-parseTaskList(const std::string &text)
-{
-    std::vector<int> tasks;
-    for (const auto &tok : splitCommaList(text))
-        tasks.push_back(
-            static_cast<int>(parseIntValue("tasks", tok)));
-    if (tasks.empty())
-        fatal("tasks= needs at least one value");
-    return tasks;
-}
-
 struct CellKey
 {
     workload::ArrivalPattern pattern;
@@ -85,17 +74,25 @@ struct CellKey
     std::string policy;
 };
 
-void
-writeJsonSide(std::FILE *f, const char *name,
-              const exp::ScenarioResult &r, double wall)
+/** Quantum and event wall summed over one task-count tier. */
+struct Tier
 {
-    std::fprintf(
-        f,
-        "      \"%s\": {\"wall_s\": %.6f, \"steps\": %llu, "
-        "\"sla_rate\": %.6f, \"stp\": %.6f, \"makespan\": %llu}",
-        name, wall, static_cast<unsigned long long>(r.simSteps),
-        r.metrics.slaRate, r.metrics.stp,
-        static_cast<unsigned long long>(r.makespan));
+    int tasks = 0;
+    double qsum = 0.0;
+    double esum = 0.0;
+    bool extrapolated = false;
+
+    double speedup() const { return esum > 0.0 ? qsum / esum : 0.0; }
+};
+
+JsonValue
+jsonSide(const exp::ScenarioResult &r, double wall)
+{
+    return jsonObject({{{"wall_s", jsonFixed(wall, 6)},
+                        {"steps", r.simSteps},
+                        {"sla_rate", jsonFixed(r.metrics.slaRate, 6)},
+                        {"stp", jsonFixed(r.metrics.stp, 6)},
+                        {"makespan", r.makespan}}});
 }
 
 } // namespace
@@ -113,8 +110,8 @@ main(int argc, char **argv)
                static_cast<unsigned long long>(base.sampleEvery));
     }
     const auto policies = exp::policiesFromArgs(args, {"moca"});
-    const auto tasks_list =
-        parseTaskList(args.getString("tasks", "2500,10000,25000"));
+    const auto tasks_list = parseIntList(
+        "tasks", args.getString("tasks", "2500,10000,25000"));
     const double load = args.getDouble("load", 0.8);
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
@@ -240,6 +237,9 @@ main(int argc, char **argv)
     // linearly extrapolated in task count from the largest measured
     // tier of the same pattern+policy (kernel steps are linear in
     // trace length).  Only wall clock is ever extrapolated.
+    auto eventWall = [&](std::size_t i) {
+        return serial ? etimes.walls[i] : 0.0;
+    };
     auto quantumWall = [&](std::size_t i, bool &extrapolated) {
         extrapolated = qindex[i] < 0;
         if (!extrapolated)
@@ -263,6 +263,7 @@ main(int argc, char **argv)
                               : 0.0;
     };
 
+    std::vector<Tier> tiers;
     if (both) {
         Table t({"pattern", "tasks", "policy", "q wall", "e wall",
                  "speedup", "steps q/e", "SLA q", "SLA e",
@@ -270,7 +271,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < keys.size(); ++i) {
             bool extrap = false;
             const double qw = quantumWall(i, extrap);
-            const double ew = serial ? etimes.walls[i] : 0.0;
+            const double ew = eventWall(i);
             const double ens = eres[i].simSteps > 0
                 ? ew * 1e9 / static_cast<double>(eres[i].simSteps)
                 : 0.0;
@@ -299,23 +300,27 @@ main(int argc, char **argv)
             row.cell(eres[i].metrics.slaRate, 3).cell(ens, 0);
         }
         t.print("stress sweep: quantum vs event kernel");
+
+        // Per-tier speedup-vs-scale sums: the flat-cost claim the
+        // event kernel makes is that this column does not collapse as
+        // traces grow.
         std::printf("\nspeedup vs scale:\n");
         for (const int tasks : tasks_list) {
-            double qsum = 0.0, esum = 0.0;
-            bool any_extrap = false;
+            Tier tier{tasks};
             for (std::size_t i = 0; i < keys.size(); ++i) {
                 if (keys[i].tasks != tasks)
                     continue;
                 bool extrap = false;
-                qsum += quantumWall(i, extrap);
-                any_extrap = any_extrap || extrap;
-                esum += serial ? etimes.walls[i] : 0.0;
+                tier.qsum += quantumWall(i, extrap);
+                tier.extrapolated = tier.extrapolated || extrap;
+                tier.esum += eventWall(i);
             }
+            const char *approx = tier.extrapolated ? "~" : "";
             std::printf("  tasks=%-7d quantum %s%.2f s  "
                         "event %.2f s  speedup %s%.1fx\n",
-                        tasks, any_extrap ? "~" : "", qsum, esum,
-                        any_extrap ? "~" : "",
-                        esum > 0.0 ? qsum / esum : 0.0);
+                        tasks, approx, tier.qsum, tier.esum, approx,
+                        tier.speedup());
+            tiers.push_back(tier);
         }
         std::printf("\ntotal wall: quantum %.2f s, event %.2f s, "
                     "speedup %.1fx%s\n",
@@ -344,126 +349,86 @@ main(int argc, char **argv)
 
     const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"stress_scale\",\n");
-        std::fprintf(f, "  \"workload_set\": \"Workload-C\",\n");
-        std::fprintf(f, "  \"qos\": \"QoS-M\",\n");
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
-        if (qcap > 0)
-            std::fprintf(f, "  \"quantum_cap\": %d,\n", qcap);
-        std::fprintf(f, "  \"cells\": [\n");
+        std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"pattern\": \"%s\", \"tasks\": %d, "
-                "\"policy\": \"%s\",\n",
-                workload::arrivalPatternName(keys[i].pattern),
-                keys[i].tasks, keys[i].policy.c_str());
-            const bool qmeasured = run_quantum && qindex[i] >= 0;
-            const char *sep = "";
-            if (qmeasured) {
-                writeJsonSide(
-                    f, "quantum",
-                    qres[static_cast<std::size_t>(qindex[i])],
-                    serial ? qtimes.walls[static_cast<std::size_t>(
-                                 qindex[i])]
-                           : 0.0);
-                sep = ",\n";
-            } else if (run_quantum) {
-                bool extrap = false;
-                std::fprintf(
-                    f,
-                    "      \"quantum_extrapolated\": "
-                    "{\"wall_s\": %.6f, \"cap\": %d}",
-                    quantumWall(i, extrap), qcap);
-                sep = ",\n";
-            }
+            std::vector<JsonLine> lines = {
+                {{"pattern",
+                  workload::arrivalPatternName(keys[i].pattern)},
+                 {"tasks", keys[i].tasks},
+                 {"policy", keys[i].policy}}};
+            bool extrap = false;
+            const double qw = run_quantum ? quantumWall(i, extrap) : 0.0;
+            const double ew = run_event ? eventWall(i) : 0.0;
+            if (run_quantum && !extrap)
+                lines.push_back(
+                    {{"quantum",
+                      jsonSide(qres[static_cast<std::size_t>(qindex[i])],
+                               qw)}});
+            else if (run_quantum)
+                lines.push_back({{"quantum_extrapolated",
+                                  jsonObject({{{"wall_s", jsonFixed(qw, 6)},
+                                               {"cap", qcap}}})}});
             if (run_event) {
-                std::fputs(sep, f);
-                writeJsonSide(f, "event", eres[i],
-                              serial ? etimes.walls[i] : 0.0);
-                const double ew = serial ? etimes.walls[i] : 0.0;
+                lines.push_back({{"event", jsonSide(eres[i], ew)}});
                 if (eres[i].simSteps > 0)
-                    std::fprintf(
-                        f, ",\n      \"event_ns_per_step\": %.3f",
-                        ew * 1e9 /
-                            static_cast<double>(eres[i].simSteps));
+                    lines.push_back(
+                        {{"event_ns_per_step",
+                          jsonFixed(ew * 1e9 / static_cast<double>(
+                                                   eres[i].simSteps),
+                                    3)}});
             }
-            if (both && qmeasured) {
+            const auto speedup = jsonFixed(ew > 0.0 ? qw / ew : 0.0, 3);
+            if (both && !extrap) {
                 const auto &qr =
                     qres[static_cast<std::size_t>(qindex[i])];
-                const double qw =
-                    serial ? qtimes.walls[static_cast<std::size_t>(
-                                 qindex[i])]
-                           : 0.0;
-                const double ew = serial ? etimes.walls[i] : 0.0;
-                std::fprintf(
-                    f,
-                    ",\n      \"speedup\": %.3f, "
-                    "\"step_ratio\": %.3f, \"sla_delta\": %.6f",
-                    ew > 0.0 ? qw / ew : 0.0,
-                    static_cast<double>(qr.simSteps) /
-                        static_cast<double>(eres[i].simSteps),
-                    eres[i].metrics.slaRate - qr.metrics.slaRate);
+                lines.push_back(
+                    {{"speedup", speedup},
+                     {"step_ratio",
+                      jsonFixed(static_cast<double>(qr.simSteps) /
+                                    static_cast<double>(eres[i].simSteps),
+                                3)},
+                     {"sla_delta",
+                      jsonFixed(eres[i].metrics.slaRate -
+                                    qr.metrics.slaRate,
+                                6)}});
             } else if (both) {
-                bool extrap = false;
-                const double qw = quantumWall(i, extrap);
-                const double ew = serial ? etimes.walls[i] : 0.0;
-                std::fprintf(f,
-                             ",\n      \"speedup_extrapolated\": "
-                             "%.3f",
-                             ew > 0.0 ? qw / ew : 0.0);
+                lines.push_back({{"speedup_extrapolated", speedup}});
             }
-            std::fprintf(f, "}%s\n",
-                         i + 1 < keys.size() ? "," : "");
+            rows.push_back(jsonObject(lines, 6));
         }
-        std::fprintf(f, "  ],\n");
+        std::vector<JsonLine> doc = {
+            {{"bench", "stress_scale"}},
+            {{"workload_set", "Workload-C"}},
+            {{"qos", "QoS-M"}},
+            {{"load_factor", jsonFixed(load, 3)}},
+            {{"seed", seed}},
+            {{"jobs", exp::resolveJobs(opts.jobs)}}};
+        if (qcap > 0)
+            doc.push_back({{"quantum_cap", qcap}});
+        doc.push_back({{"cells", jsonArray(rows, 4, 2)}});
         if (both) {
-            // Per-tier speedup-vs-scale summary: the flat-cost claim
-            // the event kernel makes is that this column does not
-            // collapse as traces grow.
-            std::fprintf(f, "  \"speedup_vs_scale\": [\n");
-            for (std::size_t k = 0; k < tasks_list.size(); ++k) {
-                const int tasks = tasks_list[k];
-                double qsum = 0.0, esum = 0.0;
-                bool any_extrap = false;
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    if (keys[i].tasks != tasks)
-                        continue;
-                    bool extrap = false;
-                    qsum += quantumWall(i, extrap);
-                    any_extrap = any_extrap || extrap;
-                    esum += serial ? etimes.walls[i] : 0.0;
-                }
-                std::fprintf(
-                    f,
-                    "    {\"tasks\": %d, \"quantum_wall_s\": %.6f, "
-                    "\"event_wall_s\": %.6f, \"speedup\": %.3f, "
-                    "\"extrapolated\": %s}%s\n",
-                    tasks, qsum, esum,
-                    esum > 0.0 ? qsum / esum : 0.0,
-                    any_extrap ? "true" : "false",
-                    k + 1 < tasks_list.size() ? "," : "");
-            }
-            std::fprintf(f, "  ],\n");
+            std::vector<JsonValue> tier_rows;
+            for (const Tier &tier : tiers)
+                tier_rows.push_back(jsonObject(
+                    {{{"tasks", tier.tasks},
+                      {"quantum_wall_s", jsonFixed(tier.qsum, 6)},
+                      {"event_wall_s", jsonFixed(tier.esum, 6)},
+                      {"speedup", jsonFixed(tier.speedup(), 3)},
+                      {"extrapolated", tier.extrapolated}}}));
+            doc.push_back(
+                {{"speedup_vs_scale", jsonArray(tier_rows, 4, 2)}});
         }
-        std::fprintf(f, "  \"total\": {");
+        JsonLine total;
         if (run_quantum)
-            std::fprintf(f, "\"quantum_wall_s\": %.6f%s", qwall,
-                         run_event ? ", " : "");
+            total.emplace_back("quantum_wall_s", jsonFixed(qwall, 6));
         if (run_event)
-            std::fprintf(f, "\"event_wall_s\": %.6f", ewall);
+            total.emplace_back("event_wall_s", jsonFixed(ewall, 6));
         if (both)
-            std::fprintf(f, ", \"speedup\": %.3f",
-                         ewall > 0.0 ? qwall / ewall : 0.0);
-        std::fprintf(f, "}\n}\n");
-        std::fclose(f);
+            total.emplace_back(
+                "speedup", jsonFixed(ewall > 0.0 ? qwall / ewall : 0.0, 3));
+        doc.push_back({{"total", jsonObject({total})}});
+        if (!writeTextFile(json, jsonDocument(doc)))
+            fatal("cannot write %s", json.c_str());
         std::printf("wrote %s\n", json.c_str());
     }
     return 0;

@@ -120,12 +120,6 @@ class ParallelEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    /** Shards (== worker threads when > 1). */
-    int shardCount() const
-    {
-        return static_cast<int>(shards_.size());
-    }
-
     /**
      * One conservative epoch: advance every active SoC to `horizon`
      * (sim::kNoHorizon drains the fleet to completion) and

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/log.h"
+#include "common/text.h"
 
 namespace moca {
 
@@ -61,6 +62,28 @@ parseBoolValue(const std::string &what, const std::string &value)
         value == "off")
         return false;
     fatal("%s=%s is not a boolean", what.c_str(), value.c_str());
+}
+
+std::vector<int>
+parseIntList(const std::string &what, const std::string &text)
+{
+    if (text.empty())
+        fatal("%s needs at least one value", what.c_str());
+    std::vector<int> values;
+    for (const auto &tok : splitCommaList(text))
+        values.push_back(static_cast<int>(parseIntValue(what, tok)));
+    return values;
+}
+
+std::vector<double>
+parseDoubleList(const std::string &what, const std::string &text)
+{
+    if (text.empty())
+        fatal("%s needs at least one value", what.c_str());
+    std::vector<double> values;
+    for (const auto &tok : splitCommaList(text))
+        values.push_back(parseDoubleValue(what, tok));
+    return values;
 }
 
 ArgMap::ArgMap(int argc, char **argv)

@@ -1,9 +1,12 @@
 /**
  * @file
- * JSON string-literal escaping shared by every hand-written JSON
- * emitter (sweep sinks, the Chrome-trace exporter, detlint reports).
- * Header-only so targets that do not link moca_core (detlint) can use
- * it too.
+ * The one JSON writer, shared by the stress_scale, cluster_scale,
+ * serve_loop and mem_interference baselines, the sweep JsonSink and
+ * detlint's report, plus writeTextFile(): the checked write behind
+ * every result file (JSON, CSV, Chrome trace, timeseries).
+ * Header-only so detlint, which does not link moca_core, can use it.
+ * Each JsonLine is one output line, so callers keep a hand-chosen
+ * layout byte for byte.
  */
 
 #ifndef MOCA_COMMON_JSON_H
@@ -11,6 +14,9 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace moca {
 
@@ -42,6 +48,117 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
+}
+
+/** One rendered JSON value: a quoted string, an integer, a bool, or
+ *  pre-rendered JSON via raw().  Deliberately not constructible from
+ *  a floating-point value (use jsonFixed). */
+class JsonValue
+{
+  public:
+    JsonValue(const std::string &s) : text('"' + jsonEscape(s) + '"') {}
+    JsonValue(const char *s) : JsonValue(std::string(s)) {}
+    template <typename T,
+              std::enable_if_t<std::is_integral_v<T>, int> = 0>
+    JsonValue(T v)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            text = v ? "true" : "false";
+        else
+            text = std::to_string(v);
+    }
+
+    static JsonValue
+    raw(std::string json)
+    {
+        JsonValue v;
+        v.text = std::move(json);
+        return v;
+    }
+
+    std::string text;
+
+  private:
+    JsonValue() = default;
+};
+
+/** `v` printed as printf("%.<decimals>f"). */
+inline JsonValue
+jsonFixed(double v, int decimals)
+{
+    const int n = std::snprintf(nullptr, 0, "%.*f", decimals, v);
+    std::string s(static_cast<std::size_t>(n), '\0');
+    std::snprintf(s.data(), s.size() + 1, "%.*f", decimals, v);
+    return JsonValue::raw(std::move(s));
+}
+
+/** The `"key": value` fields that share one output line. */
+using JsonLine = std::vector<std::pair<const char *, JsonValue>>;
+
+/** A line break followed by `indent` spaces. */
+inline std::string
+jsonNewline(int indent)
+{
+    return "\n" + std::string(static_cast<std::size_t>(indent), ' ');
+}
+
+/** Fields joined by ", ", lines by "," + jsonNewline(indent). */
+inline std::string
+jsonFields(const std::vector<JsonLine> &lines, int indent)
+{
+    std::string out;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+        if (l > 0)
+            out += "," + jsonNewline(indent);
+        for (std::size_t i = 0; i < lines[l].size(); ++i)
+            out.append(i > 0 ? ", " : "")
+                .append(JsonValue(lines[l][i].first).text)
+                .append(": ")
+                .append(lines[l][i].second.text);
+    }
+    return out;
+}
+
+/** `{a, b,\n<indent>c}`: an object whose later lines are indented. */
+inline JsonValue
+jsonObject(const std::vector<JsonLine> &lines, int indent = 0)
+{
+    return JsonValue::raw("{" + jsonFields(lines, indent) + "}");
+}
+
+/** A top-level document: one line per JsonLine, indented 2. */
+inline std::string
+jsonDocument(const std::vector<JsonLine> &lines)
+{
+    return "{\n  " + jsonFields(lines, 2) + "\n}\n";
+}
+
+/** One item per line, `indent` spaces in.  The `]` goes on its own
+ *  line `close` spaces in, or right after the last item when
+ *  `close < 0`.  Empty renders as `[]`. */
+inline JsonValue
+jsonArray(const std::vector<JsonValue> &items, int indent, int close)
+{
+    std::string out = "[";
+    for (std::size_t i = 0; i < items.size(); ++i)
+        out.append(i > 0 ? "," : "")
+            .append(jsonNewline(indent))
+            .append(items[i].text);
+    if (!items.empty() && close >= 0)
+        out += jsonNewline(close);
+    return JsonValue::raw(out + "]");
+}
+
+/** Write `text` to `path`; false if the open, write or close fails. */
+inline bool
+writeTextFile(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        return false;
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && wrote;
 }
 
 } // namespace moca

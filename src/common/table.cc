@@ -1,8 +1,8 @@
 #include "common/table.h"
 
 #include <cstdio>
-#include <fstream>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/stats.h"
 
@@ -120,12 +120,8 @@ Table::print(const std::string &title) const
 void
 Table::writeCsv(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out) {
-        warn("could not open %s for CSV output", path.c_str());
-        return;
-    }
-    out << csv();
+    if (!writeTextFile(path, csv()))
+        warn("cannot write CSV to %s", path.c_str());
 }
 
 } // namespace moca

@@ -33,8 +33,6 @@ class Table
     /** Append an integer cell. */
     Table &cell(long long value);
 
-    std::size_t numRows() const { return rows_.size(); }
-
     /** Render with aligned columns, a header rule, and 2-space gaps. */
     std::string render() const;
 

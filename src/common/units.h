@@ -19,16 +19,6 @@ constexpr std::uint64_t KiB = 1024ULL;
 constexpr std::uint64_t MiB = 1024ULL * 1024ULL;
 constexpr std::uint64_t GiB = 1024ULL * 1024ULL * 1024ULL;
 
-/**
- * Convert a bandwidth in GB/s (decimal gigabytes, as vendor specs use)
- * to bytes per cycle at the given clock frequency in GHz.
- */
-constexpr double
-gbpsToBytesPerCycle(double gbps, double clock_ghz = 1.0)
-{
-    return gbps / clock_ghz;
-}
-
 /** Ceiling division for integral types. */
 template <typename T>
 constexpr T

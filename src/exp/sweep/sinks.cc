@@ -1,27 +1,9 @@
 #include "exp/sweep/sinks.h"
 
-#include <cstdio>
-
 #include "common/json.h"
 #include "common/log.h"
 
 namespace moca::exp {
-
-namespace {
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path.c_str());
-        return;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-}
-
-} // namespace
 
 namespace {
 
@@ -201,31 +183,24 @@ JsonSink::onResult(std::size_t index, const SweepCell &cell,
 std::string
 JsonSink::text() const
 {
-    const auto &fields = sweepRecordFields();
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        out += "  {";
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            const std::string &v = records_[i][f];
-            out += "\"" + fields[f] + "\": ";
-            if (kSweepFields[f].numeric)
-                out += v;
-            else
-                out += "\"" + jsonEscape(v) + "\"";
-            if (f + 1 < fields.size())
-                out += ", ";
-        }
-        out += i + 1 < records_.size() ? "},\n" : "}\n";
+    std::vector<JsonValue> rows;
+    for (const auto &record : records_) {
+        JsonLine line;
+        for (std::size_t f = 0; f < record.size(); ++f)
+            line.emplace_back(kSweepFields[f].name,
+                              kSweepFields[f].numeric
+                                  ? JsonValue::raw(record[f])
+                                  : JsonValue(record[f]));
+        rows.push_back(jsonObject({line}));
     }
-    out += "]\n";
-    return out;
+    return jsonArray(rows, 2, 0).text + "\n";
 }
 
 void
 JsonSink::finish()
 {
-    if (!path_.empty())
-        writeTextFile(path_, text());
+    if (!path_.empty() && !writeTextFile(path_, text()))
+        warn("cannot write %s", path_.c_str());
 }
 
 } // namespace moca::exp

@@ -101,11 +101,6 @@ class MocaPolicy : public sim::Policy
     void onBlockBoundary(sim::Soc &soc, int id) override;
     void onJobComplete(sim::Soc &soc, int id) override;
 
-    const runtime::ContentionManager &contentionManager() const
-    {
-        return cm_;
-    }
-
     /** Diagnostics for benches/tests. */
     struct PolicyStats
     {

@@ -100,7 +100,6 @@ class ContentionManager
     void onJobComplete(int app_id) { scoreboard_.remove(app_id); }
 
     const Scoreboard &scoreboard() const { return scoreboard_; }
-    const LatencyModel &latencyModel() const { return model_; }
 
     /** Minimum slack used in the urgency ratio. */
     static constexpr double kMinSlack = 1000.0;

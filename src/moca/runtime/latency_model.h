@@ -98,7 +98,6 @@ class LatencyModel
     double estimateAvgBw(const dnn::Model &model, int num_tiles) const;
 
     const sim::SocConfig &config() const { return cfg_; }
-    bool sparsityAware() const { return sparsityAware_; }
 
   private:
     /**

@@ -1,7 +1,6 @@
 #include "obs/chrome_trace.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/json.h"
 #include "common/log.h"
@@ -197,12 +196,10 @@ ChromeTraceWriter::render() const
 void
 ChromeTraceWriter::write(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out) {
+    if (!writeTextFile(path, render())) {
         warn("cannot write chrome trace to %s", path.c_str());
         return;
     }
-    out << render();
     inform("wrote %zu trace events to %s (load in chrome://tracing "
            "or https://ui.perfetto.dev)",
            events_.size(), path.c_str());

@@ -60,9 +60,10 @@ Autoscaler::evaluate(int up_socs, long outstanding)
     if (up_socs < 1)
         return ScaleAction::None;
 
+    double signal = 0.0;
     switch (cfg_.signal) {
       case ScaleSignal::Depth:
-        lastSignal_ = static_cast<double>(outstanding) /
+        signal = static_cast<double>(outstanding) /
             static_cast<double>(up_socs);
         break;
       case ScaleSignal::P99: {
@@ -76,15 +77,15 @@ Autoscaler::evaluate(int up_socs, long outstanding)
             static_cast<double>(sorted.size() - 1),
             std::ceil(0.99 * static_cast<double>(sorted.size())) -
                 1.0));
-        lastSignal_ = sorted[idx];
+        signal = sorted[idx];
         break;
       }
     }
 
-    if (lastSignal_ > cfg_.upThreshold &&
+    if (signal > cfg_.upThreshold &&
         (cfg_.maxSocs == 0 || up_socs < cfg_.maxSocs))
         return ScaleAction::Up;
-    if (lastSignal_ < cfg_.downThreshold && up_socs > cfg_.minSocs)
+    if (signal < cfg_.downThreshold && up_socs > cfg_.minSocs)
         return ScaleAction::Down;
     return ScaleAction::None;
 }

@@ -99,15 +99,11 @@ class Autoscaler
      */
     ScaleAction evaluate(int up_socs, long outstanding);
 
-    /** Current signal value (last evaluate; for logging/tests). */
-    double lastSignal() const { return lastSignal_; }
-
   private:
     AutoscalerConfig cfg_;
     std::vector<double> window_; ///< Ring buffer of norm latencies.
     std::size_t windowAt_ = 0;
     std::size_t windowFill_ = 0;
-    double lastSignal_ = 0.0;
 };
 
 } // namespace moca::serve

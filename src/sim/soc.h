@@ -172,10 +172,6 @@ class Soc
     const SocConfig &config() const { return cfg_; }
     const SocStats &stats() const { return stats_; }
 
-    /** The shared-memory-hierarchy model this SoC arbitrates
-     *  through (built from cfg.memModel; see mem/memory_model.h). */
-    const mem::MemoryModel &memoryModel() const { return *mem_; }
-
     // --- Policy-facing state inspection ------------------------------
 
     /** All cold job records, indexed by id (ids are dense, assigned
@@ -192,8 +188,6 @@ class Soc
     int jobTiles(int id) const { return hot(id).numTiles; }
     /** Next layer index of job `id` (hot array). */
     std::size_t jobLayer(int id) const { return hot(id).layerIdx; }
-    /** Current layer-block index of job `id` (hot array). */
-    std::size_t jobBlock(int id) const { return hot(id).blockIdx; }
     /** Migration/preemption stall deadline of job `id` (hot array). */
     Cycles jobStallUntil(int id) const { return hot(id).stallUntil; }
 

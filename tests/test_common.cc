@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and
- * distributions, statistics accumulators, tables, JSON escaping,
- * argument parsing.
+ * distributions, statistics accumulators, tables, the JSON writer
+ * and checked file writes, argument parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <type_traits>
+#include <unistd.h>
 
 #include "common/argparse.h"
 #include "common/json.h"
@@ -189,6 +195,92 @@ TEST(Json, EscapesQuotesBackslashesAndControlChars)
     EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(jsonEscape("\n\t\r"), "\\n\\t\\r");
     EXPECT_EQ(jsonEscape(std::string("x\x01y")), "x\\u0001y");
+}
+
+static_assert(!std::is_constructible_v<JsonValue, double>,
+              "floats must go through jsonFixed");
+
+TEST(Json, ObjectLinesJoinWithIndent)
+{
+    const JsonValue v = jsonObject(
+        {{{"a", 1}, {"b", "x"}}, {{"c", jsonFixed(0.5, 2)}}}, 5);
+    EXPECT_EQ(v.text,
+              "{\"a\": 1, \"b\": \"x\",\n     \"c\": 0.50}");
+}
+
+TEST(Json, DocumentLayout)
+{
+    EXPECT_EQ(jsonDocument({{{"bench", "b"}}, {{"n", 2}, {"m", 3}}}),
+              "{\n  \"bench\": \"b\",\n  \"n\": 2, \"m\": 3\n}\n");
+}
+
+TEST(Json, ArrayLayouts)
+{
+    const std::vector<JsonValue> items = {1, "two"};
+    EXPECT_EQ(jsonArray(items, 4, 2).text,
+              "[\n    1,\n    \"two\"\n  ]");
+    EXPECT_EQ(jsonArray(items, 6, -1).text,
+              "[\n      1,\n      \"two\"]");
+    EXPECT_EQ(jsonArray({}, 4, 2).text, "[]");
+    EXPECT_EQ(jsonArray({}, 4, -1).text, "[]");
+}
+
+TEST(Json, FixedRoundsLikePrintf)
+{
+    EXPECT_EQ(jsonFixed(0.1234567, 6).text, "0.123457");
+    EXPECT_EQ(jsonFixed(26321.4, 0).text, "26321");
+    EXPECT_EQ(jsonFixed(1e20, 1).text, "100000000000000000000.0");
+}
+
+TEST(Json, EscapesKeysAndValues)
+{
+    EXPECT_EQ(jsonObject({{{"k\"ey", std::string("v\\al\n")}}}).text,
+              "{\"k\\\"ey\": \"v\\\\al\\n\"}");
+    EXPECT_EQ(JsonValue::raw("[1]").text, "[1]");
+}
+
+TEST(Json, IntegersAndBools)
+{
+    EXPECT_EQ(JsonValue(UINT64_MAX).text, "18446744073709551615");
+    EXPECT_EQ(JsonValue(-7).text, "-7");
+    EXPECT_EQ(JsonValue(true).text, "true");
+    EXPECT_EQ(JsonValue(false).text, "false");
+}
+
+TEST(WriteTextFile, WritesExactBytes)
+{
+    const std::string path = testing::TempDir() + "moca_write_text.txt";
+    const std::string text = "line one\n\"two\"\tthree\xe2\x80\x94\n";
+    EXPECT_TRUE(writeTextFile(path, text));
+    std::ifstream in(path, std::ios::binary);
+    const std::string back((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(back, text);
+    std::remove(path.c_str());
+}
+
+TEST(WriteTextFile, FailsOnMissingDirectory)
+{
+    EXPECT_FALSE(writeTextFile("/nonexistent-moca-dir/x.json", "{}"));
+}
+
+TEST(WriteTextFile, FailsOnFullDevice)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full not available";
+    EXPECT_FALSE(writeTextFile("/dev/full", "{}\n"));
+}
+
+TEST(ArgParse, CommaLists)
+{
+    EXPECT_EQ(parseIntList("socs", "1,4,64"),
+              (std::vector<int>{1, 4, 64}));
+    EXPECT_EQ(parseDoubleList("fail-rates", "0,2.5"),
+              (std::vector<double>{0.0, 2.5}));
+    EXPECT_DEATH(parseIntList("socs", ""),
+                 "socs needs at least one value");
+    EXPECT_DEATH(parseDoubleList("rates", "1,x"),
+                 "rates=x is not a number");
 }
 
 TEST(ArgMap, ParsesTypes)

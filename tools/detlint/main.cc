@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "tools/detlint/detlint.h"
 
 namespace {
@@ -158,13 +159,11 @@ main(int argc, char **argv)
     if (output.empty()) {
         std::fputs(rendered.c_str(), stdout);
     } else {
-        std::ofstream out(output);
-        if (!out) {
+        if (!moca::writeTextFile(output, rendered)) {
             std::fprintf(stderr, "detlint: cannot write %s\n",
                          output.c_str());
             return 2;
         }
-        out << rendered;
         // Keep the human-readable summary on stdout even when the
         // JSON report goes to a file.
         if (format == "json")

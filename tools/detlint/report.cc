@@ -32,22 +32,18 @@ formatText(const Report &report)
 std::string
 formatJson(const Report &report)
 {
-    std::ostringstream out;
-    out << "{\n  \"version\": 1,\n  \"files_scanned\": "
-        << report.filesScanned
-        << ",\n  \"suppressed\": " << report.suppressed
-        << ",\n  \"findings\": [";
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-        const Finding &f = report.findings[i];
-        out << (i == 0 ? "" : ",") << "\n    {\"rule\": \""
-            << moca::jsonEscape(f.rule) << "\", \"file\": \""
-            << moca::jsonEscape(f.file) << "\", \"line\": " << f.line
-            << ", \"message\": \"" << moca::jsonEscape(f.message)
-            << "\", \"snippet\": \"" << moca::jsonEscape(f.snippet)
-            << "\"}";
-    }
-    out << (report.findings.empty() ? "" : "\n  ") << "]\n}\n";
-    return out.str();
+    std::vector<moca::JsonValue> findings;
+    for (const Finding &f : report.findings)
+        findings.push_back(moca::jsonObject({{{"rule", f.rule},
+                                              {"file", f.file},
+                                              {"line", f.line},
+                                              {"message", f.message},
+                                              {"snippet", f.snippet}}}));
+    return moca::jsonDocument(
+        {{{"version", 1}},
+         {{"files_scanned", report.filesScanned}},
+         {{"suppressed", report.suppressed}},
+         {{"findings", moca::jsonArray(findings, 4, 2)}}});
 }
 
 int
