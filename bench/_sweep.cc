@@ -40,10 +40,10 @@ timeMatrix(int tasks, int jobs)
 {
     exp::MatrixConfig mcfg;
     mcfg.numTasks = tasks;
-    mcfg.verbose = false;
-    mcfg.jobs = jobs;
+    exp::SweepOptions opts;
+    opts.jobs = jobs;
     const sim::SocConfig cfg;
-    return wallSeconds([&] { exp::runMatrix(mcfg, cfg); });
+    return wallSeconds([&] { exp::runMatrix(mcfg, cfg, opts); });
 }
 
 int

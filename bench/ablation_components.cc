@@ -123,7 +123,6 @@ main(int argc, char **argv)
             .cell(r.thrashLostBytes / 1e6, 0);
     }
     t.print("MoCA component ablation");
-    t.writeCsv("ablation_components.csv");
 
     Table t2({"DRAM model", "SLA (moca)", "SLA (static)",
               "STP (moca)", "STP (static)"});

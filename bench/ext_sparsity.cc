@@ -113,7 +113,6 @@ main(int argc, char **argv)
     }
     t.print("Algorithm 1 on pruned networks: sparsity-aware vs "
             "dense-assuming predictor");
-    t.writeCsv("ext_sparsity_prediction.csv");
     std::printf("\nmean |error|: aware %.1f%%, dense-assuming %.1f%%\n",
                 aware_err.mean(), dense_err.mean());
 
@@ -216,6 +215,5 @@ main(int argc, char **argv)
     }
     t2.print("MoCA on a mixed dense/25%-density deployment "
              "(Workload-B, QoS-M)");
-    t2.writeCsv("ext_sparsity_multitenant.csv");
     return 0;
 }

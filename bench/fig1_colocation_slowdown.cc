@@ -173,10 +173,8 @@ main(int argc, char **argv)
 
     avg.print("Figure 1a: average latency increase "
               "(normalized to isolated)");
-    avg.writeCsv("fig1_avg.csv");
     worst.print("Figure 1b: worst-case latency increase "
                 "(normalized to isolated)");
-    worst.writeCsv("fig1_worst.csv");
 
     std::printf("\npaper shape check: >=1.4x average at x=4; AlexNet "
                 "worst average case;\nSqueezeNet worst-case > 3x.\n");

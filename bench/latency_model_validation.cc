@@ -110,7 +110,6 @@ main(int argc, char **argv)
             .cell(err, 1);
     }
     t.print("Per-model prediction error");
-    t.writeCsv("latency_validation.csv");
 
     std::printf("\nmean |error| = %.2f%%, worst |error| = %.2f%% "
                 "(paper: within 10%%)\n", errors.mean(), worst);

@@ -161,7 +161,6 @@ main(int argc, char **argv)
                 t.cell(v, 2);
         }
         t.print("Seed sweep");
-        t.writeCsv("robustness_seeds.csv");
         if (first_ratio.count() > 0)
             std::printf("\n%s across seeds: mean %.2f, "
                         "stddev %.2f, min %.2f\n",
@@ -182,7 +181,6 @@ main(int argc, char **argv)
                 t.cell(v, 2);
         }
         t.print("Arrival-process sweep");
-        t.writeCsv("robustness_arrivals.csv");
     }
 
     {
@@ -196,7 +194,6 @@ main(int argc, char **argv)
                     r.totalThrottleReconfigs));
         }
         t.print("Reconfiguration granularity (Sec. IV-D)");
-        t.writeCsv("robustness_granularity.csv");
     }
 
     // ---- (d) failure injection: closed-loop serving under churn -----
@@ -255,7 +252,6 @@ main(int argc, char **argv)
         t.print("Closed-loop failure injection (serve/serve.h; "
                 "fail events/requeued summed over the policy runs "
                 "at each rate)");
-        t.writeCsv("robustness_failures.csv");
     }
     return 0;
 }

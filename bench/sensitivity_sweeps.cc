@@ -62,8 +62,7 @@ printSweepTable(const std::string &title, const std::string &axis,
                 const std::vector<std::string> &policies,
                 const std::vector<exp::SweepCell> &grid,
                 const std::vector<exp::ScenarioResult> &results,
-                std::size_t lo, std::size_t hi,
-                const std::string &csv_path)
+                std::size_t lo, std::size_t hi)
 {
     const std::string &a = policies[0], &b = policies[1];
     Table t({axis, a + " SLA", b + " SLA", a + "/" + b,
@@ -82,7 +81,6 @@ printSweepTable(const std::string &title, const std::string &axis,
             .cell(p.mocaStp, 2).cell(p.staticStp, 2);
     }
     t.print(title);
-    t.writeCsv(csv_path);
 }
 
 } // namespace
@@ -133,10 +131,10 @@ main(int argc, char **argv)
     const auto results = runner.run(grid, sinks.pointers());
 
     printSweepTable("DRAM bandwidth sweep", "DRAM (GB/s)", policies,
-                    grid, results, 0, 8, "sweep_dram_bw.csv");
+                    grid, results, 0, 8);
     printSweepTable("Shared L2 capacity sweep", "L2 (MB)", policies,
-                    grid, results, 8, 16, "sweep_l2.csv");
+                    grid, results, 8, 16);
     printSweepTable("Accelerator tile-count sweep", "Tiles", policies,
-                    grid, results, 16, 22, "sweep_tiles.csv");
+                    grid, results, 16, 22);
     return 0;
 }

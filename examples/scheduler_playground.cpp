@@ -215,6 +215,6 @@ main()
             .cell(res.metrics.stp, 2).cell(res.metrics.fairness, 4);
     r.print("Toy policy vs MoCA on the identical trace");
     std::printf("\nthe same spec works in every bench: "
-                "fig5_sla --policy fifo:tiles=4,moca\n");
+                "paper_figs --policy fifo:tiles=4,moca\n");
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal key=value argument parsing for the benchmark and example
- * binaries, e.g. `fig5_sla tasks=300 seed=7 load=0.9`.
+ * binaries, e.g. `paper_figs tasks=300 seed=7 load=0.9`.
  */
 
 #ifndef MOCA_COMMON_ARGPARSE_H

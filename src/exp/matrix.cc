@@ -1,6 +1,9 @@
 #include "exp/matrix.h"
 
+#include <algorithm>
+
 #include "common/log.h"
+#include "common/stats.h"
 
 namespace moca::exp {
 
@@ -48,6 +51,10 @@ matrixCells()
     return cells;
 }
 
+namespace {
+
+/** The 36 (set, qos, policy) cells of the matrix as a sweep grid;
+ *  traces are generated once per (set, qos) and shared read-only. */
 std::vector<SweepCell>
 matrixGrid(const MatrixConfig &mcfg, const sim::SocConfig &cfg)
 {
@@ -73,16 +80,15 @@ matrixGrid(const MatrixConfig &mcfg, const sim::SocConfig &cfg)
     return grid;
 }
 
+} // namespace
+
 std::vector<MatrixCell>
 runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
+          const SweepOptions &opts,
           const std::vector<ResultSink *> &sinks)
 {
-    const auto grid = matrixGrid(mcfg, cfg);
-
-    SweepOptions opts;
-    opts.jobs = mcfg.jobs;
-    opts.verbose = mcfg.verbose;
-    const auto results = SweepRunner(opts).run(grid, sinks);
+    const auto results =
+        SweepRunner(opts).run(matrixGrid(mcfg, cfg), sinks);
 
     // Reassemble the flat grid (policy-major within each scenario)
     // into the 9 MatrixCells the figure benches pivot on.
@@ -97,6 +103,24 @@ runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
         out.push_back(std::move(cell));
     }
     return out;
+}
+
+Margin
+marginOver(const std::vector<MatrixCell> &matrix, const std::string &ref,
+           const std::string &other, double metrics::RunMetrics::*metric,
+           double floor)
+{
+    std::vector<double> ratios;
+    for (const auto &cell : matrix)
+        ratios.push_back(
+            std::max(cell.result(ref).metrics.*metric, floor) /
+            std::max(cell.result(other).metrics.*metric, floor));
+    Margin m;
+    m.geomean = geomean(ratios);
+    m.max = ratios.empty()
+        ? 0.0
+        : *std::max_element(ratios.begin(), ratios.end());
+    return m;
 }
 
 } // namespace moca::exp

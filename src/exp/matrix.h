@@ -2,8 +2,8 @@
  * @file
  * The 9-scenario evaluation matrix of the paper (Sec. V): three
  * workload sets {A, B, C} x three QoS levels {L, M, H}, each run
- * under the four policies on identical traces.  Shared by the
- * Fig. 5-8 benches.
+ * under the four policies on identical traces.  paper_figs prints
+ * the Fig. 5-8 tables from one run of it.
  */
 
 #ifndef MOCA_EXP_MATRIX_H
@@ -36,8 +36,6 @@ struct MatrixConfig
     double loadFactor = 0.8;
     double qosScale = 4.0;
     std::uint64_t seed = 1;
-    bool verbose = true; ///< Print progress lines while running.
-    int jobs = 1;        ///< Worker threads (0 = hw concurrency).
 
     /** Policy specs each scenario runs under; empty selects the four
      *  built-in policies (allPolicySpecs()). */
@@ -47,19 +45,33 @@ struct MatrixConfig
     const std::vector<std::string> &policyList() const;
 };
 
-/** The 36 (set, qos, policy) cells of the matrix as a sweep grid;
- *  traces are generated once per (set, qos) and shared read-only. */
-std::vector<SweepCell> matrixGrid(const MatrixConfig &mcfg,
-                                  const sim::SocConfig &cfg);
-
 /**
- * Run the full 3x3x4 matrix on the sweep engine.  Traces are
- * generated once per (set, qos) cell and replayed identically under
- * every policy; `sinks` (if any) observe all 36 cells in grid order.
+ * Run the full 3x3x4 matrix on the sweep engine with `opts` (worker
+ * count, progress lines).  Traces are generated once per (set, qos)
+ * cell and replayed identically under every policy; `sinks` (if any)
+ * observe all 36 cells in grid order.
  */
 std::vector<MatrixCell>
 runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
+          const SweepOptions &opts,
           const std::vector<ResultSink *> &sinks = {});
+
+/** Geomean and max of a per-scenario ratio over the matrix. */
+struct Margin
+{
+    double geomean = 0.0;
+    double max = 0.0;
+};
+
+/**
+ * How far policy `ref` leads policy `other` on `metric`: the ratio
+ * ref / other in every scenario, both sides floored at `floor` so a
+ * zero metric on either side (an SLA rate of 0, say) still yields a
+ * finite, positive ratio.
+ */
+Margin marginOver(const std::vector<MatrixCell> &matrix,
+                  const std::string &ref, const std::string &other,
+                  double metrics::RunMetrics::*metric, double floor);
 
 /** All (set, qos) pairs in presentation order (A/B/C x L/M/H). */
 const std::vector<std::pair<workload::WorkloadSet,

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "exp/matrix.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
@@ -155,6 +157,75 @@ TEST(Integration, HigherPriorityGroupsFareBetterUnderMoca)
                          workload::QosLevel::Medium, 120);
     const auto r = runScenario("moca", t, cfg);
     EXPECT_GE(r.metrics.slaRateHigh, r.metrics.slaRateLow);
+}
+
+/** A matrix cell holding one SLA rate per policy, without running it. */
+MatrixCell
+slaCell(const std::vector<std::pair<std::string, double>> &slas)
+{
+    MatrixCell cell;
+    cell.set = workload::WorkloadSet::A;
+    cell.qos = workload::QosLevel::Light;
+    for (const auto &[spec, sla] : slas) {
+        ScenarioResult r;
+        r.policy = spec;
+        r.metrics.slaRate = sla;
+        cell.byPolicy.push_back(r);
+    }
+    return cell;
+}
+
+TEST(Matrix, CellsFollowGridAndPolicyOrder)
+{
+    MatrixConfig mcfg;
+    mcfg.numTasks = 4;
+    mcfg.policies = {"moca", "prema"}; // not the registry's order
+    const auto matrix = runMatrix(mcfg, sim::SocConfig(), SweepOptions());
+    ASSERT_EQ(matrix.size(), matrixCells().size());
+    for (std::size_t c = 0; c < matrix.size(); ++c) {
+        EXPECT_EQ(matrix[c].set, matrixCells()[c].first) << c;
+        EXPECT_EQ(matrix[c].qos, matrixCells()[c].second) << c;
+        ASSERT_EQ(matrix[c].byPolicy.size(), 2u) << c;
+        for (std::size_t p = 0; p < 2; ++p) {
+            const auto &r = matrix[c].byPolicy[p];
+            EXPECT_EQ(r.policy, mcfg.policies[p]) << c;
+            EXPECT_EQ(r.trace.set, matrix[c].set) << c;
+            EXPECT_EQ(r.trace.qos, matrix[c].qos) << c;
+            EXPECT_EQ(r.jobs.size(), 4u) << c;
+        }
+    }
+}
+
+TEST(Matrix, HasOnlySelectedPolicies)
+{
+    const MatrixCell cell = slaCell({{"moca", 0.5}, {"prema", 0.25}});
+    EXPECT_TRUE(cell.has("moca"));
+    EXPECT_TRUE(cell.has("prema"));
+    EXPECT_FALSE(cell.has("static"));
+    EXPECT_DOUBLE_EQ(cell.result("prema").metrics.slaRate, 0.25);
+}
+
+TEST(MatrixDeathTest, ResultOfAbsentPolicyIsFatal)
+{
+    const MatrixCell cell = slaCell({{"moca", 0.5}});
+    EXPECT_DEATH(cell.result("static"), "no result for policy 'static'");
+}
+
+TEST(Matrix, MarginFloorsBothSides)
+{
+    // A zero SLA on either side is floored, so the margin stays a
+    // finite, positive number instead of a 0 or inf ratio.
+    const std::vector<MatrixCell> matrix = {
+        slaCell({{"moca", 0.0}, {"prema", 0.5}}),
+        slaCell({{"moca", 0.4}, {"prema", 0.2}}),
+        slaCell({{"moca", 0.0}, {"prema", 0.0}}),
+    };
+    const Margin m = marginOver(matrix, "moca", "prema",
+                                &metrics::RunMetrics::slaRate, 1e-3);
+    EXPECT_TRUE(std::isfinite(m.geomean));
+    EXPECT_GT(m.geomean, 0.0);
+    EXPECT_NEAR(m.geomean, std::cbrt(1e-3 / 0.5 * 2.0 * 1.0), 1e-12);
+    EXPECT_DOUBLE_EQ(m.max, 2.0);
 }
 
 } // namespace
