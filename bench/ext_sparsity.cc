@@ -60,7 +60,7 @@ main(int argc, char **argv)
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
     const int tasks = static_cast<int>(args.getInt("tasks", 120));
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const int jobs = static_cast<int>(args.getInt("jobs", 1));
+    const int jobs = exp::sweepOptionsFromArgs(args).jobs;
     // The predictor pair under comparison, overridable via --policy.
     const auto predictor_specs = exp::policiesFromArgs(
         args, {"moca:sparsity_aware=1", "moca:sparsity_aware=0"});

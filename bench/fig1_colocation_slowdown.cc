@@ -116,7 +116,7 @@ main(int argc, char **argv)
     const int reps = static_cast<int>(args.getInt("reps", 120));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const int jobs = static_cast<int>(args.getInt("jobs", 1));
+    const int jobs = exp::sweepOptionsFromArgs(args).jobs;
 
     std::printf("== Figure 1: latency increase under co-location "
                 "(reps=%d seed=%llu jobs=%d) ==\n\n", reps,

@@ -64,7 +64,7 @@ main(int argc, char **argv)
         fatal("latency_model_validation measures isolated runs; its "
               "policy is fixed to 'solo' and --policy cannot change "
               "it");
-    const int jobs = static_cast<int>(args.getInt("jobs", 1));
+    const int jobs = exp::sweepOptionsFromArgs(args).jobs;
 
     std::printf("== Algorithm 1 validation: prediction vs. measured "
                 "isolated latency ==\n\n");

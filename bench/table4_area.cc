@@ -35,7 +35,7 @@ main(int argc, char **argv)
         std::vector<std::string>{"moca"})
         fatal("table4_area models the MoCA hardware area; --policy "
               "cannot change what it measures");
-    const int jobs = static_cast<int>(args.getInt("jobs", 1));
+    const int jobs = exp::sweepOptionsFromArgs(args).jobs;
 
     std::printf("== Table IV: area breakdown of an accelerator tile "
                 "with MoCA ==\n\n");

@@ -5,15 +5,15 @@
  *
  *   1. pick a SoC configuration (Table II defaults),
  *   2. generate a multi-tenant trace (models, priorities, QoS),
- *   3. run it through the fluent exp::Experiment builder under a
- *      policy spec string (here: "moca" — any registered policy or
- *      parameterized variant like "moca:tick=2048" works),
+ *   3. run it with exp::runScenario under a policy spec string
+ *      (here: "moca" — any registered policy or parameterized
+ *      variant like "moca:tick=2048" works),
  *   4. read the paper's metrics back.
  */
 
 #include <cstdio>
 
-#include "exp/experiment.h"
+#include "exp/scenario.h"
 
 int
 main()
@@ -32,9 +32,7 @@ main()
                 trace.numTasks, workload::workloadSetName(trace.set),
                 workload::qosLevelName(trace.qos));
 
-    const exp::ExperimentResults results =
-        exp::Experiment().soc(soc).trace(trace).policy("moca").run();
-    const exp::ScenarioResult &r = results["moca"];
+    const exp::ScenarioResult r = exp::runScenario("moca", trace, soc);
 
     std::printf("\nresults (MoCA):\n");
     std::printf("  SLA satisfaction   %.1f%%\n",

@@ -80,7 +80,7 @@ class PolicyRegistry : public moca::SpecRegistry<PolicyInfo>
 
     /**
      * Parse, validate, and build a policy from a spec string.  This
-     * is the one entry point scenario/sweep/Experiment use; unknown
+     * is the one entry point scenario and sweep use; unknown
      * names and undeclared parameters are fatal with actionable
      * messages.
      */

@@ -7,9 +7,10 @@
  *
  * Policies are identified by *spec strings* resolved through
  * exp::PolicyRegistry ("moca", "prema", "moca:tick=2048", ...); see
- * registry.h for the grammar.  The fluent exp::Experiment builder
- * (experiment.h) is the preferred front end; the free functions here
- * are the single-run primitives it (and the sweep engine) compose.
+ * registry.h for the grammar.  The free functions here are the
+ * single-run primitives; the sweep engine (sweep/sweep.h) runs grids
+ * of them, e.g. several policies replaying one trace via
+ * appendPolicyCells.
  */
 
 #ifndef MOCA_EXP_SCENARIO_H

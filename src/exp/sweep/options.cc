@@ -96,6 +96,9 @@ sweepOptionsFromArgs(const ArgMap &args)
 {
     SweepOptions opts;
     opts.jobs = static_cast<int>(args.getInt("jobs", 1));
+    if (opts.jobs < 0)
+        fatal("--jobs %d: must be >= 0 (0 = hardware concurrency)",
+              opts.jobs);
     opts.verbose = args.getBool("verbose", false);
     return opts;
 }

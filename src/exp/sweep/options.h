@@ -35,8 +35,8 @@ sim::SimKernel parseSimKernel(const std::string &name);
 /** Print the Table II SoC configuration banner. */
 void printSocBanner(const sim::SocConfig &cfg);
 
-/** Sweep-engine options from `--jobs N` (0 = hardware concurrency)
- *  and `verbose=0/1`. */
+/** Sweep-engine options from `--jobs N` (0 = hardware concurrency;
+ *  negative is fatal) and `verbose=0/1`. */
 SweepOptions sweepOptionsFromArgs(const ArgMap &args);
 
 /**

@@ -23,24 +23,9 @@ deriveCellSeed(std::uint64_t base, std::size_t index)
 ScenarioResult
 runCell(const SweepCell &cell)
 {
-    if (!cell.policyFactory) {
-        if (cell.specs)
-            return runTrace(cell.policy, *cell.specs, cell.trace,
-                            cell.soc);
-        return runScenario(cell.policy, cell.trace, cell.soc);
-    }
-
-    // Custom-policy cell: the caller's factory instead of the spec
-    // registry, then the shared runTrace assembly.
-    std::vector<sim::JobSpec> generated;
-    const std::vector<sim::JobSpec> *specs = cell.specs.get();
-    if (specs == nullptr) {
-        generated = makeTrace(cell.trace, cell.soc);
-        specs = &generated;
-    }
-    auto policy = cell.policyFactory(cell.soc);
-    return runTrace(*policy, cell.policy, *specs, cell.trace,
-                    cell.soc);
+    if (cell.specs)
+        return runTrace(cell.policy, *cell.specs, cell.trace, cell.soc);
+    return runScenario(cell.policy, cell.trace, cell.soc);
 }
 
 void

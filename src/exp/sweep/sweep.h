@@ -41,15 +41,6 @@ struct SweepCell
     sim::SocConfig soc;
 
     /**
-     * Optional policy factory overriding `policy` (for policies that
-     * cannot be expressed as a registry spec, e.g. stateful test
-     * doubles).  Must be thread-safe: it is invoked from worker
-     * threads.
-     */
-    std::function<std::unique_ptr<sim::Policy>(const sim::SocConfig &)>
-        policyFactory;
-
-    /**
      * Optional pre-generated job stream shared read-only between
      * cells (e.g. several policies replaying the identical trace).
      * When null the cell generates its own trace from `trace`, which

@@ -12,9 +12,9 @@
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
 #include "cluster/workload.h"
-#include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
+#include "exp/sweep/sweep.h"
 #include "sim/soc.h"
 
 using namespace moca;
@@ -422,24 +422,31 @@ TEST(ClusterDeterminism, RepeatedRunsAreBitIdentical)
 
 TEST(ClusterDeterminism, FleetExperimentIdenticalAcrossJobs)
 {
-    // Same seed + same --jobs contract, and jobs=1 vs jobs=4: the
+    // One fleet per policy on the identical task stream, run on a
+    // jobs=1 vs jobs=4 pool (the cluster_scale --jobs shape): the
     // policy-level parallelism must not perturb any fleet result.
+    const sim::SocConfig cfg = testSoc(sim::SimKernel::Event);
+    const SynthConfig synth = testSynth(250, 4 * cfg.numTiles, 17);
+    const auto tasks = synthTasks(synth, cfg);
+    const std::vector<std::string> policies = {"moca", "prema",
+                                               "planaria"};
     const auto run = [&](int jobs) {
-        return exp::Experiment()
-            .soc(testSoc(sim::SimKernel::Event))
-            .cluster(4)
-            .dispatcher("least-loaded")
-            .fleetWorkload(testSynth(250, 0, 17))
-            .policies({"moca", "prema", "planaria"})
-            .jobs(jobs)
-            .runFleet();
+        std::vector<ClusterResult> results(policies.size());
+        exp::SweepRunner::runIndexed(
+            policies.size(), jobs, [&](std::size_t i) {
+                ClusterConfig cc = ClusterConfig::homogeneous(4, cfg);
+                cc.policy = policies[i];
+                cc.dispatcher = "least-loaded";
+                cc.dispatcherSeed = synth.seed;
+                results[i] = cluster::runCluster(cc, tasks);
+            });
+        return results;
     };
     const auto serial = run(1);
     const auto parallel = run(4);
-    ASSERT_EQ(serial.size(), 3u);
-    for (const std::string policy : {"moca", "prema", "planaria"}) {
-        ASSERT_TRUE(serial.has(policy));
-        expectIdentical(serial[policy], parallel[policy]);
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        SCOPED_TRACE(policies[i]);
+        expectIdentical(serial[i], parallel[i]);
     }
 }
 
@@ -524,13 +531,4 @@ TEST(Cluster, UnsortedTasksDie)
     ClusterConfig cc = ClusterConfig::homogeneous(2, cfg);
     EXPECT_DEATH((void)cluster::runCluster(cc, tasks),
                  "sorted by arrival");
-}
-
-TEST(Experiment, SingleSocRunRejectsClusterConfig)
-{
-    EXPECT_DEATH((void)exp::Experiment()
-                     .cluster(4)
-                     .policy("moca")
-                     .run(),
-                 "use\\s+runFleet");
 }

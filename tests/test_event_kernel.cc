@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "dnn/model_zoo.h"
-#include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
+#include "exp/sweep/sweep.h"
 #include "sim/soc.h"
 
 namespace moca {
@@ -270,30 +270,32 @@ TEST(EventKernel, ParallelSweepBitIdenticalToSerial)
 {
     const auto t = cellTrace(workload::WorkloadSet::C,
                              workload::QosLevel::Medium, 40);
+    sim::SocConfig cfg;
+    cfg.kernel = SimKernel::Event;
+    std::vector<exp::SweepCell> grid;
+    exp::appendPolicyCells(grid, "event", exp::allPolicySpecs(), t, cfg);
     auto build = [&](int jobs) {
-        return exp::Experiment()
-            .kernel(SimKernel::Event)
-            .trace(t)
-            .policies({"moca", "prema", "static", "planaria"})
-            .jobs(jobs)
-            .run();
+        exp::SweepOptions opts;
+        opts.jobs = jobs;
+        return exp::SweepRunner(opts).run(grid);
     };
     const auto serial = build(1);
     const auto parallel = build(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (const auto &policy : exp::allPolicySpecs()) {
-        EXPECT_EQ(serial[policy].metrics.slaRate,
-                  parallel[policy].metrics.slaRate) << policy;
-        EXPECT_EQ(serial[policy].metrics.stp,
-                  parallel[policy].metrics.stp) << policy;
-        EXPECT_EQ(serial[policy].makespan, parallel[policy].makespan)
+    ASSERT_EQ(serial.size(), exp::allPolicySpecs().size());
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t p = 0; p < serial.size(); ++p) {
+        const std::string &policy = serial[p].policy;
+        EXPECT_EQ(policy, parallel[p].policy);
+        EXPECT_EQ(serial[p].metrics.slaRate, parallel[p].metrics.slaRate)
             << policy;
-        EXPECT_EQ(serial[policy].simSteps, parallel[policy].simSteps)
+        EXPECT_EQ(serial[p].metrics.stp, parallel[p].metrics.stp)
             << policy;
+        EXPECT_EQ(serial[p].makespan, parallel[p].makespan) << policy;
+        EXPECT_EQ(serial[p].simSteps, parallel[p].simSteps) << policy;
         // Per-job bit-determinism: every completion record must match,
         // not just the aggregates.
-        const auto &sj = serial[policy].jobs;
-        const auto &pj = parallel[policy].jobs;
+        const auto &sj = serial[p].jobs;
+        const auto &pj = parallel[p].jobs;
         ASSERT_EQ(sj.size(), pj.size()) << policy;
         for (std::size_t i = 0; i < sj.size(); ++i) {
             EXPECT_EQ(sj[i].spec.id, pj[i].spec.id) << policy;

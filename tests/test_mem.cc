@@ -14,9 +14,9 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "exp/registry.h"
+#include "exp/sweep/sweep.h"
 #include "mem/banked.h"
 #include "mem/memory_model.h"
 #include "sim/arbiter.h"
@@ -469,19 +469,22 @@ TEST(BankedKernels, ParallelEqualsSerial)
     trace.numTasks = 24;
     trace.seed = 9;
 
+    sim::SocConfig cfg;
+    cfg.memModel = "banked:banks=16";
+    std::vector<exp::SweepCell> grid;
+    exp::appendPolicyCells(grid, "banked", {"moca", "prema", "planaria"},
+                           trace, cfg);
     auto run = [&](int jobs) {
-        return exp::Experiment()
-            .trace(trace)
-            .mem("banked:banks=16")
-            .policies({"moca", "prema", "planaria"})
-            .jobs(jobs)
-            .run();
+        exp::SweepOptions opts;
+        opts.jobs = jobs;
+        return exp::SweepRunner(opts).run(grid);
     };
     const auto serial = run(1);
     const auto parallel = run(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (const auto *spec : {"moca", "prema", "planaria"})
-        expectScenarioEq(serial[spec], parallel[spec]);
+    ASSERT_EQ(serial.size(), 3u);
+    ASSERT_EQ(parallel.size(), 3u);
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectScenarioEq(serial[i], parallel[i]);
 }
 
 TEST(BankedKernels, BankCountChangesOutcomes)

@@ -12,7 +12,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/workload.h"
-#include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "sim/soc.h"
 
@@ -218,28 +217,6 @@ TEST(ParallelCluster, EpochStatsAreBoundedAndPopulated)
     EXPECT_LE(res.meanSocsStepped, 4.0);
 }
 
-// --- Experiment builder wiring ----------------------------------------
-
-TEST(ParallelCluster, ExperimentClusterJobsIsBitIdentical)
-{
-    const auto run = [&](int cluster_jobs) {
-        return exp::Experiment()
-            .soc(testSoc())
-            .cluster(6)
-            .dispatcher("qos-aware")
-            .clusterJobs(cluster_jobs)
-            .fleetWorkload(testSynth(150, 0, 29))
-            .policies({"moca", "prema"})
-            .runFleet();
-    };
-    const auto serial = run(1);
-    const auto sharded = run(4);
-    for (const std::string policy : {"moca", "prema"}) {
-        ASSERT_TRUE(serial.has(policy));
-        expectIdentical(serial[policy], sharded[policy]);
-    }
-}
-
 // --- Misuse -----------------------------------------------------------
 
 TEST(ParallelClusterDeath, JobsBelowOneDies)
@@ -253,6 +230,4 @@ TEST(ParallelClusterDeath, JobsBelowOneDies)
     cc.jobs = -3;
     EXPECT_DEATH((void)cluster::runCluster(cc, tasks),
                  "jobs must be >= 1");
-    EXPECT_DEATH((void)exp::Experiment().clusterJobs(0),
-                 "at least one worker");
 }

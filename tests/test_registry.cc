@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the open policy registry and the fluent exp::Experiment
- * builder: spec-string grammar round-trips, loud failures on unknown
- * names/parameters (with did-you-mean), parameterized specs changing
- * behavior measurably, and bit-exact parity between Experiment and
- * the low-level runTrace path on a fig5-style cell.
+ * Tests for the open policy registry: spec-string grammar
+ * round-trips, loud failures on unknown names/parameters (with
+ * did-you-mean), parameterized specs changing behavior measurably,
+ * and bit-exact parity between a policy sweep grid and the low-level
+ * runTrace path on a fig5-style cell.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiment.h"
 #include "exp/registry.h"
 #include "exp/scenario.h"
+#include "exp/sweep/sweep.h"
 
 namespace moca::exp {
 namespace {
@@ -203,31 +203,30 @@ TEST(PolicyRegistry, DefaultParamsReproduceBareSpec)
     EXPECT_EQ(bare.metrics.slaRate, expl.metrics.slaRate);
 }
 
-// --- Experiment parity with the low-level path -----------------------
+// --- Policy-grid parity with the low-level path ---------------------
 
-TEST(Experiment, MatchesRunTraceBitExactlyOnFig5Cell)
+TEST(PolicyCells, MatchRunTraceBitExactlyOnFig5Cell)
 {
-    // One fig5 cell (Workload-A / QoS-M): the fluent builder must
-    // reproduce the pre-redesign runTrace path bit for bit, for
-    // every policy on the identical stream.
+    // One fig5 cell (Workload-A / QoS-M): a parallel sweep grid built
+    // by appendPolicyCells must reproduce the direct runTrace path bit
+    // for bit, for every policy on the identical stream.
     const sim::SocConfig cfg;
     const auto t = smallTrace(workload::WorkloadSet::A,
                               workload::QosLevel::Medium, 40, 1);
     const auto stream = makeTrace(t, cfg);
 
-    const auto results = Experiment()
-                             .soc(cfg)
-                             .trace(t)
-                             .policies(allPolicySpecs())
-                             .withTrace(stream)
-                             .jobs(2)
-                             .run();
+    std::vector<SweepCell> grid;
+    appendPolicyCells(grid, "fig5", allPolicySpecs(), t, cfg);
+    SweepOptions opts;
+    opts.jobs = 2;
+    const auto results = SweepRunner(opts).run(grid);
     ASSERT_EQ(results.size(), allPolicySpecs().size());
 
-    for (const auto &spec : allPolicySpecs()) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const std::string &spec = allPolicySpecs()[i];
         SCOPED_TRACE(spec);
         const auto direct = runTrace(spec, stream, t, cfg);
-        const auto &via = results[spec];
+        const auto &via = results[i];
         EXPECT_EQ(via.policy, spec);
         EXPECT_EQ(via.makespan, direct.makespan);
         EXPECT_EQ(via.totalMigrations, direct.totalMigrations);
@@ -244,37 +243,6 @@ TEST(Experiment, MatchesRunTraceBitExactlyOnFig5Cell)
                       direct.jobs[j].stallCycles);
         }
     }
-}
-
-TEST(Experiment, GeneratesTraceWhenNoneGiven)
-{
-    const sim::SocConfig cfg;
-    const auto t = smallTrace(workload::WorkloadSet::C,
-                              workload::QosLevel::Medium, 25, 7);
-    const auto res =
-        Experiment().soc(cfg).trace(t).policy("moca").run();
-    const auto direct = runScenario("moca", t, cfg);
-    EXPECT_EQ(res["moca"].makespan, direct.makespan);
-    EXPECT_TRUE(res.has("moca"));
-    EXPECT_FALSE(res.has("prema"));
-}
-
-TEST(Experiment, EmptyPolicyListDies)
-{
-    EXPECT_DEATH((void)Experiment().run(), "no policies");
-}
-
-TEST(Experiment, UnknownSpecDiesBeforeRunning)
-{
-    const sim::SocConfig cfg;
-    const auto t = smallTrace(workload::WorkloadSet::C,
-                              workload::QosLevel::Medium, 10);
-    EXPECT_DEATH((void)Experiment()
-                     .soc(cfg)
-                     .trace(t)
-                     .policy("premma")
-                     .run(),
-                 "did you mean 'prema'");
 }
 
 } // namespace

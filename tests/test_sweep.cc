@@ -2,8 +2,8 @@
  * @file
  * Tests for the parallel experiment engine: determinism (parallel ==
  * serial, cell for cell), in-order sink delivery, the low-level
- * indexed pool, per-cell seed derivation, custom-policy cells, and
- * the CSV/JSON sinks' round-trip fidelity.
+ * indexed pool, per-cell seed derivation, `--jobs` parsing, and the
+ * CSV/JSON sinks' round-trip fidelity.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,9 @@
 #include <stdexcept>
 
 #include "common/log.h"
+#include "exp/sweep/options.h"
 #include "exp/sweep/sinks.h"
 #include "exp/sweep/sweep.h"
-#include "moca/moca_policy.h"
 
 namespace moca::exp {
 namespace {
@@ -169,29 +169,15 @@ TEST(SweepRunner, RunIndexedPropagatesExceptions)
         std::runtime_error);
 }
 
-TEST(SweepRunner, CustomPolicyFactoryMatchesRegistryPolicy)
+TEST(SweepOptions, JobsFlagParsesAndRejectsNegative)
 {
-    // A factory building the default MocaPolicy must reproduce the
-    // registry cell exactly.
-    const sim::SocConfig cfg;
-    workload::TraceConfig trace;
-    trace.numTasks = 12;
-    trace.seed = 5;
-
-    SweepCell registry;
-    registry.label = "registry";
-    registry.policy = "moca";
-    registry.trace = trace;
-    registry.soc = cfg;
-
-    SweepCell custom = registry;
-    custom.label = "custom";
-    custom.policyFactory = [](const sim::SocConfig &c) {
-        return std::make_unique<MocaPolicy>(c, MocaPolicyConfig{});
+    auto parse = [](const char *jobs) {
+        const char *argv[] = {"prog", "--jobs", jobs};
+        return sweepOptionsFromArgs(ArgMap(3, const_cast<char **>(argv)));
     };
-
-    const auto results = SweepRunner().run({registry, custom});
-    expectResultsIdentical(results[0], results[1]);
+    EXPECT_EQ(parse("4").jobs, 4);
+    EXPECT_EQ(parse("0").jobs, 0); // 0 = hardware concurrency
+    EXPECT_DEATH((void)parse("-2"), "--jobs -2: must be >= 0");
 }
 
 TEST(Sinks, CsvRoundTrip)
