@@ -3,10 +3,10 @@
  * Smoke sweep + throughput baseline for the parallel experiment
  * engine.  The default mode replays the historical 12-point
  * (load x qos_scale) grid under all four policies through
- * `exp::SweepRunner`.  `timing=1` instead times a fig5-sized grid at
- * `--jobs 1` versus `--jobs <hw_concurrency>` and prints the
- * speedup, so future PRs can track sweep throughput against this
- * PR's baseline.
+ * `exp::SweepRunner`.  `timing=1` instead times a fig5-sized grid
+ * (under the selected SoC flags and policies) at `--jobs 1` versus
+ * `--jobs <hw_concurrency>` and prints the speedup, so sweep
+ * throughput can be tracked against a baseline.
  *
  * Usage: _sweep [tasks=N] [--policy SPEC[,SPEC...]]
  *               [--list-policies] [--jobs N] [--csv PATH]
@@ -17,6 +17,7 @@
 
 #include "common/log.h"
 #include "common/table.h"
+#include "common/text.h"
 #include "common/walltime.h"
 #include "exp/matrix.h"
 #include "exp/oracle.h"
@@ -34,34 +35,42 @@ wallSeconds(const std::function<void()> &fn)
     return timer.seconds();
 }
 
-/** Time the 36-cell fig5 grid at a given worker count. */
+/** Time the fig5 grid (9 scenarios x `policies`) at a given worker
+ *  count. */
 double
-timeMatrix(int tasks, int jobs)
+timeMatrix(int tasks, int jobs, const sim::SocConfig &cfg,
+           const std::vector<std::string> &policies)
 {
     exp::MatrixConfig mcfg;
     mcfg.numTasks = tasks;
+    mcfg.policies = policies;
     exp::SweepOptions opts;
     opts.jobs = jobs;
-    const sim::SocConfig cfg;
     return wallSeconds([&] { exp::runMatrix(mcfg, cfg, opts); });
 }
 
 int
-runTimingBaseline(const ArgMap &args)
+runTimingBaseline(const ArgMap &args,
+                  const std::vector<std::string> &policies)
 {
     const int tasks = static_cast<int>(args.getInt("timing_tasks", 100));
     const int hw = exp::resolveJobs(0);
+    const sim::SocConfig cfg = exp::socConfigFromArgs(args);
 
     std::printf("== sweep throughput baseline: fig5-sized grid "
-                "(36 cells, tasks=%d) ==\n\n", tasks);
+                "(%zu cells, tasks=%d, kernel=%s, mem=%s, "
+                "policies=%s) ==\n\n",
+                exp::matrixCells().size() * policies.size(), tasks,
+                sim::simKernelName(cfg.kernel), cfg.memModel.c_str(),
+                joinNames(policies).c_str());
 
     // Warm the oracle cache once so both measurements exercise the
     // same (simulation-only) work.
     exp::clearOracleCache();
-    (void)timeMatrix(10, 1);
+    (void)timeMatrix(10, 1, cfg, policies);
 
-    const double serial = timeMatrix(tasks, 1);
-    const double parallel = timeMatrix(tasks, hw);
+    const double serial = timeMatrix(tasks, 1, cfg, policies);
+    const double parallel = timeMatrix(tasks, hw, cfg, policies);
 
     Table t({"jobs", "wall (s)", "speedup"});
     t.row().cell(1LL).cell(serial, 2).cell(1.0, 2);
@@ -80,7 +89,7 @@ main(int argc, char **argv)
     ArgMap args(argc, argv);
     const auto policies = exp::policiesFromArgs(args);
     if (args.getBool("timing", false))
-        return runTimingBaseline(args);
+        return runTimingBaseline(args, policies);
 
     const int tasks = static_cast<int>(args.getInt("tasks", 150));
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
@@ -104,9 +113,9 @@ main(int argc, char **argv)
         }
     }
 
-    const auto sinks = exp::fileSinksFromArgs(args);
     const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
-    const auto results = runner.run(grid, sinks.pointers());
+    const auto results = runner.run(grid);
+    exp::writeSweepFiles(args, grid, results);
 
     for (std::size_t i = 0; i < results.size();) {
         std::printf("%s :", grid[i].label.c_str());

@@ -109,9 +109,9 @@ main(int argc, char **argv)
         }
     }
 
-    const auto sinks = exp::fileSinksFromArgs(args);
     const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
-    const auto results = runner.run(grid, sinks.pointers());
+    const auto results = runner.run(grid);
+    exp::writeSweepFiles(args, grid, results);
 
     Table t({"Variant", "SLA", "SLA p-High", "STP", "Fairness",
              "Thrash (MB)"});

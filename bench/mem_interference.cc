@@ -38,6 +38,7 @@
 #include "common/walltime.h"
 #include "exp/registry.h"
 #include "exp/sweep/options.h"
+#include "exp/sweep/records.h"
 #include "mem/memory_model.h"
 
 using namespace moca;
@@ -132,16 +133,14 @@ main(int argc, char **argv)
         }
     }
 
-    exp::SinkSet sinks;
-    const std::string csv = args.getString("csv", "");
-    if (!csv.empty())
-        sinks.add(std::make_unique<exp::CsvSink>(csv));
-
     std::printf("running %zu cells...\n\n", grid.size());
     const WallTimer timer;
-    const auto results =
-        exp::SweepRunner(opts).run(grid, sinks.pointers());
+    const auto results = exp::SweepRunner(opts).run(grid);
     const double wall = timer.seconds();
+    const std::string csv = args.getString("csv", "");
+    if (!csv.empty() &&
+        !writeTextFile(csv, exp::sweepCsv(grid, results)))
+        fatal("cannot write %s", csv.c_str());
 
     Table t({"Mix", "Mem model", "Policy", "SLA", "p-High", "STP",
              "RowHit%", "BankCV", "L2 lost (MB)"});

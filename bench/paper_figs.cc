@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -145,9 +146,10 @@ main(int argc, char **argv)
     exp::printSocBanner(cfg);
     printWorkloadSets();
 
-    const auto sinks = exp::fileSinksFromArgs(args);
-    const auto matrix =
-        exp::runMatrix(mcfg, cfg, opts, sinks.pointers());
+    const auto grid = exp::matrixGrid(mcfg, cfg);
+    auto results = exp::SweepRunner(opts).run(grid);
+    exp::writeSweepFiles(args, grid, results);
+    const auto matrix = exp::pivotMatrix(mcfg, std::move(results));
 
     std::vector<std::string> header = {"Scenario"};
     header.insert(header.end(), policies.begin(), policies.end());

@@ -142,10 +142,10 @@ main(int argc, char **argv)
         grid.push_back(std::move(cell));
     }
 
-    const auto sinks = exp::fileSinksFromArgs(args);
     const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
     const exp::SweepRunner runner(opts);
-    const auto results = runner.run(grid, sinks.pointers());
+    const auto results = runner.run(grid);
+    exp::writeSweepFiles(args, grid, results);
 
     {
         Table t(ratioHeader("Seed", policies, ref));

@@ -126,9 +126,9 @@ main(int argc, char **argv)
                  seed);
     }
 
-    const auto sinks = exp::fileSinksFromArgs(args);
     const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
-    const auto results = runner.run(grid, sinks.pointers());
+    const auto results = runner.run(grid);
+    exp::writeSweepFiles(args, grid, results);
 
     printSweepTable("DRAM bandwidth sweep", "DRAM (GB/s)", policies,
                     grid, results, 0, 8);

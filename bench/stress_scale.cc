@@ -47,26 +47,6 @@ using namespace moca;
 
 namespace {
 
-/** Wall-clock timestamps per completed cell (valid per cell when the
- *  sweep runs serially; only the total is meaningful with --jobs). */
-class TimingSink : public exp::ResultSink
-{
-  public:
-    void start() { timer_.restart(); }
-
-    void
-    onResult(std::size_t, const exp::SweepCell &,
-             const exp::ScenarioResult &) override
-    {
-        walls.push_back(timer_.restart());
-    }
-
-    std::vector<double> walls;
-
-  private:
-    WallTimer timer_;
-};
-
 struct CellKey
 {
     workload::ArrivalPattern pattern;
@@ -188,35 +168,45 @@ main(int argc, char **argv)
         }
     }
 
-    const exp::SweepRunner runner(opts);
+    // Per-cell walls are meaningful only when the sweep runs serially;
+    // with --jobs only the grid total is.
     auto run_grid = [&](const std::vector<exp::SweepCell> &grid,
-                        TimingSink &sink, double &total) {
-        sink.start();
+                        std::vector<double> &walls, double &total) {
+        std::vector<exp::ScenarioResult> results(grid.size());
+        walls.assign(grid.size(), 0.0);
         const WallTimer grid_timer;
-        const auto results = runner.run(grid, {&sink});
+        exp::SweepRunner::runIndexed(
+            grid.size(), opts.jobs, [&](std::size_t i) {
+                if (opts.verbose)
+                    inform("sweep: running cell %zu/%zu (%s)...", i + 1,
+                           grid.size(), grid[i].label.c_str());
+                const WallTimer cell_timer;
+                results[i] = exp::runCell(grid[i]);
+                walls[i] = cell_timer.seconds();
+            });
         total = grid_timer.seconds();
         return results;
     };
 
-    TimingSink qtimes, etimes;
+    std::vector<double> qwalls, ewalls;
     double qwall = 0.0, ewall = 0.0;
     std::vector<exp::ScenarioResult> qres, eres;
     if (run_quantum) {
         std::printf("running %zu cells on the quantum kernel...\n",
                     quantum_grid.size());
-        qres = run_grid(quantum_grid, qtimes, qwall);
+        qres = run_grid(quantum_grid, qwalls, qwall);
     }
     if (run_event) {
         std::printf("running %zu cells on the event kernel...\n",
                     event_grid.size());
-        eres = run_grid(event_grid, etimes, ewall);
+        eres = run_grid(event_grid, ewalls, ewall);
     }
     std::printf("\n");
 
     const bool both = run_quantum && run_event;
     if (!both) {
         const auto &res = run_quantum ? qres : eres;
-        const auto &walls = run_quantum ? qtimes.walls : etimes.walls;
+        const auto &walls = run_quantum ? qwalls : ewalls;
         Table t({"cell", "wall (s)", "steps", "SLA", "STP"});
         for (std::size_t i = 0; i < res.size(); ++i) {
             t.row()
@@ -238,12 +228,12 @@ main(int argc, char **argv)
     // tier of the same pattern+policy (kernel steps are linear in
     // trace length).  Only wall clock is ever extrapolated.
     auto eventWall = [&](std::size_t i) {
-        return serial ? etimes.walls[i] : 0.0;
+        return serial ? ewalls[i] : 0.0;
     };
     auto quantumWall = [&](std::size_t i, bool &extrapolated) {
         extrapolated = qindex[i] < 0;
         if (!extrapolated)
-            return serial ? qtimes.walls[static_cast<std::size_t>(
+            return serial ? qwalls[static_cast<std::size_t>(
                                 qindex[i])]
                           : 0.0;
         double best_wall = 0.0;
@@ -255,7 +245,7 @@ main(int argc, char **argv)
                 keys[j].tasks <= best_tasks)
                 continue;
             best_tasks = keys[j].tasks;
-            best_wall = serial ? qtimes.walls[static_cast<std::size_t>(
+            best_wall = serial ? qwalls[static_cast<std::size_t>(
                                      qindex[j])]
                                : 0.0;
         }

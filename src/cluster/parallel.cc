@@ -234,15 +234,6 @@ ParallelEngine::setActive(std::size_t soc_idx, bool active)
     refreshShard(soc_idx);
 }
 
-bool
-ParallelEngine::isActive(std::size_t soc_idx) const
-{
-    if (soc_idx >= socs_.size())
-        panic("isActive(%zu): fleet has %zu SoCs", soc_idx,
-              socs_.size());
-    return active_[soc_idx] != 0;
-}
-
 void
 ParallelEngine::replaceSoc(std::size_t soc_idx, sim::Soc *soc)
 {

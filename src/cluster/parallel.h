@@ -156,7 +156,6 @@ class ParallelEngine
      * of noteInjected could not express).
      */
     void setActive(std::size_t soc_idx, bool active);
-    bool isActive(std::size_t soc_idx) const;
 
     /**
      * Swap the occupant of slot `soc_idx` (e.g. a recovered SoC

@@ -1,6 +1,5 @@
 #include "common/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -8,10 +7,6 @@
 namespace moca {
 
 namespace {
-
-// Read from sweep worker threads (every inform()/verbose() call);
-// atomic so a main-thread setLogLevel() mid-sweep is not a data race.
-std::atomic<LogLevel> g_level{LogLevel::Normal};
 
 std::string
 vformat(const char *fmt, va_list ap)
@@ -37,36 +32,11 @@ emit(const char *prefix, const char *fmt, va_list ap)
 } // anonymous namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
 inform(const char *fmt, ...)
 {
-    if (g_level < LogLevel::Normal)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("info: ", fmt, ap);
-    va_end(ap);
-}
-
-void
-verbose(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Verbose)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug: ", fmt, ap);
     va_end(ap);
 }
 

@@ -14,26 +14,8 @@
 
 namespace moca {
 
-/** Verbosity levels for inform() output. */
-enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
-
-/** Set the global verbosity; messages above this level are dropped. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
-/**
- * Print an informational status message (printf-style).
- * Shown at LogLevel::Normal and above.
- */
+/** Print an informational status message (printf-style). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * Print a detailed status message (printf-style).
- * Shown only at LogLevel::Verbose.
- */
-void verbose(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Warn about a condition that may indicate a problem but does not stop

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/json.h"
 #include "common/log.h"
 #include "common/stats.h"
 
@@ -115,13 +114,6 @@ Table::print(const std::string &title) const
         std::printf("\n== %s ==\n", title.c_str());
     std::fputs(render().c_str(), stdout);
     std::fflush(stdout);
-}
-
-void
-Table::writeCsv(const std::string &path) const
-{
-    if (!writeTextFile(path, csv()))
-        warn("cannot write CSV to %s", path.c_str());
 }
 
 } // namespace moca

@@ -42,9 +42,6 @@ class Table
     /** Print render() to stdout with an optional title line. */
     void print(const std::string &title = "") const;
 
-    /** Write csv() to the given path; warns on failure. */
-    void writeCsv(const std::string &path) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -1,6 +1,7 @@
 #include "exp/matrix.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.h"
 #include "common/stats.h"
@@ -51,10 +52,6 @@ matrixCells()
     return cells;
 }
 
-namespace {
-
-/** The 36 (set, qos, policy) cells of the matrix as a sweep grid;
- *  traces are generated once per (set, qos) and shared read-only. */
 std::vector<SweepCell>
 matrixGrid(const MatrixConfig &mcfg, const sim::SocConfig &cfg)
 {
@@ -68,9 +65,6 @@ matrixGrid(const MatrixConfig &mcfg, const sim::SocConfig &cfg)
         trace.loadFactor = mcfg.loadFactor;
         trace.qosScale = mcfg.qosScale;
         trace.seed = mcfg.seed;
-
-        // One trace per (set, qos), replayed identically under every
-        // policy (shared read-only between the four cells).
         appendPolicyCells(
             grid,
             std::string(workload::workloadSetName(set)) + " " +
@@ -80,29 +74,32 @@ matrixGrid(const MatrixConfig &mcfg, const sim::SocConfig &cfg)
     return grid;
 }
 
-} // namespace
-
 std::vector<MatrixCell>
-runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
-          const SweepOptions &opts,
-          const std::vector<ResultSink *> &sinks)
+pivotMatrix(const MatrixConfig &mcfg, std::vector<ScenarioResult> results)
 {
-    const auto results =
-        SweepRunner(opts).run(matrixGrid(mcfg, cfg), sinks);
-
-    // Reassemble the flat grid (policy-major within each scenario)
-    // into the 9 MatrixCells the figure benches pivot on.
     std::vector<MatrixCell> out;
     const std::size_t per_cell = mcfg.policyList().size();
+    if (results.size() != matrixCells().size() * per_cell)
+        panic("pivotMatrix: %zu results for a %zu-cell grid",
+              results.size(), matrixCells().size() * per_cell);
     for (std::size_t c = 0; c < matrixCells().size(); ++c) {
         MatrixCell cell;
         cell.set = matrixCells()[c].first;
         cell.qos = matrixCells()[c].second;
         for (std::size_t p = 0; p < per_cell; ++p)
-            cell.byPolicy.push_back(results[c * per_cell + p]);
+            cell.byPolicy.push_back(
+                std::move(results[c * per_cell + p]));
         out.push_back(std::move(cell));
     }
     return out;
+}
+
+std::vector<MatrixCell>
+runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
+          const SweepOptions &opts)
+{
+    return pivotMatrix(mcfg,
+                       SweepRunner(opts).run(matrixGrid(mcfg, cfg)));
 }
 
 Margin

@@ -46,15 +46,23 @@ struct MatrixConfig
 };
 
 /**
- * Run the full 3x3x4 matrix on the sweep engine with `opts` (worker
- * count, progress lines).  Traces are generated once per (set, qos)
- * cell and replayed identically under every policy; `sinks` (if any)
- * observe all 36 cells in grid order.
+ * The 36 (set, qos, policy) cells of the matrix as a sweep grid,
+ * policy-major within each (set, qos) scenario.  Traces are generated
+ * once per scenario and replayed identically under every policy.
  */
+std::vector<SweepCell> matrixGrid(const MatrixConfig &mcfg,
+                                  const sim::SocConfig &cfg);
+
+/** Pivot the results of matrixGrid(mcfg, ...), in grid order, into
+ *  the 9 MatrixCells. */
+std::vector<MatrixCell> pivotMatrix(const MatrixConfig &mcfg,
+                                    std::vector<ScenarioResult> results);
+
+/** Run matrixGrid on the sweep engine with `opts` (worker count,
+ *  progress lines) and pivot the results. */
 std::vector<MatrixCell>
 runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
-          const SweepOptions &opts,
-          const std::vector<ResultSink *> &sinks = {});
+          const SweepOptions &opts);
 
 /** Geomean and max of a per-scenario ratio over the matrix. */
 struct Margin

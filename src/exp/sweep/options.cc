@@ -4,9 +4,11 @@
 #include <cstdlib>
 
 #include "cluster/dispatcher.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/units.h"
 #include "exp/registry.h"
+#include "exp/sweep/records.h"
 #include "mem/memory_model.h"
 #include "serve/admission.h"
 
@@ -159,34 +161,16 @@ admissionFromArgs(const ArgMap &args,
     return specs;
 }
 
-ResultSink *
-SinkSet::add(std::unique_ptr<ResultSink> sink)
+void
+writeSweepFiles(const ArgMap &args, const std::vector<SweepCell> &cells,
+                const std::vector<ScenarioResult> &results)
 {
-    sinks_.push_back(std::move(sink));
-    return sinks_.back().get();
-}
-
-std::vector<ResultSink *>
-SinkSet::pointers() const
-{
-    std::vector<ResultSink *> out;
-    out.reserve(sinks_.size());
-    for (const auto &s : sinks_)
-        out.push_back(s.get());
-    return out;
-}
-
-SinkSet
-fileSinksFromArgs(const ArgMap &args)
-{
-    SinkSet sinks;
     const std::string csv = args.getString("csv", "");
-    if (!csv.empty())
-        sinks.add(std::make_unique<CsvSink>(csv));
+    if (!csv.empty() && !writeTextFile(csv, sweepCsv(cells, results)))
+        fatal("cannot write %s", csv.c_str());
     const std::string json = args.getString("json", "");
-    if (!json.empty())
-        sinks.add(std::make_unique<JsonSink>(json));
-    return sinks;
+    if (!json.empty() && !writeTextFile(json, sweepJson(cells, results)))
+        fatal("cannot write %s", json.c_str());
 }
 
 } // namespace moca::exp

@@ -2,20 +2,18 @@
  * @file
  * Command-line plumbing shared by every bench and example binary:
  * SoC-configuration overrides, the Table II banner, sweep-engine
- * options (`--jobs N`), and file sinks (`--csv PATH`, `--json PATH`).
- * This replaces the per-binary boilerplate that used to live in
- * bench/bench_common.h.
+ * options (`--jobs N`), and the per-cell result files (`--csv PATH`,
+ * `--json PATH`).  This replaces the per-binary boilerplate that used
+ * to live in bench/bench_common.h.
  */
 
 #ifndef MOCA_EXP_SWEEP_OPTIONS_H
 #define MOCA_EXP_SWEEP_OPTIONS_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/argparse.h"
-#include "exp/sweep/sinks.h"
 #include "exp/sweep/sweep.h"
 
 namespace moca::exp {
@@ -74,29 +72,13 @@ admissionFromArgs(const ArgMap &args,
                   const std::vector<std::string> &def = {});
 
 /**
- * Owning bundle of result sinks, so binaries can hold console and
- * file sinks together and hand the engine a raw-pointer view.
+ * Write a finished sweep's per-cell records to the `--csv PATH` and
+ * `--json PATH` files (sweepCsv / sweepJson); fatal when a file
+ * cannot be written.  Does nothing for a flag that is not given.
  */
-class SinkSet
-{
-  public:
-    SinkSet() = default;
-
-    /** Add a sink; returns it for further configuration. */
-    ResultSink *add(std::unique_ptr<ResultSink> sink);
-
-    /** Non-owning view, as SweepRunner::run expects. */
-    std::vector<ResultSink *> pointers() const;
-
-  private:
-    std::vector<std::unique_ptr<ResultSink>> sinks_;
-};
-
-/**
- * Build file sinks from `--csv PATH` and `--json PATH` arguments.
- * Returns an empty set when neither is given.
- */
-SinkSet fileSinksFromArgs(const ArgMap &args);
+void writeSweepFiles(const ArgMap &args,
+                     const std::vector<SweepCell> &cells,
+                     const std::vector<ScenarioResult> &results);
 
 } // namespace moca::exp
 

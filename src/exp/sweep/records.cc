@@ -1,7 +1,8 @@
-#include "exp/sweep/sinks.h"
+#include "exp/sweep/records.h"
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/table.h"
 
 namespace moca::exp {
 
@@ -108,83 +109,26 @@ sweepRecordValues(std::size_t index, const SweepCell &cell,
     };
 }
 
-// ---- TableSink -------------------------------------------------------
-
-TableSink::TableSink(std::string title)
-    : title_(std::move(title)),
-      table_({"Cell", "Policy", "SLA", "p-Low", "p-Mid", "p-High",
-              "STP", "Fairness", "Makespan (Mcyc)", "DRAM busy"})
+std::string
+sweepCsv(const std::vector<SweepCell> &cells,
+         const std::vector<ScenarioResult> &results)
 {
-}
-
-void
-TableSink::onResult(std::size_t, const SweepCell &cell,
-                    const ScenarioResult &r)
-{
-    table_.row()
-        .cell(cell.label)
-        .cell(r.policy)
-        .cell(r.metrics.slaRate, 3)
-        .cell(r.metrics.slaRateLow, 3)
-        .cell(r.metrics.slaRateMid, 3)
-        .cell(r.metrics.slaRateHigh, 3)
-        .cell(r.metrics.stp, 2)
-        .cell(r.metrics.fairness, 4)
-        .cell(static_cast<double>(r.makespan) / 1e6, 1)
-        .cell(r.dramBusyFraction, 3);
-}
-
-void
-TableSink::finish()
-{
-    table_.print(title_);
-}
-
-// ---- CsvSink ---------------------------------------------------------
-
-CsvSink::CsvSink(std::string path)
-    : path_(std::move(path)), table_(sweepRecordFields())
-{
-}
-
-void
-CsvSink::onResult(std::size_t index, const SweepCell &cell,
-                  const ScenarioResult &r)
-{
-    table_.row();
-    for (const auto &value : sweepRecordValues(index, cell, r))
-        table_.cell(value);
+    Table table(sweepRecordFields());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        table.row();
+        for (const auto &value : sweepRecordValues(i, cells[i], results[i]))
+            table.cell(value);
+    }
+    return table.csv();
 }
 
 std::string
-CsvSink::text() const
-{
-    return table_.csv();
-}
-
-void
-CsvSink::finish()
-{
-    if (!path_.empty())
-        table_.writeCsv(path_);
-}
-
-// ---- JsonSink --------------------------------------------------------
-
-JsonSink::JsonSink(std::string path) : path_(std::move(path)) {}
-
-void
-JsonSink::onResult(std::size_t index, const SweepCell &cell,
-                   const ScenarioResult &r)
-{
-    records_.push_back(sweepRecordValues(index, cell, r));
-}
-
-std::string
-JsonSink::text() const
+sweepJson(const std::vector<SweepCell> &cells,
+          const std::vector<ScenarioResult> &results)
 {
     std::vector<JsonValue> rows;
-    for (const auto &record : records_) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto record = sweepRecordValues(i, cells[i], results[i]);
         JsonLine line;
         for (std::size_t f = 0; f < record.size(); ++f)
             line.emplace_back(kSweepFields[f].name,
@@ -194,13 +138,6 @@ JsonSink::text() const
         rows.push_back(jsonObject({line}));
     }
     return jsonArray(rows, 2, 0).text + "\n";
-}
-
-void
-JsonSink::finish()
-{
-    if (!path_.empty() && !writeTextFile(path_, text()))
-        warn("cannot write %s", path_.c_str());
 }
 
 } // namespace moca::exp

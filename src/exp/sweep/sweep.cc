@@ -102,38 +102,16 @@ SweepRunner::runIndexed(std::size_t n, int jobs,
 }
 
 std::vector<ScenarioResult>
-SweepRunner::run(const std::vector<SweepCell> &cells,
-                 const std::vector<ResultSink *> &sinks) const
+SweepRunner::run(const std::vector<SweepCell> &cells) const
 {
-    const std::size_t n = cells.size();
-    std::vector<ScenarioResult> results(n);
-
-    // In-order streaming: workers park finished cells here and the
-    // one holding the next-needed index flushes the run of ready
-    // results to every sink.
-    std::mutex emit_mutex;
-    std::vector<bool> ready(n, false);
-    std::size_t next_emit = 0;
-
-    runIndexed(n, opts_.jobs, [&](std::size_t i) {
+    std::vector<ScenarioResult> results(cells.size());
+    runIndexed(cells.size(), opts_.jobs, [&](std::size_t i) {
         if (opts_.verbose)
             inform("sweep: running cell %zu/%zu (%s / %s)...", i + 1,
-                   n, cells[i].label.c_str(),
+                   cells.size(), cells[i].label.c_str(),
                    cells[i].policy.c_str());
         results[i] = runCell(cells[i]);
-
-        std::lock_guard<std::mutex> lock(emit_mutex);
-        ready[i] = true;
-        while (next_emit < n && ready[next_emit]) {
-            for (ResultSink *sink : sinks)
-                sink->onResult(next_emit, cells[next_emit],
-                               results[next_emit]);
-            ++next_emit;
-        }
     });
-
-    for (ResultSink *sink : sinks)
-        sink->finish();
     return results;
 }
 

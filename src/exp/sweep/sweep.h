@@ -10,8 +10,7 @@
  * itself (its trace seed, policy, and SoC configuration), never on
  * which worker ran it or in what order.  Parallel (`jobs > 1`) and
  * serial (`jobs == 1`) sweeps therefore produce bit-identical
- * `ScenarioResult`s, and sinks observe results in cell-index order
- * regardless of completion order.
+ * `ScenarioResult`s.
  */
 
 #ifndef MOCA_EXP_SWEEP_SWEEP_H
@@ -30,7 +29,7 @@ namespace moca::exp {
 /** One cell of a sweep grid: everything needed to run one scenario. */
 struct SweepCell
 {
-    /** Row label for sinks, e.g. "Workload-A QoS-L". */
+    /** Row label for tables and result files, e.g. "Workload-A QoS-L". */
     std::string label;
 
     /** Policy spec string resolved through exp::PolicyRegistry,
@@ -72,21 +71,6 @@ void appendPolicyCells(std::vector<SweepCell> &grid,
                        const workload::TraceConfig &trace,
                        const sim::SocConfig &soc);
 
-/**
- * Streaming consumer of sweep results.  `onResult` is called in cell
- * order (0, 1, 2, ...) from whichever worker completed the barrier
- * cell; implementations need no internal locking.  `finish` is called
- * once after the last cell.
- */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-    virtual void onResult(std::size_t index, const SweepCell &cell,
-                          const ScenarioResult &result) = 0;
-    virtual void finish() {}
-};
-
 /** Execution options of a sweep. */
 struct SweepOptions
 {
@@ -110,14 +94,9 @@ class SweepRunner
   public:
     explicit SweepRunner(SweepOptions opts = {}) : opts_(opts) {}
 
-    /**
-     * Run all cells and return their results in cell order.  Sinks
-     * receive every result in cell order while the sweep is still
-     * running (streamed as soon as the next-in-order cell is done).
-     */
+    /** Run all cells and return their results in cell order. */
     std::vector<ScenarioResult>
-    run(const std::vector<SweepCell> &cells,
-        const std::vector<ResultSink *> &sinks = {}) const;
+    run(const std::vector<SweepCell> &cells) const;
 
     /**
      * Low-level engine used by non-scenario grids (co-location

@@ -157,17 +157,6 @@ registerBuiltins(AdmissionRegistry &reg)
 
 } // anonymous namespace
 
-const char *
-admissionDecisionName(AdmissionDecision decision)
-{
-    switch (decision) {
-      case AdmissionDecision::Admit: return "admit";
-      case AdmissionDecision::Shed: return "shed";
-      case AdmissionDecision::Defer: return "defer";
-    }
-    return "?";
-}
-
 AdmissionRegistry &
 AdmissionRegistry::instance()
 {

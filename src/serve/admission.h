@@ -56,9 +56,6 @@ enum class AdmissionDecision
     Defer, ///< Hold at the front door; re-decide next control tick.
 };
 
-/** Printable decision name ("admit", "shed", "defer"). */
-const char *admissionDecisionName(AdmissionDecision decision);
-
 /** A serving admission-control policy (one instance per run). */
 class AdmissionPolicy
 {

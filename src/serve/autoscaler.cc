@@ -7,27 +7,6 @@
 
 namespace moca::serve {
 
-const char *
-scaleSignalName(ScaleSignal signal)
-{
-    switch (signal) {
-      case ScaleSignal::Depth: return "depth";
-      case ScaleSignal::P99: return "p99";
-    }
-    return "?";
-}
-
-ScaleSignal
-scaleSignalFromName(const std::string &name)
-{
-    if (name == "depth")
-        return ScaleSignal::Depth;
-    if (name == "p99")
-        return ScaleSignal::P99;
-    fatal("unknown autoscaler signal '%s'; expected depth or p99",
-          name.c_str());
-}
-
 Autoscaler::Autoscaler(const AutoscalerConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.minSocs < 1)

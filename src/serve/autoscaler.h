@@ -20,7 +20,6 @@
 #define MOCA_SERVE_AUTOSCALER_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -33,12 +32,6 @@ enum class ScaleSignal
     Depth, ///< Mean outstanding (queued+running) tasks per Up SoC.
     P99,   ///< p99 of SLA-normalized client latency, sliding window.
 };
-
-/** Printable signal name ("depth", "p99"). */
-const char *scaleSignalName(ScaleSignal signal);
-
-/** Parse a signal name; fatal (listing the options) when unknown. */
-ScaleSignal scaleSignalFromName(const std::string &name);
 
 /** Autoscaler parameters. */
 struct AutoscalerConfig

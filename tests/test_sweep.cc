@@ -1,23 +1,23 @@
 /**
  * @file
  * Tests for the parallel experiment engine: determinism (parallel ==
- * serial, cell for cell), in-order sink delivery, the low-level
- * indexed pool, per-cell seed derivation, `--jobs` parsing, and the
- * CSV/JSON sinks' round-trip fidelity.
+ * serial, cell for cell), the low-level indexed pool, per-cell seed
+ * derivation, `--jobs` parsing, the CSV/JSON records' round-trip
+ * fidelity, and the fatal unwritable `--csv`/`--json` file.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "common/log.h"
 #include "exp/sweep/options.h"
-#include "exp/sweep/sinks.h"
+#include "exp/sweep/records.h"
 #include "exp/sweep/sweep.h"
 
 namespace moca::exp {
@@ -120,33 +120,6 @@ TEST(SweepRunner, ParallelMatchesSerialCellForCell)
         expectResultsIdentical(r1[i], r4[i]);
 }
 
-TEST(SweepRunner, SinksObserveCellOrder)
-{
-    struct OrderSink : ResultSink
-    {
-        std::vector<std::size_t> indices;
-        bool finished = false;
-        void onResult(std::size_t index, const SweepCell &,
-                      const ScenarioResult &) override
-        {
-            indices.push_back(index);
-            EXPECT_FALSE(finished);
-        }
-        void finish() override { finished = true; }
-    };
-
-    const auto grid = smallGrid(8);
-    OrderSink sink;
-    SweepOptions opts;
-    opts.jobs = 4;
-    SweepRunner(opts).run(grid, {&sink});
-
-    ASSERT_EQ(sink.indices.size(), grid.size());
-    for (std::size_t i = 0; i < sink.indices.size(); ++i)
-        EXPECT_EQ(sink.indices[i], i);
-    EXPECT_TRUE(sink.finished);
-}
-
 TEST(SweepRunner, RunIndexedExecutesEveryTaskExactlyOnce)
 {
     const std::size_t n = 200;
@@ -180,17 +153,14 @@ TEST(SweepOptions, JobsFlagParsesAndRejectsNegative)
     EXPECT_DEATH((void)parse("-2"), "--jobs -2: must be >= 0");
 }
 
-TEST(Sinks, CsvRoundTrip)
+TEST(SweepRecords, CsvRoundTrip)
 {
     const auto grid = smallGrid(8);
-    const std::string path = "test_sweep_roundtrip.csv";
-    CsvSink csv(path);
     SweepOptions opts;
     opts.jobs = 2;
-    const auto results = SweepRunner(opts).run(grid, {&csv});
+    const auto results = SweepRunner(opts).run(grid);
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
+    std::istringstream in(sweepCsv(grid, results));
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
 
@@ -216,17 +186,15 @@ TEST(Sinks, CsvRoundTrip)
         ++row;
     }
     EXPECT_EQ(row, grid.size());
-    std::remove(path.c_str());
 }
 
-TEST(Sinks, JsonRoundTrip)
+TEST(SweepRecords, JsonRoundTrip)
 {
     const auto grid = smallGrid(8);
-    JsonSink json(""); // No file: inspect text() directly.
     SweepOptions opts;
     opts.jobs = 2;
-    const auto results = SweepRunner(opts).run(grid, {&json});
-    const std::string text = json.text();
+    const auto results = SweepRunner(opts).run(grid);
+    const std::string text = sweepJson(grid, results);
 
     // Structural sanity: one object per cell, every field present in
     // every record.
@@ -251,6 +219,18 @@ TEST(Sinks, JsonRoundTrip)
                                   results[0].metrics.slaRate)),
               std::string::npos);
     EXPECT_NE(text.find("\"policy\": \"moca\""), std::string::npos);
+}
+
+TEST(SweepFiles, UnwritableFileIsFatal)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full not available";
+    auto write = [](const char *flag) {
+        const char *argv[] = {"prog", flag, "/dev/full"};
+        writeSweepFiles(ArgMap(3, const_cast<char **>(argv)), {}, {});
+    };
+    EXPECT_DEATH(write("--csv"), "cannot write /dev/full");
+    EXPECT_DEATH(write("--json"), "cannot write /dev/full");
 }
 
 } // namespace
