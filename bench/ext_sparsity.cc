@@ -34,25 +34,6 @@
 
 using namespace moca;
 
-namespace {
-
-/** Measure a sparse model's isolated latency on `tiles` tiles. */
-double
-measureIsolated(const dnn::Model &model, int tiles,
-                const sim::SocConfig &cfg)
-{
-    exp::SoloPolicy policy(tiles);
-    sim::Soc soc(cfg, policy);
-    sim::JobSpec spec;
-    spec.id = 0;
-    spec.model = &model;
-    soc.addJob(spec);
-    soc.run();
-    return static_cast<double>(soc.results()[0].latency());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -90,7 +71,8 @@ main(int argc, char **argv)
         const double density = densities[i % densities.size()];
         const dnn::Model sparse =
             dnn::sparsifyModel(dnn::getModel(id), density);
-        pred[i].measured = measureIsolated(sparse, 2, cfg);
+        pred[i].measured = static_cast<double>(
+            exp::isolatedLatency(sparse, 2, cfg));
         pred[i].awareErr = 100.0 *
             (aware.estimateModel(sparse, 2) - pred[i].measured) /
             pred[i].measured;
@@ -139,8 +121,10 @@ main(int argc, char **argv)
     std::vector<double> iso8(by_id.size(), 0.0);
     exp::SweepRunner::runIndexed(by_id.size(), jobs, [&](std::size_t i) {
         if (by_id[i] != nullptr) {
-            iso1[i] = measureIsolated(*by_id[i], 1, cfg);
-            iso8[i] = measureIsolated(*by_id[i], cfg.numTiles, cfg);
+            iso1[i] = static_cast<double>(
+                exp::isolatedLatency(*by_id[i], 1, cfg));
+            iso8[i] = static_cast<double>(
+                exp::isolatedLatency(*by_id[i], cfg.numTiles, cfg));
         }
     });
     // Mixed-density deployment: every other job runs the pruned

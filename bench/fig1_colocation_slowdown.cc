@@ -129,14 +129,8 @@ main(int argc, char **argv)
     // Isolated references: each model alone on its 2-tile partition.
     std::vector<Cycles> iso(num_models, 0);
     exp::SweepRunner::runIndexed(num_models, jobs, [&](std::size_t m) {
-        exp::SoloPolicy solo(cfg.numTiles / 4);
-        sim::Soc iso_soc(cfg, solo);
-        sim::JobSpec spec;
-        spec.id = 0;
-        spec.model = &dnn::getModel(kFig1Models[m]);
-        iso_soc.addJob(spec);
-        iso_soc.run();
-        iso[m] = iso_soc.results()[0].latency();
+        iso[m] = exp::isolatedLatency(kFig1Models[m], cfg.numTiles / 4,
+                                      cfg);
     });
 
     // Flat task grid: (model, x in 2..4, rep), each with its own

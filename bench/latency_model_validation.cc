@@ -39,14 +39,7 @@ measureLayer(const dnn::Layer &layer, int tiles,
              const sim::SocConfig &cfg)
 {
     const dnn::Model one("single", dnn::ModelSize::Light, {layer});
-    exp::SoloPolicy policy(tiles);
-    sim::Soc soc(cfg, policy);
-    sim::JobSpec spec;
-    spec.id = 0;
-    spec.model = &one;
-    soc.addJob(spec);
-    soc.run();
-    return static_cast<double>(soc.results()[0].latency());
+    return static_cast<double>(exp::isolatedLatency(one, tiles, cfg));
 }
 
 } // namespace

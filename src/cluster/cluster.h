@@ -151,10 +151,6 @@ struct ClusterResult
     double shedRate = 0.0;    ///< Attempts rejected by admission.
     double retryRate = 0.0;   ///< Attempts that were client retries.
     double timeoutRate = 0.0; ///< Attempts whose client timed out.
-    std::uint64_t shedTasks = 0;     ///< Admission rejections.
-    std::uint64_t deferredTasks = 0; ///< Admission deferrals.
-    std::uint64_t retryTasks = 0;    ///< Client retry attempts.
-    std::uint64_t timeoutTasks = 0;  ///< Client-side timeouts.
 
     /**
      * Load-balance quality: coefficient of variation (stddev/mean) of

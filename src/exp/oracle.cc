@@ -98,6 +98,20 @@ cache()
 } // anonymous namespace
 
 Cycles
+isolatedLatency(const dnn::Model &model, int num_tiles,
+                const sim::SocConfig &cfg)
+{
+    SoloPolicy policy(num_tiles);
+    sim::Soc soc(cfg, policy);
+    sim::JobSpec spec;
+    spec.id = 0;
+    spec.model = &model;
+    soc.addJob(spec);
+    soc.run();
+    return soc.results().front().latency();
+}
+
+Cycles
 isolatedLatency(dnn::ModelId id, int num_tiles,
                 const sim::SocConfig &cfg)
 {
@@ -111,18 +125,8 @@ isolatedLatency(dnn::ModelId id, int num_tiles,
 
     // Simulate outside the lock; a racing duplicate computes the
     // identical deterministic value, so last-writer-wins is harmless.
-    SoloPolicy policy(num_tiles);
-    sim::Soc soc(cfg, policy);
-    sim::JobSpec spec;
-    spec.id = 0;
-    spec.model = &dnn::getModel(id);
-    spec.dispatch = 0;
-    spec.priority = 0;
-    spec.slaLatency = 0;
-    soc.addJob(spec);
-    soc.run();
-
-    const Cycles latency = soc.results().front().latency();
+    const Cycles latency =
+        isolatedLatency(dnn::getModel(id), num_tiles, cfg);
     std::lock_guard<std::mutex> lock(cacheMutex());
     cache()[key] = latency;
     return latency;

@@ -40,8 +40,13 @@ class SoloPolicy : public sim::Policy
 
 /**
  * Isolated latency of `model` running alone on `num_tiles` tiles
- * under `cfg` (memoized).
+ * under `cfg`: one simulation per call (for models outside the zoo,
+ * e.g. pruned or one-layer variants).
  */
+Cycles isolatedLatency(const dnn::Model &model, int num_tiles,
+                       const sim::SocConfig &cfg);
+
+/** Isolated latency of zoo model `id` (memoized). */
 Cycles isolatedLatency(dnn::ModelId id, int num_tiles,
                        const sim::SocConfig &cfg);
 

@@ -109,13 +109,6 @@ BankedMemoryModel::locality(int id) const
     return it == locality_.end() ? 1.0 : it->second;
 }
 
-double
-BankedMemoryModel::serviceRate(int id) const
-{
-    const double loc = locality(id);
-    return loc * hitBpc_ + (1.0 - loc) * missBpc_;
-}
-
 const std::vector<MemGrant> &
 BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
                              Cycles horizon, MemStepStats &stats)

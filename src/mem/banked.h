@@ -124,9 +124,6 @@ class BankedMemoryModel : public MemoryModel
     /** Current locality state of requester `id` (1.0 if unseen). */
     double locality(int id) const;
 
-    /** Effective service rate of requester `id` in bytes/cycle/bank. */
-    double serviceRate(int id) const;
-
   private:
     sim::SocConfig cfg_;
     BankedConfig bc_;

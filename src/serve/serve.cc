@@ -906,10 +906,6 @@ ServeDriver::finalize()
         out.goodput = static_cast<double>(respMet_) * 1e9 /
             static_cast<double>(out.makespan);
 
-    out.shedTasks = res_.shed;
-    out.deferredTasks = res_.deferrals;
-    out.retryTasks = res_.retries;
-    out.timeoutTasks = res_.timeouts;
     const std::uint64_t verdicts = res_.attempts + res_.shed;
     if (verdicts > 0)
         out.shedRate = static_cast<double>(res_.shed) /

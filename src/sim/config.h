@@ -19,22 +19,23 @@ namespace moca::sim {
 using moca::Cycles;
 
 /**
- * Time-advance strategy of Soc::run.  Both kernels share the demand /
- * arbitrate / advance phases; they differ only in how far each step
- * moves simulated time.
+ * Time-advance strategy of Soc::run.  Both kernels run the same step
+ * function (Soc::step), which always stops at the next scheduler tick,
+ * arrival and horizon; the kernel only sets the further cap on how far
+ * a step moves simulated time.
  */
 enum class SimKernel
 {
-    /** Fixed cfg.quantum steps (the original kernel): cost scales
-     *  with simulated cycles. */
+    /** Steps of at most cfg.quantum (the reference kernel): cost
+     *  scales with simulated cycles. */
     Quantum,
 
     /**
-     * Next-event time advance: each step extends to the earliest
-     * upcoming state change (arrival, scheduler tick, stall expiry,
-     * layer completion, binding throttle-window rollover), rounded up
-     * to the quantum grid so the two kernels stay comparable.  Cost
-     * scales with scheduling activity instead of cycles.
+     * Steps capped at the earliest in-SoC state change (memory-model
+     * change, stall expiry, layer completion, binding throttle-window
+     * rollover), rounded up to the quantum grid so the two kernels
+     * stay comparable.  Cost scales with scheduling activity instead
+     * of cycles.
      */
     Event,
 };

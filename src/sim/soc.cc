@@ -43,7 +43,7 @@ Soc::Soc(const SocConfig &cfg, Policy &policy)
 }
 
 void
-Soc::addJob(const JobSpec &spec)
+Soc::appendJob(const JobSpec &spec)
 {
     if (spec.model == nullptr)
         fatal("job %d has no model", spec.id);
@@ -54,6 +54,12 @@ Soc::addJob(const JobSpec &spec)
     job.spec = spec;
     jobs_.push_back(std::move(job));
     hot_.emplace_back();
+}
+
+void
+Soc::addJob(const JobSpec &spec)
+{
+    appendJob(spec);
     sorted_ = false;
 }
 
@@ -528,7 +534,7 @@ Soc::schedulingPoints(Cycles horizon)
     if (na != kNoArrival) {
         // Idle-advance to the next arrival, but never past the
         // caller's horizon (a co-simulator may inject work there).
-        const Cycles limit = horizon != 0 ? std::min(na, horizon) : na;
+        const Cycles limit = std::min(na, horizon);
         if (waiting_ids_.empty()) {
             // An empty SoC: every policy is a no-op on a tick here
             // (see Policy), so skip the ticks strictly before `limit`
@@ -620,9 +626,8 @@ Soc::computeDemands(const std::vector<int> &running, Cycles horizon,
     }
 }
 
-void
-Soc::arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon,
-               ChannelGrants &g)
+const std::vector<mem::MemGrant> &
+Soc::arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon)
 {
     std::vector<mem::MemRequest> &requests = requests_scratch_;
     requests.clear();
@@ -648,13 +653,7 @@ Soc::arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon,
         stats_.thrashQuanta++;
         stats_.thrashLostBytes += step.thrashLostBytes;
     }
-
-    g.dram.clear();
-    g.l2.clear();
-    for (const auto &grant : grants) {
-        g.dram.push_back(grant.dramBytes);
-        g.l2.push_back(grant.l2Bytes);
-    }
+    return grants;
 }
 
 double
@@ -676,7 +675,8 @@ Soc::serviceRatio(const DemandEntry &e, double dram_grant,
 
 double
 Soc::advanceEntries(const std::vector<DemandEntry> &entries,
-                    const ChannelGrants &grants, Cycles horizon)
+                    const std::vector<mem::MemGrant> &grants,
+                    Cycles horizon)
 {
     double dram_used = 0.0;
     boundary_scratch_.clear();
@@ -690,11 +690,11 @@ Soc::advanceEntries(const std::vector<DemandEntry> &entries,
             j.throttle.advance(horizon, 0);
             continue;
         }
-        const double service = serviceRatio(
-            entries[i], grants.dram[i], grants.l2[i]);
-        const AdvanceOutcome adv =
-            advanceJob(id, horizon, service,
-                       grants.dram[i], grants.l2[i]);
+        const mem::MemGrant &g = grants[i];
+        const double service =
+            serviceRatio(entries[i], g.dramBytes, g.l2Bytes);
+        const AdvanceOutcome adv = advanceJob(id, horizon, service,
+                                              g.dramBytes, g.l2Bytes);
 
         j.dramBytesMoved +=
             static_cast<std::uint64_t>(adv.dramConsumed);
@@ -777,67 +777,57 @@ Soc::dispatchBoundaries()
         invokePolicy(SchedEvent::JobCompletion);
 }
 
-// --- Kernels ----------------------------------------------------------
+// --- The step ---------------------------------------------------------
 
 void
-Soc::stepQuantum(Cycles horizon)
+Soc::step(Cycles horizon)
 {
     if (!schedulingPoints(horizon))
         return;
     const std::vector<int> &running = running_ids_;
 
-    Cycles step = cfg_.quantum;
-    const Cycles na = nextArrivalCycle();
-    if (na != kNoArrival && na > now_)
-        step = std::min<Cycles>(step, na - now_);
-    // Clamp to the periodic tick as well, so it fires at the
-    // exact schedPeriod cadence instead of up to a quantum late.
-    step = std::min<Cycles>(step, next_sched_tick_ - now_);
-    // The horizon acts like one more pending arrival: a cluster
-    // front-end may place a task on this SoC at that cycle.
-    if (horizon != 0)
-        step = std::min<Cycles>(step, horizon - now_);
-    step = std::max<Cycles>(step, 1);
+    // Probe pass at quantum granularity: the demand-shape branch and
+    // throttle binding of the next quantum.  Under the event kernel
+    // they stay constant until the next state change (demand rates
+    // are layer-invariant: every remaining quantity shrinks by the
+    // same factor as the layer advances).
+    computeDemands(running, cfg_.quantum, probe_scratch_);
 
-    computeDemands(running, step, entries_scratch_);
-    arbitrate(entries_scratch_, step, grants_scratch_);
-    const double dram_used =
-        advanceEntries(entries_scratch_, grants_scratch_, step);
+    // The periodic tick and the next arrival bound every step, so the
+    // tick fires at the exact schedPeriod cadence and arrivals are
+    // admitted at their exact dispatch cycle.  The horizon acts like
+    // one more pending arrival: a cluster front-end may place a task
+    // on this SoC at that cycle.  All three lie strictly after now_.
+    Cycles next =
+        std::min({next_sched_tick_, nextArrivalCycle(), horizon});
+    // The kernel only picks how far the step may reach: one quantum,
+    // or the next in-SoC state change (never short of a quantum).
+    next = std::min(next, cfg_.kernel == SimKernel::Event
+                              ? nextStateChange()
+                              : now_ + cfg_.quantum);
+    const Cycles step = next - now_;
+
+    // A full-quantum step (every quantum-kernel step, and the tail
+    // step of each layer under the event kernel) reuses the probe.
+    const std::vector<DemandEntry> *entries = &probe_scratch_;
+    if (step != cfg_.quantum) {
+        computeDemands(running, step, entries_scratch_);
+        entries = &entries_scratch_;
+    }
+    const std::vector<mem::MemGrant> &grants = arbitrate(*entries, step);
+    const double dram_used = advanceEntries(*entries, grants, step);
     accountStep(step, dram_used);
     dispatchBoundaries();
 }
 
-void
-Soc::stepEvent(Cycles horizon)
+Cycles
+Soc::nextStateChange() const
 {
-    if (!schedulingPoints(horizon))
-        return;
-    const std::vector<int> &running = running_ids_;
-
-    // Probe pass at quantum granularity: the demand-shape branch
-    // and throttle binding match what the quantum kernel would
-    // see in the next quantum, and stay constant until the next
-    // event (demand rates are layer-invariant: every remaining
-    // quantity shrinks by the same factor as the layer advances).
-    computeDemands(running, cfg_.quantum, probe_scratch_);
-
-    // Inline min-reduction over the candidate step-bounding times.
-    // Every candidate is strictly greater than now_, and the
-    // candidates are exactly the events the heap-based kernel used
-    // to push, so `step` is bit-identical to the old top-of-heap
-    // arithmetic.  Persistent events would not survive the grid
-    // shift anyway: gridCeil() is now_-relative, and now_ lands
-    // off-grid at raw arrival/tick steps.
-    Cycles next = next_sched_tick_;
-    const Cycles na = nextArrivalCycle();
-    if (na != kNoArrival)
-        next = std::min(next, na);
-    if (horizon != 0)
-        next = std::min(next, horizon);
+    // Every candidate lies at or after now_ + quantum.
+    Cycles next = kNoEvent;
     // A stateful memory model (e.g. banked row-locality) bounds the
     // step so its internal state is re-sampled often enough; the
-    // stateless flat model returns 0 and adds no bound, keeping the
-    // event stream identical to the pre-mem-subsystem kernel.
+    // stateless flat model returns 0 and adds no bound.
     const Cycles mem_change = mem_->cyclesUntilNextChange();
     if (mem_change > 0)
         next = std::min(next, gridCeil(now_ + mem_change));
@@ -875,21 +865,7 @@ Soc::stepEvent(Cycles horizon)
                 next = std::min(next, gridCeil(now_ + c));
         }
     }
-
-    const Cycles step = next - now_;
-
-    // Tail steps (one per layer) degenerate to a single quantum,
-    // where the probe already holds the exact demands.
-    const std::vector<DemandEntry> *entries = &probe_scratch_;
-    if (step != cfg_.quantum) {
-        computeDemands(running, step, entries_scratch_);
-        entries = &entries_scratch_;
-    }
-    arbitrate(*entries, step, grants_scratch_);
-    const double dram_used =
-        advanceEntries(*entries, grants_scratch_, step);
-    accountStep(step, dram_used);
-    dispatchBoundaries();
+    return next;
 }
 
 Cycles
@@ -935,22 +911,23 @@ Soc::reserveRunState()
     probe_scratch_.reserve(nr);
     entries_scratch_.reserve(nr);
     requests_scratch_.reserve(nr);
-    grants_scratch_.dram.reserve(nr);
-    grants_scratch_.l2.reserve(nr);
     boundary_scratch_.reserve(nr);
+}
+
+std::vector<std::size_t>
+Soc::runStateCapacities() const
+{
+    return {waiting_ids_.capacity(),      running_ids_.capacity(),
+            results_.capacity(),          probe_scratch_.capacity(),
+            entries_scratch_.capacity(),  requests_scratch_.capacity(),
+            boundary_scratch_.capacity()};
 }
 
 void
 Soc::debugCaptureCapacities()
 {
 #ifndef NDEBUG
-    debug_caps_ = {waiting_ids_.capacity(), running_ids_.capacity(),
-                   results_.capacity(), probe_scratch_.capacity(),
-                   entries_scratch_.capacity(),
-                   requests_scratch_.capacity(),
-                   grants_scratch_.dram.capacity(),
-                   grants_scratch_.l2.capacity(),
-                   boundary_scratch_.capacity()};
+    debug_caps_ = runStateCapacities();
 #endif
 }
 
@@ -958,13 +935,7 @@ void
 Soc::debugCheckNoRealloc() const
 {
 #ifndef NDEBUG
-    const std::vector<std::size_t> caps = {
-        waiting_ids_.capacity(), running_ids_.capacity(),
-        results_.capacity(), probe_scratch_.capacity(),
-        entries_scratch_.capacity(), requests_scratch_.capacity(),
-        grants_scratch_.dram.capacity(),
-        grants_scratch_.l2.capacity(), boundary_scratch_.capacity()};
-    if (caps != debug_caps_)
+    if (runStateCapacities() != debug_caps_)
         panic("hot-loop vector reallocated during run "
               "(reserveRunState under-sized a buffer)");
 #endif
@@ -977,7 +948,7 @@ Soc::stepOnce(Cycles horizon)
         panic("stepOnce before beginRun");
     if (allDone())
         return false;
-    if (horizon != 0 && now_ >= horizon)
+    if (now_ >= horizon)
         panic("stepOnce: now=%llu is at/past horizon %llu",
               static_cast<unsigned long long>(now_),
               static_cast<unsigned long long>(horizon));
@@ -985,21 +956,16 @@ Soc::stepOnce(Cycles horizon)
         fatal("simulation exceeded %llu cycles; policy deadlock?",
               static_cast<unsigned long long>(run_max_cycles_));
 
-    if (cfg_.kernel == SimKernel::Event)
-        stepEvent(horizon);
-    else
-        stepQuantum(horizon);
+    step(horizon);
     return !allDone();
 }
 
 void
 Soc::advanceTo(Cycles horizon)
 {
-    // stepOnce treats horizon 0 as "unbounded", so the all-ones
-    // kNoHorizon sentinel is what keeps this a single code path: it
-    // flows through every min() clamp without ever binding (now()
-    // is bounded by run_max_cycles_ ~ 1e12), which is bit-identical
-    // to the unbounded stepOnce(0) mode the old drain loop used.
+    // kNoHorizon flows through every min() clamp without ever
+    // binding (now() is bounded by run_max_cycles_ ~ 1e12), so
+    // draining to completion takes the bounded code path.
     while (!allDone() && now_ < horizon)
         stepOnce(horizon);
 }
@@ -1009,11 +975,6 @@ Soc::injectJob(const JobSpec &spec)
 {
     if (!began_)
         panic("injectJob before beginRun (use addJob)");
-    if (spec.model == nullptr)
-        fatal("job %d has no model", spec.id);
-    if (spec.id != static_cast<int>(jobs_.size()))
-        fatal("job ids must be dense and in insertion order "
-              "(got %d, expected %zu)", spec.id, jobs_.size());
     if (spec.dispatch < now_)
         fatal("injectJob(%d): dispatch %llu is before now %llu",
               spec.id, static_cast<unsigned long long>(spec.dispatch),
@@ -1023,10 +984,7 @@ Soc::injectJob(const JobSpec &spec)
         spec.dispatch < jobs_[arrival_order_.back()].spec.dispatch)
         fatal("injectJob(%d): dispatch order violated", spec.id);
 
-    Job job;
-    job.spec = spec;
-    jobs_.push_back(std::move(job));
-    hot_.emplace_back();
+    appendJob(spec);
     // Injections arrive in nondecreasing dispatch order, so the
     // sorted arrival order is maintained by appending.
     arrival_order_.push_back(spec.id);
@@ -1053,8 +1011,7 @@ void
 Soc::run(Cycles max_cycles)
 {
     beginRun(max_cycles);
-    while (stepOnce()) {
-    }
+    advanceTo(kNoHorizon);
     finishRun();
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Cycle-level SoC simulator with two interchangeable time-advance
- * kernels (SocConfig::kernel).
+ * Cycle-level SoC simulator.  One step function (Soc::step) drives
+ * every run; the time-advance kernel (SocConfig::kernel) only picks
+ * how far a step may reach.
  *
- * Execution model (shared by both kernels): each step, every running
+ * Execution model: each step, every running
  * job computes the byte demand its DMA engines would issue over the
  * step, capped by its MoCA throttle allowance; the pluggable
  * mem::MemoryModel (cfg.memModel: the flat channel+thrash model, or
@@ -13,15 +14,17 @@
  * combining compute and memory progress with the overlap factor
  * (latency = max(C, M) + f * min(C, M), Algorithm 1 semantics).
  *
- * The *quantum* kernel steps fixed cfg.quantum chunks, so cost scales
- * with simulated cycles.  The *event* kernel (stepEvent) advances
- * time directly to the earliest upcoming state change — next
- * arrival, periodic scheduler tick, stall expiry, layer completion,
- * binding throttle-window rollover — rounded up to the quantum grid;
- * demands, grants, and per-layer rates are piecewise-constant between
- * those events, so cost scales with scheduling activity instead.
- * Both kernels fire the periodic tick at the exact schedPeriod
- * cadence and admit arrivals at their exact dispatch cycle.
+ * Every step ends at or before the next periodic scheduler tick, the
+ * next arrival and the caller's horizon, so both kernels fire the
+ * tick at the exact schedPeriod cadence and admit arrivals at their
+ * exact dispatch cycle.  The *quantum* kernel further caps a step at
+ * one cfg.quantum, so cost scales with simulated cycles.  The *event*
+ * kernel caps it at the earliest in-SoC state change
+ * (nextStateChange: memory-model change, stall expiry, layer
+ * completion, binding throttle-window rollover) rounded up to the
+ * quantum grid; demands, grants, and per-layer rates are
+ * piecewise-constant between those events, so cost scales with
+ * scheduling activity instead.
  *
  * Idle gaps cost O(1) kernel iterations under both kernels: a SoC
  * with no running and no waiting job jumps straight to its next
@@ -53,9 +56,9 @@
 namespace moca::sim {
 
 /**
- * Horizon value meaning "no bound": advanceTo(kNoHorizon) drains to
- * completion through the very same loop the bounded mode uses (the
- * clamp arithmetic never binds at 2^64-1).
+ * The only horizon value meaning "no bound": stepOnce/advanceTo with
+ * kNoHorizon drain to completion through the very same code the
+ * bounded mode uses (the clamp arithmetic never binds at 2^64-1).
  */
 inline constexpr Cycles kNoHorizon = ~Cycles{0};
 
@@ -107,14 +110,13 @@ class Soc
 
     // --- Resumable stepping (cluster co-simulation) -------------------
     //
-    // run() is equivalent to beginRun(); while (stepOnce()) {};
-    // finishRun().  A co-simulator (the fleet driver) instead steps
+    // run() is beginRun(); advanceTo(kNoHorizon); finishRun().  A co-simulator (the fleet driver) instead steps
     // each SoC up to a *horizon* — the next cluster-level event, e.g.
     // the arrival of a task the front-end dispatcher has not placed
     // yet — injects the task into the chosen SoC at its exact
     // dispatch cycle, and resumes stepping.  Because stepOnce(h)
-    // clamps exactly like the kernels clamp to the next in-SoC
-    // arrival, a 1-SoC cluster replays the single-SoC simulation
+    // clamps exactly like a step clamps to the next in-SoC arrival,
+    // a 1-SoC cluster replays the single-SoC simulation
     // bit-identically.
 
     /** Prepare for stepping: sort arrivals, arm the scheduler tick.
@@ -122,12 +124,12 @@ class Soc
     void beginRun(Cycles max_cycles = 0);
 
     /**
-     * Execute one kernel iteration (one demand/arbitrate/advance
-     * round, or one idle/scheduling advance), never moving now()
-     * past `horizon` (0 = unbounded).  Requires now() < horizon.
+     * Execute one step (one demand/arbitrate/advance round, or one
+     * idle/scheduling advance), never moving now() past `horizon`.
+     * Requires now() < horizon.
      * @return true while unfinished jobs remain.
      */
-    bool stepOnce(Cycles horizon = 0);
+    bool stepOnce(Cycles horizon = kNoHorizon);
 
     /**
      * Step until done() or now() >= horizon — the hoisted body of the
@@ -338,6 +340,8 @@ class Soc
     std::uint64_t waiting_epoch_ = 0; ///< See waitingEpoch().
     std::uint64_t running_epoch_ = 0; ///< See runningEpoch().
 
+    /** Validate a job's id and model, then append its records. */
+    void appendJob(const JobSpec &spec);
     void sortArrivals();
     bool allDone() const { return done_jobs_ == jobs_.size(); }
     Cycles nextArrivalCycle() const;
@@ -369,7 +373,7 @@ class Soc
     /** Initialize exec state for job `id`'s current layer. */
     void beginLayer(int id);
 
-    // --- Shared step phases (both kernels) ----------------------------
+    // --- Step phases --------------------------------------------------
 
     /** One running job's byte demand for a step. */
     struct DemandEntry
@@ -381,13 +385,6 @@ class Soc
         /** The MoCA throttle allowance clamped the demand, so the
          *  engine's next window rollover is a scheduling event. */
         bool throttleBound = false;
-    };
-
-    /** Arbitrated per-entry grants for a step. */
-    struct ChannelGrants
-    {
-        std::vector<double> dram;
-        std::vector<double> l2;
     };
 
     /** A job-level event produced by a step's advance phase. */
@@ -404,7 +401,7 @@ class Soc
      * idle time to the next tick (jobs waiting) or straight to the
      * next arrival (nothing waiting either: skipIdleTicks), or invoke
      * the policy one last time before declaring deadlock, clamped to
-     * `horizon` (0 = unbounded).  Returns true when jobs are running
+     * `horizon`.  Returns true when jobs are running
      * (the caller may step); false re-enters the caller's loop.
      */
     bool schedulingPoints(Cycles horizon);
@@ -429,10 +426,11 @@ class Soc
     /**
      * Arbitration phase: grant the shared DRAM channel (with the
      * oversubscription-thrash derate, accumulated into stats_) and
-     * L2 banks over `horizon`, written into `out`.
+     * L2 banks over `horizon`.  Returns the memory model's grant
+     * buffer, one grant per entry, valid until the next call.
      */
-    void arbitrate(const std::vector<DemandEntry> &entries,
-                   Cycles horizon, ChannelGrants &out);
+    const std::vector<mem::MemGrant> &
+    arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon);
 
     /** Grant/demand service ratio in (0, 1] for one entry. */
     double serviceRatio(const DemandEntry &e, double dram_grant,
@@ -445,7 +443,8 @@ class Soc
      * not advance now_.  Returns the step's consumed DRAM bytes.
      */
     double advanceEntries(const std::vector<DemandEntry> &entries,
-                          const ChannelGrants &grants, Cycles horizon);
+                          const std::vector<mem::MemGrant> &grants,
+                          Cycles horizon);
 
     /** Close a step: advance now_, update stats. */
     void accountStep(Cycles step, double dram_used);
@@ -454,13 +453,24 @@ class Soc
      *  boundary_scratch_ by the step's advance phase. */
     void dispatchBoundaries();
 
-    // --- Kernels ------------------------------------------------------
+    // --- The step -----------------------------------------------------
 
-    /** One fixed-quantum kernel iteration, bounded by `horizon`. */
-    void stepQuantum(Cycles horizon);
+    /**
+     * One step bounded by `horizon`: scheduling points, the
+     * quantum-granular demand probe, then demand/arbitrate/advance
+     * over min(next tick, next arrival, horizon), capped at one
+     * quantum (quantum kernel) or at nextStateChange() (event kernel).
+     */
+    void step(Cycles horizon);
 
-    /** One next-event kernel iteration, bounded by `horizon`. */
-    void stepEvent(Cycles horizon);
+    /**
+     * Event-kernel step bound: the earliest in-SoC state change after
+     * now_ — memory-model change, stall expiry, layer-completion floor,
+     * binding-throttle rollover — read from the probe in
+     * probe_scratch_.  Every candidate is at or after now_ + quantum;
+     * kNoEvent when there is none.
+     */
+    Cycles nextStateChange() const;
 
     /**
      * Smallest quantum-grid point at or after `t`, strictly after
@@ -522,10 +532,9 @@ class Soc
     // once in beginRun() (running jobs are bounded by numTiles) so
     // the hot loop never allocates.  Debug builds verify that no
     // buffer reallocated during the run (debugCheckNoRealloc).
-    std::vector<DemandEntry> probe_scratch_;   ///< Event-kernel probe.
-    std::vector<DemandEntry> entries_scratch_; ///< Step demands.
+    std::vector<DemandEntry> probe_scratch_;   ///< Quantum probe.
+    std::vector<DemandEntry> entries_scratch_; ///< Longer-step demands.
     std::vector<mem::MemRequest> requests_scratch_;
-    ChannelGrants grants_scratch_;
     std::vector<BoundaryEvent> boundary_scratch_;
 
 #ifndef NDEBUG
@@ -535,6 +544,8 @@ class Soc
     /** Reserve id sets, results, and per-step scratch from the job
      *  count and tile count so the hot loop never grows a vector. */
     void reserveRunState();
+    /** Capacities of the buffers reserveRunState() sizes. */
+    std::vector<std::size_t> runStateCapacities() const;
     void debugCaptureCapacities();
     void debugCheckNoRealloc() const;
 };

@@ -229,8 +229,8 @@ TEST(Soc, AdvanceToMatchesManualSteppingAndRun)
 {
     // advanceTo(h) is the hoisted bounded-stepping loop the cluster
     // fleet engine runs per SoC; it must replay the manual
-    // while-stepOnce loop exactly, and advanceTo(kNoHorizon) must
-    // replay an unbounded run() bit-identically.
+    // while-stepOnce loop exactly.  run() is advanceTo(kNoHorizon)
+    // itself, so a run split at a horizon must match it too.
     SocConfig cfg;
     const auto load = [&](Soc &soc) {
         soc.addJob(spec(0, dnn::ModelId::AlexNet));
@@ -280,7 +280,9 @@ TEST(Soc, AdvanceToHorizonZeroIsNoOpAndNextEventTracksClock)
     soc.addJob(spec(0, dnn::ModelId::Kws));
     soc.beginRun();
 
-    // Horizon 0 means "an arrival at cycle 0": nothing may advance.
+    // Horizon 0 means "an arrival at cycle 0": nothing may advance,
+    // and a single step there is a caller error, not "unbounded".
+    EXPECT_DEATH(soc.stepOnce(0), "at/past horizon");
     EXPECT_EQ(soc.nextEventTime(), 0u);
     soc.advanceTo(0);
     EXPECT_EQ(soc.now(), 0u);
