@@ -15,16 +15,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "baselines/compute_estimator.h"
 #include "common/rng.h"
 #include "dnn/model_zoo.h"
-#include "exp/registry.h"
 #include "exp/sweep/sweep.h"
-#include "obs/profile.h"
 #include "moca/hw/throttle_engine.h"
 #include "moca/runtime/contention_manager.h"
 #include "moca/runtime/latency_model.h"
@@ -168,56 +164,4 @@ BENCHMARK(BM_ComputeOnlyEstimate);
 
 } // namespace
 
-/**
- * Custom main instead of BENCHMARK_MAIN(): the shared --policy /
- * --list-policies flags are handled (and removed from argv) before
- * google-benchmark parses its own flags.  Setup vs run wall clock is
- * measured through the shared phase-profiling scopes (obs/profile.h)
- * so every bench reports timing through one code path.
- */
-int
-main(int argc, char **argv)
-{
-    moca::obs::PhaseProfiler phases;
-    {
-        const moca::obs::ScopedPhase scope(phases, "setup");
-        std::vector<char *> filtered = {argv[0]};
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--list-policies") {
-                std::fputs(
-                    moca::exp::PolicyRegistry::instance().listText()
-                        .c_str(), stdout);
-                return 0;
-            }
-            if (arg == "--policy" && i + 1 < argc) {
-                for (const auto &spec :
-                     moca::exp::splitPolicyList(argv[++i]))
-                    moca::exp::PolicyRegistry::instance().validate(
-                        spec);
-                continue;
-            }
-            if (arg.rfind("--policy=", 0) == 0) {
-                for (const auto &spec : moca::exp::splitPolicyList(
-                         arg.substr(std::string("--policy=").size())))
-                    moca::exp::PolicyRegistry::instance().validate(
-                        spec);
-                continue;
-            }
-            filtered.push_back(argv[i]);
-        }
-        int filtered_argc = static_cast<int>(filtered.size());
-        benchmark::Initialize(&filtered_argc, filtered.data());
-        if (benchmark::ReportUnrecognizedArguments(filtered_argc,
-                                                   filtered.data()))
-            return 1;
-    }
-    {
-        const moca::obs::ScopedPhase scope(phases, "run");
-        benchmark::RunSpecifiedBenchmarks();
-    }
-    std::printf("\n%s",
-                phases.render("micro_overheads wall-clock phases")
-                    .c_str());
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -69,10 +69,11 @@ struct ClusterConfig
     int jobs = 1;
 
     /**
-     * Wall-clock phase profiling (see ClusterResult::phases and
-     * cluster/parallel.h phaseTotals).  Diagnostic only; leave off
-     * for timing=0 determinism baselines — the fields it fills are
-     * wall-clock and would be nonzero.
+     * Wall-clock phase profiling: copy the engine's phaseTotals and
+     * the coordinator's dispatch time into ClusterResult::phases
+     * (cluster/parallel.h).  Diagnostic only; leave off for timing=0
+     * determinism baselines — the fields it fills are wall-clock and
+     * would be nonzero.
      */
     bool profile = false;
 
@@ -164,10 +165,10 @@ struct ClusterResult
     /**
      * Lookahead quality of the conservative-PDES fleet loop
      * (cluster/parallel.h): barrier epochs executed, mean SoCs
-     * advanced per epoch, and horizon stalls (would-be epochs whose
-     * lookahead window held no SoC activity — simultaneous arrivals
-     * or a drained fleet).  Identical across ClusterConfig::jobs
-     * values, like everything else here.
+     * advanced per epoch, and horizon stalls (would-be epochs in
+     * which no active SoC was unfinished and behind the horizon —
+     * simultaneous arrivals or a drained fleet).  Identical across
+     * ClusterConfig::jobs values, like everything else here.
      */
     std::uint64_t epochs = 0;
     std::uint64_t horizonStalls = 0;

@@ -3,12 +3,12 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/walltime.h"
 
 namespace moca::cluster {
 
-ParallelEngine::ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
-                               bool profile)
-    : socs_(std::move(socs)), profile_(profile)
+ParallelEngine::ParallelEngine(std::vector<sim::Soc *> socs, int jobs)
+    : socs_(std::move(socs))
 {
     if (jobs < 1)
         fatal("cluster jobs must be >= 1 (got %d); 0 workers cannot "
@@ -35,16 +35,6 @@ ParallelEngine::ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
         shards_[s].end = at;
     }
 
-    // The initial fleet bound, reduced in index order like every
-    // later one (a fresh SoC with no jobs reports kNoEvent — the
-    // epochs before its first placement are pure dispatcher work).
-    for (Shard &shard : shards_) {
-        for (std::size_t i = shard.begin; i < shard.end; ++i)
-            shard.minNextEvent = std::min(
-                shard.minNextEvent, socs_[i]->nextEventTime());
-    }
-    reduceShardMinima();
-
     // One shard runs inline on the coordinator; only a genuinely
     // sharded fleet pays for threads.
     if (shards > 1) {
@@ -68,27 +58,39 @@ ParallelEngine::~ParallelEngine()
     }
 }
 
+bool
+ParallelEngine::behind(std::size_t i, Cycles horizon) const
+{
+    // advanceTo runs >= 1 kernel iteration exactly when the SoC is
+    // unfinished and behind the horizon.
+    return active_[i] != 0 && !socs_[i]->done() &&
+        socs_[i]->now() < horizon;
+}
+
+bool
+ParallelEngine::wouldStep(Cycles horizon) const
+{
+    for (std::size_t i = 0; i < socs_.size(); ++i)
+        if (behind(i, horizon))
+            return true;
+    return false;
+}
+
 void
 ParallelEngine::runShard(Shard &shard)
 {
     WallTimer timer;
-    shard.minNextEvent = sim::kNoEvent;
     shard.stepped = 0;
     for (std::size_t i = shard.begin; i < shard.end; ++i) {
         if (active_[i] == 0)
             continue;
-        sim::Soc &soc = *socs_[i];
-        // advanceTo runs >= 1 kernel iteration exactly when the SoC
-        // is unfinished and behind the horizon; recording the
-        // predicate (not a step count) keeps the stat O(1).
-        if (!soc.done() && soc.now() < horizon_)
+        // Recording the predicate (not a step count) keeps the stat
+        // O(1).
+        if (behind(i, horizon_))
             ++shard.stepped;
-        soc.advanceTo(horizon_);
-        shard.minNextEvent =
-            std::min(shard.minNextEvent, soc.nextEventTime());
+        socs_[i]->advanceTo(horizon_);
     }
-    if (profile_)
-        shard.advanceSec += timer.seconds();
+    shard.advanceSec += timer.seconds();
 }
 
 void
@@ -104,8 +106,7 @@ ParallelEngine::workerLoop(std::size_t shard_idx)
             });
             // Written under mu_ by the owning worker only; the
             // coordinator reads it between epochs (phaseTotals).
-            if (profile_)
-                shards_[shard_idx].waitSec += wait_timer.seconds();
+            shards_[shard_idx].waitSec += wait_timer.seconds();
             if (shutdown_)
                 return;
             seen = generation_;
@@ -120,28 +121,14 @@ ParallelEngine::workerLoop(std::size_t shard_idx)
 }
 
 void
-ParallelEngine::reduceShardMinima()
-{
-    // Index-order reduction on the coordinator: the fleet bound (and
-    // any future cross-shard aggregate) must never depend on worker
-    // completion order.  min over Cycles is order-insensitive anyway;
-    // the fixed order is the discipline that keeps it so as the
-    // aggregates grow richer.
-    Cycles fleet_min = sim::kNoEvent;
-    for (const Shard &shard : shards_)
-        fleet_min = std::min(fleet_min, shard.minNextEvent);
-    fleet_next_event_ = fleet_min;
-}
-
-void
 ParallelEngine::advanceFleet(Cycles horizon)
 {
-    // Conservative-lookahead fast path: no SoC has pending activity
-    // before the horizon, so every per-SoC advance loop would run
-    // zero iterations — skip the barrier round-trip entirely.  This
-    // is the simultaneous-arrival / drained-fleet case; it is a pure
-    // no-op skip, so serial and sharded runs count it identically.
-    if (fleet_next_event_ >= horizon) {
+    // No SoC is behind the horizon, so every per-SoC advance loop
+    // would run zero iterations — skip the barrier round-trip
+    // entirely.  This is the simultaneous-arrival / drained-fleet
+    // case; it is a pure no-op skip, so serial and sharded runs count
+    // it identically.
+    if (!wouldStep(horizon)) {
         stats_.horizonStalls++;
         return;
     }
@@ -163,9 +150,10 @@ ParallelEngine::advanceFleet(Cycles horizon)
         });
     }
 
+    // Index-order reduction: no stat depends on worker completion
+    // order.
     for (const Shard &shard : shards_)
         stats_.socsStepped += shard.stepped;
-    reduceShardMinima();
 }
 
 void
@@ -181,57 +169,12 @@ ParallelEngine::phaseTotals(double &advance_sec,
 }
 
 void
-ParallelEngine::noteInjected(std::size_t soc_idx)
-{
-    if (soc_idx >= socs_.size())
-        panic("noteInjected(%zu): fleet has %zu SoCs", soc_idx,
-              socs_.size());
-    // An injection can only move a SoC's bound *earlier* (a drained
-    // SoC becomes runnable); refresh the owning shard's cached
-    // minimum and re-reduce.  Shard lookup is O(shards) — injections
-    // happen once per task, off the hot path.
-    for (Shard &shard : shards_) {
-        if (soc_idx >= shard.begin && soc_idx < shard.end) {
-            shard.minNextEvent =
-                std::min(shard.minNextEvent,
-                         socs_[soc_idx]->nextEventTime());
-            reduceShardMinima();
-            return;
-        }
-    }
-}
-
-void
-ParallelEngine::refreshShard(std::size_t soc_idx)
-{
-    // Unlike noteInjected's min-merge, coordinator mutations like
-    // deactivation can move a shard's bound *later*: recompute it
-    // from scratch over the shard's active slots, then re-reduce in
-    // shard-index order as always.
-    for (Shard &shard : shards_) {
-        if (soc_idx >= shard.begin && soc_idx < shard.end) {
-            shard.minNextEvent = sim::kNoEvent;
-            for (std::size_t i = shard.begin; i < shard.end; ++i)
-                if (active_[i] != 0)
-                    shard.minNextEvent =
-                        std::min(shard.minNextEvent,
-                                 socs_[i]->nextEventTime());
-            reduceShardMinima();
-            return;
-        }
-    }
-}
-
-void
 ParallelEngine::setActive(std::size_t soc_idx, bool active)
 {
     if (soc_idx >= socs_.size())
         panic("setActive(%zu): fleet has %zu SoCs", soc_idx,
               socs_.size());
-    if ((active_[soc_idx] != 0) == active)
-        return;
     active_[soc_idx] = active ? 1 : 0;
-    refreshShard(soc_idx);
 }
 
 void
@@ -243,7 +186,6 @@ ParallelEngine::replaceSoc(std::size_t soc_idx, sim::Soc *soc)
     if (soc == nullptr)
         fatal("replaceSoc(%zu): SoC is null", soc_idx);
     socs_[soc_idx] = soc;
-    refreshShard(soc_idx);
 }
 
 } // namespace moca::cluster

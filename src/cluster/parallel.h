@@ -25,24 +25,27 @@
  *     per-SoC step sequence the serial loop produces (the horizon
  *     sequence a SoC observes is the arrival sequence, independent of
  *     sharding);
- *  2. every cross-shard aggregate is reduced on the coordinator in
- *     index order (per-worker next-event minima, stepped counts), so
- *     no result depends on worker completion order;
+ *  2. every cross-shard aggregate (stepped counts) is reduced on the
+ *     coordinator in shard-index order, so no result depends on
+ *     worker completion order;
  *  3. per-SoC RNG/seeding is untouched — shard count cannot perturb
  *     any stream; and
  *  4. the barrier's mutex orders every worker write before every
  *     coordinator read (and vice versa), so the dispatcher sees a
  *     quiescent fleet, never a torn one.
  *
- * Lookahead bookkeeping rides along: the engine maintains the
- * fleet-wide minimum of `Soc::nextEventTime()` from per-shard minima
- * and skips an epoch outright — a *horizon stall* — when that bound
- * shows no SoC has pending activity before the horizon (simultaneous
- * arrivals, or a burst arriving into a fully drained fleet).  Such an
- * epoch is provably a no-op for every SoC, so skipping it is
- * bit-identical and saves the barrier round-trip.  EpochStats exposes
- * epochs / stepped-SoC counts / stall counts so lookahead quality is
- * observable in ClusterResult.
+ * No-op epochs are decided from the SoCs themselves: an epoch at
+ * horizon H runs a kernel iteration on some SoC exactly when an
+ * active SoC is unfinished and behind H (`now() < H`).  Before
+ * releasing the workers the coordinator checks that predicate
+ * (wouldStep), stopping at the first SoC that is behind; when none
+ * is — simultaneous arrivals, or a burst arriving into a drained
+ * fleet — the epoch is skipped as a *horizon stall*.  Such an epoch
+ * is provably a no-op for every SoC, so skipping it is bit-identical
+ * and saves the barrier round-trip.  Nothing is cached, so a caller
+ * that injects work between epochs owes the engine no notice.
+ * EpochStats exposes epochs / stepped-SoC counts / stall counts so
+ * lookahead quality is observable in ClusterResult.
  *
  * The TSan CI lane runs the engine at jobs=4 to check the barrier
  * discipline; the determinism contract holds for every jobs value.
@@ -58,7 +61,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "common/walltime.h"
 #include "sim/soc.h"
 
 namespace moca::cluster {
@@ -74,11 +76,11 @@ struct EpochStats
     std::uint64_t socsStepped = 0;
 
     /**
-     * Epochs skipped because the conservative lookahead (fleet-wide
-     * min of Soc::nextEventTime()) showed no SoC activity before the
-     * horizon.  High stall counts mean the arrival stream is denser
-     * than the fleet's event stream — the lookahead window is empty
-     * and the run is dispatcher-bound, not simulation-bound.
+     * Epochs skipped because no active SoC was unfinished and behind
+     * the horizon (ParallelEngine::wouldStep was false).  High stall
+     * counts mean the arrival stream is denser than the fleet's event
+     * stream — the lookahead window is empty and the run is
+     * dispatcher-bound, not simulation-bound.
      */
     std::uint64_t horizonStalls = 0;
 
@@ -108,13 +110,8 @@ class ParallelEngine
      *        (not owned; must outlive the engine).
      * @param jobs worker count; shard count is min(jobs, socs.size())
      *        with contiguous index blocks.  Fatal when jobs < 1.
-     * @param profile accumulate per-worker shard-advance and
-     *        barrier-wait wall time (via the common/walltime.h shim;
-     *        see phaseTotals()).  Purely diagnostic — off by default
-     *        so the hot path pays nothing.
      */
-    ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
-                   bool profile = false);
+    ParallelEngine(std::vector<sim::Soc *> socs, int jobs);
     ~ParallelEngine();
 
     ParallelEngine(const ParallelEngine &) = delete;
@@ -125,35 +122,25 @@ class ParallelEngine
      * (sim::kNoHorizon drains the fleet to completion) and
      * synchronize.  Returns after the barrier, so the caller observes
      * every shard's writes; skipped entirely (a horizon stall) when
-     * fleetNextEvent() >= horizon.
+     * !wouldStep(horizon).
      */
     void advanceFleet(Cycles horizon);
 
     /**
-     * Fleet-wide minimum of Soc::nextEventTime(), maintained from
-     * per-shard minima reduced in shard-index order after each epoch
-     * (sim::kNoEvent when every SoC has drained).
+     * True when an epoch at `horizon` would step some SoC: an active
+     * SoC is unfinished and behind the horizon.  Read straight from
+     * the SoCs, so it holds whatever the coordinator injected since
+     * the last epoch.  Coordinator-only, between epochs.
      */
-    Cycles fleetNextEvent() const { return fleet_next_event_; }
-
-    /**
-     * Tell the engine the coordinator mutated SoC `soc_idx` between
-     * epochs (task injection): its next-event bound may have moved
-     * earlier, so the owning shard's cached minimum is refreshed and
-     * the fleet bound re-reduced in shard-index order.
-     */
-    void noteInjected(std::size_t soc_idx);
+    bool wouldStep(Cycles horizon) const;
 
     /**
      * Include/exclude SoC `soc_idx` from epochs (serve-layer failure
      * injection and autoscaler capacity churn).  An inactive SoC is
      * never advanced — its clock freezes wherever the last epoch left
-     * it — and contributes kNoEvent to the conservative lookahead.
-     * Coordinator-only, between epochs (i.e. at a quiescent barrier
-     * point), so the change is ordered against every worker exactly
-     * like an injection; the owning shard's bound is recomputed from
-     * scratch (deactivation can move it *later*, which the min-merge
-     * of noteInjected could not express).
+     * it — and never makes an epoch run.  Coordinator-only, between
+     * epochs (i.e. at a quiescent barrier point), so the change is
+     * ordered against every worker exactly like an injection.
      */
     void setActive(std::size_t soc_idx, bool active);
 
@@ -169,12 +156,11 @@ class ParallelEngine
     const EpochStats &stats() const { return stats_; }
 
     /**
-     * Wall-clock phase totals summed over shards in index order
-     * (zeros unless constructed with profile=true): time workers
-     * spent advancing their shard's SoCs vs parked at the epoch
-     * barrier waiting for work.  Coordinator-only, between epochs —
-     * the barrier orders the workers' accumulator writes exactly
-     * like the shard minima reads.
+     * Wall-clock phase totals summed over shards in index order:
+     * time workers spent advancing their shard's SoCs vs parked at
+     * the epoch barrier waiting for work.  Coordinator-only, between
+     * epochs — the barrier orders the workers' accumulator writes
+     * before this read.
      */
     void phaseTotals(double &advance_sec, double &wait_sec) const;
 
@@ -186,20 +172,17 @@ class ParallelEngine
     {
         std::size_t begin = 0;
         std::size_t end = 0;
-        Cycles minNextEvent = sim::kNoEvent;
         std::uint64_t stepped = 0;
-        /** Wall-clock accumulators (profile mode only; see
-         *  phaseTotals()). */
+        /** Wall-clock accumulators (see phaseTotals()). */
         double advanceSec = 0.0;
         double waitSec = 0.0;
     };
 
+    /** Slot `i` is active, unfinished and behind `horizon`: exactly
+     *  when advancing it to `horizon` runs a kernel iteration. */
+    bool behind(std::size_t i, Cycles horizon) const;
     void runShard(Shard &shard);
     void workerLoop(std::size_t shard_idx);
-    void reduceShardMinima();
-    /** Recompute one slot's shard bound from scratch (coordinator
-     *  mutations: activation changes, occupant swaps). */
-    void refreshShard(std::size_t soc_idx);
 
     std::vector<sim::Soc *> socs_;
     /** Per-slot activation mask (see setActive); char, not bool, so
@@ -219,10 +202,8 @@ class ParallelEngine
     std::uint64_t generation_ = 0;
     std::size_t done_count_ = 0;
     bool shutdown_ = false;
-    bool profile_ = false;
     Cycles horizon_ = 0;
 
-    Cycles fleet_next_event_ = sim::kNoEvent;
     EpochStats stats_;
 };
 

@@ -260,18 +260,4 @@ Layer::lrn(std::string name, int h, int w, int c)
     return l;
 }
 
-const char *
-layerKindName(LayerKind kind)
-{
-    switch (kind) {
-      case LayerKind::Conv: return "conv";
-      case LayerKind::Dense: return "dense";
-      case LayerKind::Pool: return "pool";
-      case LayerKind::GlobalPool: return "gap";
-      case LayerKind::Add: return "add";
-      case LayerKind::Lrn: return "lrn";
-    }
-    return "?";
-}
-
 } // namespace moca::dnn

@@ -141,9 +141,6 @@ struct Layer
     static Layer lrn(std::string name, int h, int w, int c);
 };
 
-/** Human-readable kind name ("conv", "dense", ...). */
-const char *layerKindName(LayerKind kind);
-
 } // namespace moca::dnn
 
 #endif // MOCA_DNN_LAYER_H

@@ -196,10 +196,8 @@ ChromeTraceWriter::render() const
 void
 ChromeTraceWriter::write(const std::string &path) const
 {
-    if (!writeTextFile(path, render())) {
-        warn("cannot write chrome trace to %s", path.c_str());
-        return;
-    }
+    if (!writeTextFile(path, render()))
+        fatal("cannot write %s", path.c_str());
     inform("wrote %zu trace events to %s (load in chrome://tracing "
            "or https://ui.perfetto.dev)",
            events_.size(), path.c_str());

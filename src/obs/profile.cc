@@ -7,8 +7,6 @@ namespace moca::obs {
 void
 PhaseProfiler::add(const std::string &phase, double seconds)
 {
-    if (!enabled_)
-        return;
     for (auto &[name, total] : phases_) {
         if (name == phase) {
             total += seconds;

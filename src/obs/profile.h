@@ -21,18 +21,11 @@
 
 namespace moca::obs {
 
-/**
- * Accumulated wall-clock seconds per named phase, in first-seen
- * order.  Construction with enabled=false turns add() into a no-op
- * so callers can leave scopes in place unconditionally.
- */
+/** Accumulated wall-clock seconds per named phase, in first-seen
+ *  order. */
 class PhaseProfiler
 {
   public:
-    explicit PhaseProfiler(bool enabled = true) : enabled_(enabled) {}
-
-    bool enabled() const { return enabled_; }
-
     /** Accumulate `seconds` into `phase` (creates it on first use). */
     void add(const std::string &phase, double seconds);
 
@@ -50,7 +43,6 @@ class PhaseProfiler
     std::string render(const std::string &title) const;
 
   private:
-    bool enabled_;
     std::vector<std::pair<std::string, double>> phases_;
 };
 

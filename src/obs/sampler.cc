@@ -65,10 +65,8 @@ writeTimeseries(const Timeseries &ts, const std::string &path)
     const bool json = path.size() >= 5 &&
         path.compare(path.size() - 5, 5, ".json") == 0;
     if (!writeTextFile(path,
-                       json ? timeseriesJson(ts) : timeseriesCsv(ts))) {
-        warn("cannot write timeseries to %s", path.c_str());
-        return;
-    }
+                       json ? timeseriesJson(ts) : timeseriesCsv(ts)))
+        fatal("cannot write %s", path.c_str());
     inform("wrote %zu telemetry samples to %s", ts.rows.size(),
            path.c_str());
 }

@@ -74,10 +74,10 @@ struct Slot
     SlotState state = SlotState::Up;
     std::vector<std::unique_ptr<sim::Policy>> policies;
     std::vector<std::unique_ptr<sim::Soc>> socs;
-    /** Per incarnation: dense job id -> request id. */
-    std::vector<std::vector<int>> jobReq;
-    /** Per incarnation: harvested-results cursor. */
-    std::vector<std::size_t> seen;
+    /** Live incarnation: dense job id -> request id. */
+    std::vector<int> jobReq;
+    /** Live incarnation: harvested-results cursor. */
+    std::size_t seen = 0;
     int placed = 0;
     double outstandingMacs = 0.0;
 
@@ -306,7 +306,7 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
     for (Slot &slot : slots_)
         fleet.push_back(&slot.live());
     engine_ = std::make_unique<cluster::ParallelEngine>(
-        std::move(fleet), cfg_.jobs, cfg_.profile);
+        std::move(fleet), cfg_.jobs);
 
     if (pool_)
         for (int c = 0; c < pool_->numClients(); ++c)
@@ -330,8 +330,8 @@ ServeDriver::bootSoc(std::size_t slot_idx)
     if (cfg_.capture)
         slot.socs.back()->trace().enable();
     slot.socs.back()->beginRun();
-    slot.jobReq.emplace_back();
-    slot.seen.push_back(0);
+    slot.jobReq.clear();
+    slot.seen = 0;
 }
 
 Cycles
@@ -386,21 +386,17 @@ ServeDriver::harvest()
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         Slot &slot = slots_[i];
         const auto &results = slot.live().results();
-        const auto incar =
-            static_cast<std::size_t>(slot.incarnation());
-        for (std::size_t r = slot.seen[incar]; r < results.size();
-             ++r) {
+        for (std::size_t r = slot.seen; r < results.size(); ++r) {
             const sim::JobResult &jr = results[r];
             slot.outstandingMacs -=
                 static_cast<double>(jr.spec.model->totalMacs());
             const int req =
-                slot.jobReq[incar][static_cast<std::size_t>(
-                    jr.spec.id)];
+                slot.jobReq[static_cast<std::size_t>(jr.spec.id)];
             ReqProgress &p =
                 progress_[static_cast<std::size_t>(req)];
             const bool current = p.inFlight && !p.resolved &&
                 p.slot == static_cast<int>(i) &&
-                p.incarnation == static_cast<int>(incar) &&
+                p.incarnation == slot.incarnation() &&
                 p.job == jr.spec.id;
             if (!current) {
                 // A completion nobody is waiting for: the client
@@ -434,7 +430,7 @@ ServeDriver::harvest()
                 jr.finish - p.firstIssue));
             resolveRequest(req, true, jr.finish);
         }
-        slot.seen[incar] = results.size();
+        slot.seen = results.size();
     }
 }
 
@@ -557,11 +553,10 @@ ServeDriver::placeRequest(int req,
     spec.priority = task.priority;
     spec.slaLatency = task.slaLatency;
     soc.injectJob(spec);
-    engine_->noteInjected(slot_idx);
     slot.placed++;
     slot.outstandingMacs +=
         static_cast<double>(spec.model->totalMacs());
-    slot.jobReq.back().push_back(req);
+    slot.jobReq.push_back(req);
 
     res_.attempts++;
     p.token++;
@@ -663,7 +658,7 @@ ServeDriver::handleFail()
     const sim::Soc &soc = slot.live();
     res_.lostJobs += soc.jobs().size() - soc.results().size();
     slot.outstandingMacs = 0.0;
-    const auto &job_req = slot.jobReq.back();
+    const auto &job_req = slot.jobReq;
     for (std::size_t j = 0; j < job_req.size(); ++j) {
         ReqProgress &p =
             progress_[static_cast<std::size_t>(job_req[j])];
@@ -713,8 +708,8 @@ ServeDriver::handleRecover(int slot_idx)
     res_.recoverEvents++;
     captureEvent(sim::TraceEventKind::SocRecover, slot_idx);
     // Reboot: a fresh SoC (and fresh policy state) joins the slot.
-    // Its clock starts at 0 with nothing queued, so it reports
-    // kNoEvent and costs the engine nothing until placed on.
+    // Its clock starts at 0 with nothing queued, so it is done() and
+    // makes no epoch run until placed on.
     bootSoc(static_cast<std::size_t>(slot_idx));
     engine_->replaceSoc(static_cast<std::size_t>(slot_idx),
                         &slot.live());
@@ -811,7 +806,7 @@ ServeDriver::run()
     // Drain the orphans (and draining slots); failed slots stay
     // frozen.  Leftover control events are dead — every request is
     // resolved.  An idle fleet needs no drain epoch.
-    if (engine_->fleetNextEvent() != sim::kNoEvent)
+    if (engine_->wouldStep(sim::kNoHorizon))
         advanceTo(sim::kNoHorizon);
     finalize();
     return res_;

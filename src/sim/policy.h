@@ -23,7 +23,6 @@ enum class SchedEvent
     JobArrival,
     JobCompletion,
     PeriodicTick,
-    BlockBoundary,
 };
 
 /** Base class for multi-tenancy execution policies. */

@@ -62,8 +62,7 @@ namespace moca::sim {
  */
 inline constexpr Cycles kNoHorizon = ~Cycles{0};
 
-/** nextEventTime() of a SoC whose every job has completed: stepping
- *  it can never change state again. */
+/** nextStateChange() when no state change is pending. */
 inline constexpr Cycles kNoEvent = ~Cycles{0};
 
 /** Aggregate SoC-level statistics for a run. */
@@ -141,21 +140,6 @@ class Soc
      * at cycle 0".
      */
     void advanceTo(Cycles horizon);
-
-    /**
-     * Conservative next-event bound for a co-simulator: the earliest
-     * cycle at/after which stepping this SoC changes state.  kNoEvent
-     * once every job has completed; otherwise now() — an unfinished
-     * SoC always has pending activity as soon as the horizon moves
-     * past its clock (real work, or idle clock/tick bookkeeping that
-     * load snapshots observe).  A cluster-level epoch whose horizon
-     * is at or below the fleet-wide minimum of this bound is provably
-     * a no-op (see cluster/parallel.h).
-     */
-    Cycles nextEventTime() const
-    {
-        return allDone() ? kNoEvent : now_;
-    }
 
     /**
      * Append a job mid-run (between stepOnce calls).  Dispatch cycles

@@ -76,17 +76,6 @@ priorityGroup(int priority)
 }
 
 const char *
-priorityGroupName(PriorityGroup g)
-{
-    switch (g) {
-      case PriorityGroup::Low: return "p-Low";
-      case PriorityGroup::Mid: return "p-Mid";
-      case PriorityGroup::High: return "p-High";
-    }
-    return "?";
-}
-
-const char *
 arrivalPatternName(ArrivalPattern pattern)
 {
     switch (pattern) {

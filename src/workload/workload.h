@@ -59,7 +59,6 @@ const std::vector<double> &priorityWeights();
 /** Group a 0..11 priority into the paper's p-Low/p-Mid/p-High bins. */
 enum class PriorityGroup { Low, Mid, High };
 PriorityGroup priorityGroup(int priority);
-const char *priorityGroupName(PriorityGroup g);
 
 /** Inter-arrival process of the dispatched requests. */
 enum class ArrivalPattern

@@ -4,14 +4,17 @@
  * bit-identity contract between serial (jobs=1) and sharded (jobs=N)
  * cluster runs across fleet sizes, dispatchers, policies, and both
  * time-advance kernels; shard-count invariance; mid-run injection and
- * simultaneous-arrival (horizon-stall) ordering; epoch-statistic
+ * simultaneous-arrival (horizon-stall) ordering; the engine's no-op
+ * check reading injected work without notice; epoch-statistic
  * consistency; and the jobs<1 misuse death paths.
  */
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "cluster/parallel.h"
 #include "cluster/workload.h"
+#include "dnn/model_zoo.h"
 #include "exp/oracle.h"
 #include "sim/soc.h"
 
@@ -168,7 +171,7 @@ TEST(ParallelCluster, SimultaneousArrivalsStallNotStep)
     expectIdentical(serial, sharded);
 
     // Each 3-task group stalls at least its 2 trailing arrivals (the
-    // group at cycle 0 stalls all 3: the fleet min starts there).
+    // group at cycle 0 stalls all 3: no SoC is behind cycle 0).
     EXPECT_GE(serial.horizonStalls, 2 * (tasks.size() / 3));
     EXPECT_GT(serial.epochs, 0u);
 
@@ -199,6 +202,46 @@ TEST(ParallelCluster, MidRunInjectionKeepsDispatchCycles)
     for (const auto &share : res.perSoc)
         completed += static_cast<std::size_t>(share.tasks);
     EXPECT_EQ(completed, 120u);
+}
+
+TEST(ParallelEngine, InjectionNeedsNoNotice)
+{
+    // The engine decides no-op epochs from the SoCs it holds, so a
+    // job injected into an idle SoC between epochs makes the next
+    // epoch run with no further call — and deactivating that SoC
+    // makes the one after a stall again.
+    const sim::SocConfig cfg = testSoc();
+    exp::SoloPolicy p0(cfg.numTiles);
+    exp::SoloPolicy p1(cfg.numTiles);
+    sim::Soc soc0(cfg, p0);
+    sim::Soc soc1(cfg, p1);
+    soc0.beginRun();
+    soc1.beginRun();
+    cluster::ParallelEngine engine({&soc0, &soc1}, 2);
+
+    engine.advanceFleet(10'000);
+    EXPECT_EQ(engine.stats().epochs, 0u);
+    EXPECT_EQ(engine.stats().horizonStalls, 1u);
+
+    sim::JobSpec spec;
+    spec.id = 0;
+    spec.model = &dnn::getModel(dnn::ModelId::Kws);
+    spec.dispatch = 10'000;
+    spec.slaLatency = 1'000'000'000;
+    soc1.injectJob(spec);
+    ASSERT_EQ(soc1.now(), 0u);
+
+    engine.advanceFleet(20'000);
+    EXPECT_EQ(engine.stats().epochs, 1u);
+    EXPECT_EQ(engine.stats().horizonStalls, 1u);
+    EXPECT_EQ(soc1.now(), 20'000u);
+    EXPECT_EQ(soc0.now(), 0u);
+
+    engine.setActive(1, false);
+    engine.advanceFleet(30'000);
+    EXPECT_EQ(engine.stats().epochs, 1u);
+    EXPECT_EQ(engine.stats().horizonStalls, 2u);
+    EXPECT_EQ(soc1.now(), 20'000u);
 }
 
 // --- Epoch statistics -------------------------------------------------

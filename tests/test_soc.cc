@@ -272,7 +272,7 @@ TEST(Soc, AdvanceToMatchesManualSteppingAndRun)
     EXPECT_EQ(manual.stats().quanta, reference.stats().quanta);
 }
 
-TEST(Soc, AdvanceToHorizonZeroIsNoOpAndNextEventTracksClock)
+TEST(Soc, AdvanceToHorizonZeroIsNoOp)
 {
     SocConfig cfg;
     exp::SoloPolicy policy(cfg.numTiles);
@@ -283,22 +283,18 @@ TEST(Soc, AdvanceToHorizonZeroIsNoOpAndNextEventTracksClock)
     // Horizon 0 means "an arrival at cycle 0": nothing may advance,
     // and a single step there is a caller error, not "unbounded".
     EXPECT_DEATH(soc.stepOnce(0), "at/past horizon");
-    EXPECT_EQ(soc.nextEventTime(), 0u);
     soc.advanceTo(0);
     EXPECT_EQ(soc.now(), 0u);
-    EXPECT_EQ(soc.nextEventTime(), 0u);
 
-    // A bounded advance leaves a busy SoC exactly at the horizon, and
-    // nextEventTime() reports the clock until the SoC drains...
+    // A bounded advance leaves a busy SoC exactly at the horizon...
     soc.advanceTo(5'000);
     EXPECT_EQ(soc.now(), 5'000u);
-    EXPECT_EQ(soc.nextEventTime(), 5'000u);
+    EXPECT_FALSE(soc.done());
 
-    // ... after which it reports the no-event sentinel.
+    // ... and an unbounded one drains it.
     soc.advanceTo(kNoHorizon);
     soc.finishRun();
     EXPECT_TRUE(soc.done());
-    EXPECT_EQ(soc.nextEventTime(), kNoEvent);
 }
 
 // --- Idle gaps cost O(1) kernel iterations ------------------------------
