@@ -21,6 +21,7 @@
 #include "common/walltime.h"
 #include "exp/matrix.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 using namespace moca;
@@ -87,7 +88,8 @@ int
 main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
-    const auto policies = exp::policiesFromArgs(args);
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, exp::allPolicySpecs());
     if (args.getBool("timing", false))
         return runTimingBaseline(args, policies);
 

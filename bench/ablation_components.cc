@@ -22,6 +22,7 @@
 #include <cstdio>
 
 #include "common/table.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 using namespace moca;
@@ -34,17 +35,17 @@ main(int argc, char **argv)
 
     // The six MoCA variants as parameterized policy specs; --policy
     // swaps in any other variant list.
-    const std::vector<std::string> variants = exp::policiesFromArgs(
-        args,
-        {
-            "moca",
-            "moca:throttle=0",
-            "moca:pairing=0",
-            "moca:dynamic_score=0",
-            "moca:repartition=0",
-            "moca:throttle=0,pairing=0,dynamic_score=0,"
-            "repartition=0",
-        });
+    const std::vector<std::string> variants =
+        exp::specsFromArgs<exp::PolicyRegistry>(
+            args, {
+                      "moca",
+                      "moca:throttle=0",
+                      "moca:pairing=0",
+                      "moca:dynamic_score=0",
+                      "moca:repartition=0",
+                      "moca:throttle=0,pairing=0,dynamic_score=0,"
+                      "repartition=0",
+                  });
     const std::size_t num_variants = variants.size();
 
     workload::TraceConfig trace;

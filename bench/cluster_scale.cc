@@ -13,9 +13,8 @@
  * qos-aware} x {prema, planaria, moca} with tasks scaling with fleet
  * size (tasks-per-soc=1600, i.e. a 102k-task stream at 64 SoCs) over
  * the "wide" model mix (Table III plus the extension profiles);
- * `--big-fleet` extends the default tier to {128, 256} SoCs (a
- * 409.6k-task stream at 256) as the sharded engine's headroom target
- * — off in the CI smoke grid.
+ * `socs=1,4,16,64,128,256` adds the sharded engine's headroom tier
+ * (a 409.6k-task stream at 256 SoCs), off in the CI smoke grid.
  *
  * `--cluster-jobs N` shards each fleet across N conservative-PDES
  * workers (cluster/parallel.h); every emitted number is bit-identical
@@ -34,7 +33,7 @@
  * Usage: cluster_scale [socs=1,4,16,64] [tasks-per-soc=N] [tasks=N]
  *                      [process=poisson|mmpp|diurnal] [mix=wide|a|b|c|
  *                      name,name,...] [load=F] [seed=S] [timing=0|1]
- *                      [--big-fleet] [--cluster-jobs N]
+ *                      [--cluster-jobs N]
  *                      [--policy SPEC[,SPEC...]] [--list-policies]
  *                      [--dispatcher SPEC[,SPEC...]]
  *                      [--list-dispatchers] [--jobs N] [--json PATH]
@@ -48,12 +47,14 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/dispatcher.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
 #include "common/walltime.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
 #include "obs/chrome_trace.h"
@@ -110,17 +111,13 @@ main(int argc, char **argv)
     // the fast one) unless the user picked one explicitly.
     if (!args.has("kernel"))
         base.kernel = sim::SimKernel::Event;
-    const auto policies = exp::policiesFromArgs(
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, {"prema", "planaria", "moca"});
-    const auto dispatchers = exp::dispatchersFromArgs(
-        args, {"rr", "p2c", "least-loaded", "qos-aware"});
-    // The {128, 256} headroom tier exists for the sharded engine on
-    // real multi-core hardware; CI smoke stays on the small tiers.
-    const bool big_fleet = args.getBool("big-fleet", false);
-    const auto socs_list = parseIntList(
-        "socs", args.getString(
-                    "socs", big_fleet ? "1,4,16,64,128,256"
-                                      : "1,4,16,64"));
+    const auto dispatchers =
+        exp::specsFromArgs<cluster::DispatcherRegistry>(
+            args, {"rr", "p2c", "least-loaded", "qos-aware"});
+    const auto socs_list =
+        parseIntList("socs", args.getString("socs", "1,4,16,64"));
     const int tasks_per_soc =
         static_cast<int>(args.getInt("tasks-per-soc", 1600));
     const int tasks_total = static_cast<int>(args.getInt("tasks", 0));

@@ -28,6 +28,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "moca/runtime/latency_model.h"
 #include "sim/soc.h"
@@ -43,8 +44,9 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     const int jobs = exp::sweepOptionsFromArgs(args).jobs;
     // The predictor pair under comparison, overridable via --policy.
-    const auto predictor_specs = exp::policiesFromArgs(
-        args, {"moca:sparsity_aware=1", "moca:sparsity_aware=0"});
+    const auto predictor_specs =
+        exp::specsFromArgs<exp::PolicyRegistry>(
+            args, {"moca:sparsity_aware=1", "moca:sparsity_aware=0"});
 
     std::printf("== Sparse-DNN extension (paper Sec. III-E) ==\n\n");
     exp::printSocBanner(cfg);

@@ -34,6 +34,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "sim/soc.h"
 
@@ -108,7 +109,7 @@ main(int argc, char **argv)
     // This bench studies *unmanaged* co-location, so the policy under
     // test is fixed to "solo"; --list-policies still works, and any
     // other --policy selection is rejected rather than ignored.
-    if (exp::policiesFromArgs(args, {"solo"}) !=
+    if (exp::specsFromArgs<exp::PolicyRegistry>(args, {"solo"}) !=
         std::vector<std::string>{"solo"})
         fatal("fig1_colocation_slowdown measures unmanaged "
               "co-location; its policy is fixed to 'solo' and "

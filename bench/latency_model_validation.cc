@@ -25,6 +25,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "moca/runtime/latency_model.h"
 
@@ -52,7 +53,7 @@ main(int argc, char **argv)
     // Prediction accuracy is policy-independent; --list-policies
     // still works, and any --policy selection is rejected rather
     // than ignored.
-    if (exp::policiesFromArgs(args, {"solo"}) !=
+    if (exp::specsFromArgs<exp::PolicyRegistry>(args, {"solo"}) !=
         std::vector<std::string>{"solo"})
         fatal("latency_model_validation measures isolated runs; its "
               "policy is fixed to 'solo' and --policy cannot change "

@@ -59,8 +59,8 @@ main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
     const sim::SocConfig base = exp::socConfigFromArgs(args);
-    const auto policies =
-        exp::policiesFromArgs(args, {"prema", "planaria", "moca"});
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, {"prema", "planaria", "moca"});
     const int tasks = static_cast<int>(args.getInt("tasks", 150));
     const double load = args.getDouble("load", 1.2);
     const auto seed =
@@ -71,7 +71,7 @@ main(int argc, char **argv)
     // list grammar as --policy ("flat,banked:banks=4,remap=mod" is
     // flat followed by one parameterized banked spec).  A bare
     // `--mem X` (the shared SoC flag) restricts the sweep to X.
-    std::vector<std::string> mems = exp::splitPolicyList(
+    std::vector<std::string> mems = splitSpecList(
         args.getString(
             "mems",
             args.has("mem")
@@ -80,7 +80,7 @@ main(int argc, char **argv)
                   "banked:banks=16,banked:banks=8,remap=mod"),
         "mems=");
     for (const auto &m : mems)
-        mem::MemoryModelRegistry::instance().validate(m, base);
+        (void)mem::MemoryModelRegistry::instance().make(m, base);
 
     const std::vector<workload::WorkloadSet> sets = {
         workload::WorkloadSet::A,

@@ -34,6 +34,7 @@
 #include "common/table.h"
 #include "exp/matrix.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 using namespace moca;
@@ -128,7 +129,8 @@ main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
-    const auto policies = exp::policiesFromArgs(args);
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, exp::allPolicySpecs());
     const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
 
     exp::MatrixConfig mcfg;

@@ -24,6 +24,7 @@
 #include "common/log.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "serve/serve.h"
 
@@ -82,7 +83,8 @@ main(int argc, char **argv)
     ArgMap args(argc, argv);
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
     const int tasks = static_cast<int>(args.getInt("tasks", 150));
-    const auto policies = exp::policiesFromArgs(args);
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, exp::allPolicySpecs());
     const std::string ref =
         std::find(policies.begin(), policies.end(), "moca") !=
             policies.end()

@@ -26,6 +26,7 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 using namespace moca;
@@ -94,8 +95,8 @@ main(int argc, char **argv)
 
     // The sweep compares a managed against an unmanaged mechanism;
     // --policy substitutes any two specs (e.g. "moca:tick=2048,moca").
-    const auto policies =
-        exp::policiesFromArgs(args, {"moca", "static"});
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, {"moca", "static"});
     if (policies.size() != 2)
         fatal("sensitivity_sweeps needs exactly two policy specs, "
               "got %zu", policies.size());

@@ -52,15 +52,18 @@
 #include <string>
 #include <vector>
 
+#include "cluster/dispatcher.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
 #include "common/walltime.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
 #include "obs/chrome_trace.h"
 #include "obs/profile.h"
+#include "serve/admission.h"
 #include "serve/serve.h"
 
 using namespace moca;
@@ -99,11 +102,12 @@ main(int argc, char **argv)
     // the event kernel like the other fleet-scale benches.
     if (!args.has("kernel"))
         base.kernel = sim::SimKernel::Event;
-    const auto policies = exp::policiesFromArgs(
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, {"prema", "planaria", "moca"});
     const auto dispatchers =
-        exp::dispatchersFromArgs(args, {"rr", "qos-aware"});
-    const auto admissions = exp::admissionFromArgs(
+        exp::specsFromArgs<cluster::DispatcherRegistry>(
+            args, {"rr", "qos-aware"});
+    const auto admissions = exp::specsFromArgs<serve::AdmissionRegistry>(
         args,
         {"always", "queue-cap:depth=4", "slo-budget:rate=4,burst=8"});
 

@@ -40,6 +40,7 @@
 #include "common/table.h"
 #include "common/text.h"
 #include "common/walltime.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "obs/sampler.h"
 
@@ -89,7 +90,8 @@ main(int argc, char **argv)
                "sampling every %llu cycles",
                static_cast<unsigned long long>(base.sampleEvery));
     }
-    const auto policies = exp::policiesFromArgs(args, {"moca"});
+    const auto policies =
+        exp::specsFromArgs<exp::PolicyRegistry>(args, {"moca"});
     const auto tasks_list = parseIntList(
         "tasks", args.getString("tasks", "2500,10000,25000"));
     const double load = args.getDouble("load", 0.8);

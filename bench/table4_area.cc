@@ -20,6 +20,7 @@
 #include "common/argparse.h"
 #include "common/log.h"
 #include "common/table.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 int
@@ -31,7 +32,7 @@ main(int argc, char **argv)
     // Area accounting is policy-independent; --list-policies still
     // works, and any --policy selection is rejected rather than
     // ignored.
-    if (exp::policiesFromArgs(args, {"moca"}) !=
+    if (exp::specsFromArgs<exp::PolicyRegistry>(args, {"moca"}) !=
         std::vector<std::string>{"moca"})
         fatal("table4_area models the MoCA hardware area; --policy "
               "cannot change what it measures");

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "common/table.h"
+#include "exp/registry.h"
 #include "exp/sweep/options.h"
 
 using namespace moca;
@@ -43,7 +44,9 @@ main(int argc, char **argv)
     // concurrently, --policy to swap mechanisms in and out).
     std::vector<exp::SweepCell> grid;
     exp::appendPolicyCells(grid, "all-policies",
-                           exp::policiesFromArgs(args), trace, soc);
+                           exp::specsFromArgs<exp::PolicyRegistry>(
+                               args, exp::allPolicySpecs()),
+                           trace, soc);
     const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
     const auto results = runner.run(grid);
 

@@ -217,44 +217,24 @@ registerBuiltins(DispatcherRegistry &reg)
 
 } // anonymous namespace
 
-DispatcherRegistry &
-DispatcherRegistry::instance()
+} // namespace moca::cluster
+
+namespace moca {
+
+template <>
+cluster::DispatcherRegistry &
+cluster::DispatcherRegistry::instance()
 {
     // detlint: allow(R4) magic-static init; read-only after startup
-    static DispatcherRegistry reg = [] {
-        DispatcherRegistry r;
-        registerBuiltins(r);
+    static SpecRegistry reg = [] {
+        // validate() trial-builds for a 1-SoC fleet.
+        SpecRegistry r("dispatcher", "dispatchers", "list-dispatchers",
+                       "dispatcher",
+                       std::make_tuple(1, std::uint64_t{0}));
+        cluster::registerBuiltins(r);
         return r;
     }();
     return reg;
 }
 
-std::unique_ptr<Dispatcher>
-DispatcherRegistry::make(const DispatcherSpec &spec, int num_socs,
-                         std::uint64_t seed) const
-{
-    if (num_socs < 1)
-        fatal("dispatcher '%s' needs at least one SoC",
-              spec.name.c_str());
-    return checkSpec(spec).factory(num_socs, seed, spec);
-}
-
-std::unique_ptr<Dispatcher>
-DispatcherRegistry::make(const std::string &spec, int num_socs,
-                         std::uint64_t seed) const
-{
-    return make(DispatcherSpec::parse(spec, "dispatcher"), num_socs,
-                seed);
-}
-
-void
-DispatcherRegistry::validate(const std::string &spec) const
-{
-    // Dispatcher parameters carry no SoC-configuration dependence,
-    // so a trial build catches bad *values* up front too — before a
-    // sweep spends minutes synthesizing a 100k-task stream only to
-    // die in a worker thread.
-    (void)make(DispatcherSpec::parse(spec, "dispatcher"), 1, 0);
-}
-
-} // namespace moca::cluster
+} // namespace moca

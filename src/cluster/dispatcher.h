@@ -6,15 +6,15 @@
  * it is the datacenter-level counterpart of the per-SoC scheduling
  * Policy.
  *
- * Dispatchers are string-keyed self-registering factories mirroring
- * exp::PolicyRegistry, with the same spec grammar
+ * Dispatchers are string-keyed self-registering factories behind
+ * `DispatcherRegistry` — moca::SpecRegistry over Dispatcher, built
+ * against a fleet size and seed — with the shared spec grammar
  *
  *     name[:key=value[,key=value...]]
  *
- * (parsed by exp::PolicySpec) and the same error discipline: unknown
- * names fail with a did-you-mean suggestion, undeclared parameters
- * list the declared ones, and `--list-dispatchers` prints the
- * catalogue.  Built-ins:
+ * and the shared error discipline: unknown names fail with a
+ * did-you-mean suggestion, undeclared parameters list the declared
+ * ones, and `--list-dispatchers` prints the catalogue.  Built-ins:
  *
  *  - `rr`           round-robin (the placement-oblivious baseline)
  *  - `random`       seeded uniform choice
@@ -33,14 +33,11 @@
 #define MOCA_CLUSTER_DISPATCHER_H
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/workload.h"
-#include "exp/registry.h"
+#include "common/spec.h"
+#include "common/spec_registry.h"
 
 namespace moca::cluster {
 
@@ -76,77 +73,36 @@ class Dispatcher
                       const std::vector<SocLoad> &socs) = 0;
 };
 
-/** Dispatcher specs reuse the policy-spec grammar and parser. */
-using DispatcherSpec = exp::PolicySpec;
-/** ... and the same parameter-schema entry type. */
-using DispatcherParam = exp::PolicyParam;
-
-/** Everything the registry knows about one dispatcher. */
-struct DispatcherInfo
-{
-    std::string name;
-    std::string description;
-    std::vector<DispatcherParam> params;
-
-    /**
-     * Build the dispatcher for a fleet of `num_socs` SoCs with an
-     * already-validated spec.  `seed` feeds any randomized strategy
-     * (random, p2c) so cluster runs stay reproducible.
-     */
-    std::function<std::unique_ptr<Dispatcher>(
-        int num_socs, std::uint64_t seed, const DispatcherSpec &spec)>
-        factory;
-};
+/** Dispatcher specs use the shared registry grammar. */
+using DispatcherSpec = moca::Spec;
 
 /**
- * The process-wide dispatcher registry, mirroring exp::PolicyRegistry
- * (iteration order is registration order, built-ins first).  The
- * shared machinery lives in the moca::SpecRegistry base.
+ * The process-wide dispatcher registry (`--list-dispatchers`,
+ * `--dispatcher`; iteration order is registration order, built-ins
+ * first).  A factory builds for a fleet of `num_socs` SoCs; `seed`
+ * feeds any randomized strategy (random, p2c) so cluster runs stay
+ * reproducible.  validate() is full: dispatcher parameters carry no
+ * SoC-configuration dependence, so it trial-builds for a 1-SoC fleet
+ * and catches bad parameter *values* too — before a sweep spends
+ * minutes synthesizing a 100k-task stream only to die in a worker.
  */
-class DispatcherRegistry : public moca::SpecRegistry<DispatcherInfo>
-{
-  public:
-    static DispatcherRegistry &instance();
+using DispatcherRegistry =
+    moca::SpecRegistry<Dispatcher, int, std::uint64_t>;
+/** Everything the registry knows about one dispatcher. */
+using DispatcherInfo = DispatcherRegistry::Info;
 
-    /** Parse, validate, and build a dispatcher from a spec string. */
-    std::unique_ptr<Dispatcher> make(const std::string &spec,
-                                     int num_socs,
-                                     std::uint64_t seed) const;
-    std::unique_ptr<Dispatcher> make(const DispatcherSpec &spec,
-                                     int num_socs,
-                                     std::uint64_t seed) const;
-
-    /**
-     * Full spec validation: grammar, name, parameter keys, and —
-     * unlike PolicyRegistry::validate, whose parameter ranges depend
-     * on the SoC a policy eventually runs on — parameter *values*,
-     * by trial-building the dispatcher for a 1-SoC fleet.  Fatal
-     * with actionable messages, before any simulation work starts.
-     */
-    void validate(const std::string &spec) const;
-
-  private:
-    DispatcherRegistry()
-        : SpecRegistry("dispatcher", "dispatchers",
-                       "--list-dispatchers")
-    {
-    }
-};
-
-/**
- * Link-time self-registration hook:
+/** Link-time self-registration hook:
  *
  *     static cluster::DispatcherRegistrar reg({"mine", "...", {...},
  *                                              factory});
  */
-struct DispatcherRegistrar
-{
-    explicit DispatcherRegistrar(DispatcherInfo info)
-    {
-        DispatcherRegistry::instance().add(std::move(info));
-    }
-};
+using DispatcherRegistrar = moca::Registrar<DispatcherRegistry>;
 
 } // namespace moca::cluster
+
+namespace moca {
+template <>
+cluster::DispatcherRegistry &cluster::DispatcherRegistry::instance();
+} // namespace moca
 
 #endif // MOCA_CLUSTER_DISPATCHER_H

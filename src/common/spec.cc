@@ -57,4 +57,32 @@ Spec::param(const std::string &key, const std::string &def) const
     return def;
 }
 
+std::vector<std::string>
+splitSpecList(const std::string &list, const char *flag)
+{
+    std::vector<std::string> specs;
+    std::size_t pos = 0;
+    while (pos <= list.size()) {
+        auto comma = list.find(',', pos);
+        if (comma == std::string::npos)
+            comma = list.size();
+        const std::string token = list.substr(pos, comma - pos);
+        if (!token.empty() &&
+            token.find('=') != std::string::npos &&
+            token.find(':') == std::string::npos && !specs.empty()) {
+            // A bare key=value continues the previous spec's
+            // parameter list ("moca:tick=2048,threshold=fixed").
+            specs.back() += "," + token;
+        } else if (!token.empty()) {
+            specs.push_back(token);
+        }
+        if (comma == list.size())
+            break;
+        pos = comma + 1;
+    }
+    if (specs.empty())
+        fatal("%s: empty spec list", flag);
+    return specs;
+}
+
 } // namespace moca

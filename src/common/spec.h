@@ -1,8 +1,8 @@
 /**
  * @file
  * The shared *spec* grammar of every self-registering factory registry
- * in the tree (scheduling policies, cluster dispatchers, memory
- * models):
+ * in the tree (scheduling policies, memory models, cluster
+ * dispatchers, admission policies):
  *
  *     name[:key=value[,key=value...]]
  *
@@ -52,6 +52,17 @@ struct SpecParam
     std::string defaultValue;
     std::string description;
 };
+
+/**
+ * Split a `--policy`-style list into individual specs.  Commas
+ * separate both specs and parameters; a token containing '=' extends
+ * the previous spec's parameter list, any other token starts a new
+ * spec: "moca:tick=2048,threshold=fixed,prema" is the parameterized
+ * moca spec followed by plain prema.  `flag` names the option in the
+ * empty-list error ("--policy", "mems=").
+ */
+std::vector<std::string> splitSpecList(const std::string &list,
+                                       const char *flag);
 
 } // namespace moca
 

@@ -1,29 +1,42 @@
 /**
  * @file
- * Templated base of the self-registering spec-keyed factory
- * registries: exp::PolicyRegistry, cluster::DispatcherRegistry, and
- * mem::MemoryModelRegistry are each a thin subclass instead of three
- * copies of the same machinery.
+ * The one self-registering, spec-keyed factory registry of the tree.
+ * Every pluggable mechanism is named by a spec string (common/spec.h)
+ * and built through an instance of this template:
  *
- * The base owns everything that does not depend on the factory
- * signature: registration (with name validation and duplicate
- * detection), name lookup with did-you-mean suggestions, parameter-key
- * validation against the declared schema, and the human-readable
- * `--list-*` catalogue.  Subclasses add their `make()` entry points
- * (whose arguments differ — a policy builds against a SocConfig, a
- * dispatcher against a fleet size and seed) and decide how deep their
- * `validate()` goes (structural vs. trial-build).
+ *     SpecRegistry<sim::Policy, const sim::SocConfig &>  exp::PolicyRegistry
+ *     SpecRegistry<mem::MemoryModel, const sim::SocConfig &>
+ *                                                        mem::MemoryModelRegistry
+ *     SpecRegistry<cluster::Dispatcher, int, std::uint64_t>
+ *                                                        cluster::DispatcherRegistry
+ *     SpecRegistry<serve::AdmissionPolicy>               serve::AdmissionRegistry
  *
- * `Info` must provide the fields `name` (std::string), `description`
- * (std::string), `params` (std::vector<SpecParam>), and a callable
- * `factory`.
+ * `Product` is what a factory builds and `Ctx...` the context it is
+ * built against (a policy against its SoC configuration, a dispatcher
+ * against a fleet size and seed); every factory takes the spec last.
+ * The template owns registration (name validation, duplicate
+ * detection), name lookup with did-you-mean suggestions,
+ * parameter-key validation against the declared schema, `make`, the
+ * `--list-*` catalogue, and `Registrar` link-time self-registration.
+ * A subsystem contributes only its alias, its built-ins, and one
+ * explicit specialization of `instance()` — declared in its header so
+ * every translation unit sees it — that names the registry's nouns
+ * and flags, registers the built-ins, and decides how deep
+ * `validate()` goes: structural (policies, memory models) or a trial
+ * build against a fixed context (dispatchers, admission).
  */
 
 #ifndef MOCA_COMMON_SPEC_REGISTRY_H
 #define MOCA_COMMON_SPEC_REGISTRY_H
 
+#include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -32,10 +45,54 @@
 
 namespace moca {
 
-template <typename Info>
+template <typename Product, typename... Ctx>
 class SpecRegistry
 {
   public:
+    /** Everything the registry knows about one entry. */
+    struct Info
+    {
+        std::string name;
+        std::string description;
+        std::vector<SpecParam> params;
+
+        /**
+         * Build the product against `ctx...` with the spec's
+         * parameters applied.  Called with an already-validated spec
+         * (name matches, every param key is declared); malformed
+         * parameter *values* are fatal here.  Must be thread-safe:
+         * sweep workers build concurrently.
+         */
+        std::function<std::unique_ptr<Product>(Ctx..., const Spec &)>
+            factory;
+    };
+
+    /** The context validate() trial-builds against; unset keeps
+     *  validation structural. */
+    using TrialContext = std::optional<std::tuple<std::decay_t<Ctx>...>>;
+
+    /**
+     * The process-wide registry.  Each subsystem defines one explicit
+     * specialization that constructs it and registers the built-ins
+     * on first use (iteration order is registration order).
+     */
+    static SpecRegistry &instance();
+
+    /**
+     * @param noun        singular noun for messages ("policy").
+     * @param noun_plural plural noun ("policies").
+     * @param list_flag   the catalogue flag ("list-policies").
+     * @param select_flag the selection flag ("policy").
+     * @param trial       context validate() trial-builds against.
+     */
+    SpecRegistry(const char *noun, const char *noun_plural,
+                 const char *list_flag, const char *select_flag,
+                 TrialContext trial = std::nullopt)
+        : noun_(noun), nounPlural_(noun_plural), listFlag_(list_flag),
+          selectFlag_(select_flag), trial_(std::move(trial))
+    {
+    }
+
     /** Register an entry; fatal on a duplicate or malformed name. */
     void add(Info info)
     {
@@ -74,10 +131,42 @@ class SpecRegistry
     /** Metadata for `name`; fatal (with did-you-mean) when unknown. */
     const Info &info(const std::string &name) const
     {
-        const Info *i = find(name);
-        if (i == nullptr)
+        auto it = byName_.find(name);
+        if (it == byName_.end())
             unknownName(name);
-        return *i;
+        return infos_[it->second];
+    }
+
+    /**
+     * Parse, validate, and build from a spec; unknown names and
+     * undeclared parameters are fatal with actionable messages.
+     */
+    std::unique_ptr<Product> make(const Spec &spec, Ctx... ctx) const
+    {
+        return checkSpec(spec).factory(ctx..., spec);
+    }
+    std::unique_ptr<Product> make(const std::string &spec,
+                                  Ctx... ctx) const
+    {
+        return make(Spec::parse(spec, noun_), ctx...);
+    }
+
+    /**
+     * Validate a spec before any simulation work starts: grammar,
+     * name (did-you-mean on typos), and declared parameter keys —
+     * plus parameter *values*, by a trial build, when the registry
+     * has a trial context.  Fatal with actionable messages.
+     */
+    void validate(const std::string &spec) const
+    {
+        const Spec parsed = Spec::parse(spec, noun_);
+        if (!trial_) {
+            (void)checkSpec(parsed);
+            return;
+        }
+        std::apply(
+            [&](const auto &...ctx) { (void)make(parsed, ctx...); },
+            *trial_);
     }
 
     /** Human-readable catalogue (--list-* output). */
@@ -98,23 +187,14 @@ class SpecRegistry
         return out;
     }
 
-  protected:
-    /**
-     * @param noun        singular noun for messages ("policy").
-     * @param noun_plural plural noun ("policies").
-     * @param list_flag   the catalogue flag ("--list-policies").
-     */
-    SpecRegistry(const char *noun, const char *noun_plural,
-                 const char *list_flag)
-        : noun_(noun), nounPlural_(noun_plural), listFlag_(list_flag)
-    {
-    }
+    /** The catalogue flag, without dashes ("list-policies"). */
+    const char *listFlag() const { return listFlag_; }
+    /** The selection flag, without dashes ("policy"). */
+    const char *selectFlag() const { return selectFlag_; }
 
-    ~SpecRegistry() = default;
-
-    /** Name + declared-parameter-key validation shared by the
-     *  subclasses' make() and validate(); fatal with actionable
-     *  messages. */
+  private:
+    /** Name + declared-parameter-key validation shared by make() and
+     *  validate(). */
     const Info &checkSpec(const Spec &spec) const
     {
         const Info &i = info(spec.name);
@@ -142,13 +222,6 @@ class SpecRegistry
         return i;
     }
 
-  private:
-    const Info *find(const std::string &name) const
-    {
-        auto it = byName_.find(name);
-        return it == byName_.end() ? nullptr : &infos_[it->second];
-    }
-
     [[noreturn]] void unknownName(const std::string &name) const
     {
         // Did-you-mean: the registered name closest in edit distance,
@@ -156,7 +229,7 @@ class SpecRegistry
         const std::string nearest = nearestName(name, names());
         const bool suggest = !nearest.empty();
         fatal("unknown %s '%s'%s%s%s; known %s: %s "
-              "(run with %s for parameters)",
+              "(run with --%s for parameters)",
               noun_, name.c_str(), suggest ? " (did you mean '" : "",
               suggest ? nearest.c_str() : "", suggest ? "'?)" : "",
               nounPlural_, joinNames(names()).c_str(), listFlag_);
@@ -165,8 +238,24 @@ class SpecRegistry
     const char *noun_;
     const char *nounPlural_;
     const char *listFlag_;
+    const char *selectFlag_;
+    TrialContext trial_;
     std::vector<Info> infos_;
     std::map<std::string, std::size_t> byName_;
+};
+
+/**
+ * Link-time self-registration hook for any registry:
+ *
+ *     static exp::PolicyRegistrar reg({"mine", "...", {...}, factory});
+ */
+template <typename Registry>
+struct Registrar
+{
+    explicit Registrar(typename Registry::Info info)
+    {
+        Registry::instance().add(std::move(info));
+    }
 };
 
 } // namespace moca

@@ -127,70 +127,22 @@ registerBuiltins(PolicyRegistry &reg)
 
 } // namespace
 
-PolicyRegistry &
-PolicyRegistry::instance()
+} // namespace moca::exp
+
+namespace moca {
+
+template <>
+exp::PolicyRegistry &
+exp::PolicyRegistry::instance()
 {
     // detlint: allow(R4) magic-static init; read-only after startup
-    static PolicyRegistry reg = [] {
-        PolicyRegistry r;
-        registerBuiltins(r);
+    static SpecRegistry reg = [] {
+        SpecRegistry r("policy", "policies", "list-policies",
+                       "policy");
+        exp::registerBuiltins(r);
         return r;
     }();
     return reg;
 }
 
-std::unique_ptr<sim::Policy>
-PolicyRegistry::make(const PolicySpec &spec,
-                     const sim::SocConfig &cfg) const
-{
-    return checkSpec(spec).factory(cfg, spec);
-}
-
-std::unique_ptr<sim::Policy>
-PolicyRegistry::make(const std::string &spec,
-                     const sim::SocConfig &cfg) const
-{
-    return make(PolicySpec::parse(spec, "policy"), cfg);
-}
-
-void
-PolicyRegistry::validate(const std::string &spec) const
-{
-    // Structural validation only: grammar, policy name (with
-    // did-you-mean), and declared parameter keys.  Parameter
-    // *values* are checked at construction time against the SoC
-    // configuration the policy actually runs on — range checks like
-    // "solo:tiles=16" depend on it, so validating them against a
-    // default-constructed config would falsely reject specs.
-    (void)checkSpec(PolicySpec::parse(spec, "policy"));
-}
-
-std::vector<std::string>
-splitPolicyList(const std::string &list, const char *flag)
-{
-    std::vector<std::string> specs;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        auto comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        const std::string token = list.substr(pos, comma - pos);
-        if (!token.empty() &&
-            token.find('=') != std::string::npos &&
-            token.find(':') == std::string::npos && !specs.empty()) {
-            // A bare key=value continues the previous spec's
-            // parameter list ("moca:tick=2048,threshold=fixed").
-            specs.back() += "," + token;
-        } else if (!token.empty()) {
-            specs.push_back(token);
-        }
-        if (comma == list.size())
-            break;
-        pos = comma + 1;
-    }
-    if (specs.empty())
-        fatal("%s: empty spec list", flag);
-    return specs;
-}
-
-} // namespace moca::exp
+} // namespace moca

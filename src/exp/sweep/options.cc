@@ -1,29 +1,25 @@
 #include "exp/sweep/options.h"
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "cluster/dispatcher.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/units.h"
-#include "exp/registry.h"
 #include "exp/sweep/records.h"
 #include "mem/memory_model.h"
-#include "serve/admission.h"
 
 namespace moca::exp {
 
 sim::SocConfig
 socConfigFromArgs(const ArgMap &args)
 {
-    if (args.has("list-mem-models")) {
-        std::fputs(
-            mem::MemoryModelRegistry::instance().listText().c_str(),
-            stdout);
-        std::exit(0);
-    }
     sim::SocConfig cfg;
+    const auto mem_specs =
+        specsFromArgs<mem::MemoryModelRegistry>(args, {cfg.memModel});
+    if (mem_specs.size() != 1)
+        fatal("--mem takes one memory-model spec (got %zu)",
+              mem_specs.size());
+    cfg.memModel = mem_specs.front();
     cfg.numTiles = static_cast<int>(args.getInt("tiles", cfg.numTiles));
     cfg.dramBytesPerCycle =
         args.getDouble("dram_bw", cfg.dramBytesPerCycle);
@@ -51,10 +47,9 @@ socConfigFromArgs(const ArgMap &args)
               "telemetry sampling)",
               static_cast<long long>(sample_every));
     cfg.sampleEvery = static_cast<Cycles>(sample_every);
-    cfg.memModel = args.getString("mem", cfg.memModel);
     // Trial-build against the actual configuration so a bad --mem
-    // spec fails before any sweep work starts.
-    mem::MemoryModelRegistry::instance().validate(cfg.memModel, cfg);
+    // parameter value fails before any sweep work starts.
+    (void)mem::MemoryModelRegistry::instance().make(cfg.memModel, cfg);
     return cfg;
 }
 
@@ -103,62 +98,6 @@ sweepOptionsFromArgs(const ArgMap &args)
               opts.jobs);
     opts.verbose = args.getBool("verbose", false);
     return opts;
-}
-
-std::vector<std::string>
-policiesFromArgs(const ArgMap &args,
-                 const std::vector<std::string> &def)
-{
-    if (args.has("list-policies")) {
-        std::fputs(PolicyRegistry::instance().listText().c_str(),
-                   stdout);
-        std::exit(0);
-    }
-    std::vector<std::string> specs =
-        def.empty() ? allPolicySpecs() : def;
-    if (args.has("policy"))
-        specs = splitPolicyList(args.getString("policy", ""));
-    for (const auto &spec : specs)
-        PolicyRegistry::instance().validate(spec);
-    return specs;
-}
-
-std::vector<std::string>
-dispatchersFromArgs(const ArgMap &args,
-                    const std::vector<std::string> &def)
-{
-    auto &registry = cluster::DispatcherRegistry::instance();
-    if (args.has("list-dispatchers")) {
-        std::fputs(registry.listText().c_str(), stdout);
-        std::exit(0);
-    }
-    std::vector<std::string> specs =
-        def.empty() ? std::vector<std::string>{"rr"} : def;
-    if (args.has("dispatcher"))
-        specs = splitPolicyList(args.getString("dispatcher", ""),
-                                "--dispatcher");
-    for (const auto &spec : specs)
-        registry.validate(spec);
-    return specs;
-}
-
-std::vector<std::string>
-admissionFromArgs(const ArgMap &args,
-                  const std::vector<std::string> &def)
-{
-    auto &registry = serve::AdmissionRegistry::instance();
-    if (args.has("list-admission")) {
-        std::fputs(registry.listText().c_str(), stdout);
-        std::exit(0);
-    }
-    std::vector<std::string> specs =
-        def.empty() ? std::vector<std::string>{"always"} : def;
-    if (args.has("admission"))
-        specs = splitPolicyList(args.getString("admission", ""),
-                                "--admission");
-    for (const auto &spec : specs)
-        registry.validate(spec);
-    return specs;
 }
 
 void

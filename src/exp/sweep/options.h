@@ -10,20 +10,23 @@
 #ifndef MOCA_EXP_SWEEP_OPTIONS_H
 #define MOCA_EXP_SWEEP_OPTIONS_H
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/argparse.h"
+#include "common/spec.h"
 #include "exp/sweep/sweep.h"
 
 namespace moca::exp {
 
 /** Apply common key=value overrides (tiles, dram_bw, l2_kib,
  *  overlap_f, quantum, kernel=quantum|event, max-cycles, mem=SPEC)
- *  to the SoC configuration.  `--mem SPEC` selects (and
- *  trial-validates) the memory-hierarchy model;
- *  `--list-mem-models` prints the mem::MemoryModelRegistry
- *  catalogue and exits. */
+ *  to the SoC configuration.  `--mem SPEC` selects the
+ *  memory-hierarchy model (trial-built against the resulting
+ *  configuration); `--list-mem-models` prints the
+ *  mem::MemoryModelRegistry catalogue and exits (specsFromArgs). */
 sim::SocConfig socConfigFromArgs(const ArgMap &args);
 
 /** Parse a simulation-kernel name ("quantum" / "event"); fatal on
@@ -38,38 +41,31 @@ void printSocBanner(const sim::SocConfig &cfg);
 SweepOptions sweepOptionsFromArgs(const ArgMap &args);
 
 /**
- * Shared `--policy <spec>[,<spec>...]` / `--list-policies` handling
- * for every bench binary.  `--list-policies` prints the registry
- * catalogue and exits; `--policy` selects (and validates) the policy
- * specs to run, defaulting to `def` (or the four built-in policies
- * when `def` is empty).  Unknown specs are fatal with a did-you-mean
- * suggestion.
+ * Shared spec-list handling for one moca::SpecRegistry (policies,
+ * dispatchers, admission, memory models), with the flags the registry
+ * names: its list flag (`--list-policies`) prints the catalogue and
+ * exits; its selection flag (`--policy SPEC[,SPEC...]`, split by
+ * splitSpecList) picks the specs, defaulting to `def`.  Every spec is
+ * validated to the registry's depth; unknown names are fatal with a
+ * did-you-mean suggestion.
  */
+template <typename Registry>
 std::vector<std::string>
-policiesFromArgs(const ArgMap &args,
-                 const std::vector<std::string> &def = {});
-
-/**
- * Shared `--dispatcher <spec>[,<spec>...]` / `--list-dispatchers`
- * handling for cluster-aware binaries, mirroring policiesFromArgs:
- * `--list-dispatchers` prints the cluster::DispatcherRegistry
- * catalogue and exits; `--dispatcher` selects (and validates) the
- * dispatcher specs, defaulting to `def` (or plain "rr" when `def` is
- * empty).  Unknown specs are fatal with a did-you-mean suggestion.
- */
-std::vector<std::string>
-dispatchersFromArgs(const ArgMap &args,
-                    const std::vector<std::string> &def = {});
-
-/**
- * Shared `--admission <spec>[,<spec>...]` / `--list-admission`
- * handling for serving-aware binaries, mirroring dispatchersFromArgs
- * over the serve::AdmissionRegistry; defaults to `def` (or plain
- * "always" when `def` is empty).
- */
-std::vector<std::string>
-admissionFromArgs(const ArgMap &args,
-                  const std::vector<std::string> &def = {});
+specsFromArgs(const ArgMap &args, std::vector<std::string> def)
+{
+    const Registry &reg = Registry::instance();
+    if (args.has(reg.listFlag())) {
+        std::fputs(reg.listText().c_str(), stdout);
+        std::exit(0);
+    }
+    const std::string flag = reg.selectFlag();
+    if (args.has(flag))
+        def = splitSpecList(args.getString(flag, ""),
+                            ("--" + flag).c_str());
+    for (const auto &spec : def)
+        reg.validate(spec);
+    return def;
+}
 
 /**
  * Write a finished sweep's per-cell records to the `--csv PATH` and

@@ -316,7 +316,7 @@ configFromSpec(const MemSpec &spec)
 
 } // anonymous namespace
 
-MemoryModelInfo
+MemoryModelRegistry::Info
 bankedModelInfo()
 {
     return {

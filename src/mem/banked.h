@@ -159,7 +159,7 @@ class BankedMemoryModel : public MemoryModel
 };
 
 /** Registration record of the built-in banked model. */
-MemoryModelInfo bankedModelInfo();
+MemoryModelRegistry::Info bankedModelInfo();
 
 } // namespace moca::mem
 

@@ -121,41 +121,22 @@ registerBuiltins(MemoryModelRegistry &reg)
 
 } // anonymous namespace
 
-MemoryModelRegistry &
-MemoryModelRegistry::instance()
+} // namespace moca::mem
+
+namespace moca {
+
+template <>
+mem::MemoryModelRegistry &
+mem::MemoryModelRegistry::instance()
 {
     // detlint: allow(R4) magic-static init; read-only after startup
-    static MemoryModelRegistry reg = [] {
-        MemoryModelRegistry r;
-        registerBuiltins(r);
+    static SpecRegistry reg = [] {
+        SpecRegistry r("memory model", "memory models",
+                       "list-mem-models", "mem");
+        mem::registerBuiltins(r);
         return r;
     }();
     return reg;
 }
 
-std::unique_ptr<MemoryModel>
-MemoryModelRegistry::make(const MemSpec &spec,
-                          const sim::SocConfig &cfg) const
-{
-    return checkSpec(spec).factory(cfg, spec);
-}
-
-std::unique_ptr<MemoryModel>
-MemoryModelRegistry::make(const std::string &spec,
-                          const sim::SocConfig &cfg) const
-{
-    return make(MemSpec::parse(spec, "memory model"), cfg);
-}
-
-void
-MemoryModelRegistry::validate(const std::string &spec,
-                              const sim::SocConfig &cfg) const
-{
-    // Memory-model parameter ranges are checked at construction, and
-    // construction is cheap — so a trial build catches bad *values*
-    // against the actual SoC configuration up front, before a sweep
-    // spends minutes generating traces only to die in a worker.
-    (void)make(MemSpec::parse(spec, "memory model"), cfg);
-}
-
-} // namespace moca::mem
+} // namespace moca

@@ -16,8 +16,8 @@
  * (e.g. row-buffer locality) is sampled often enough.
  *
  * Models are string-keyed self-registering factories behind
- * `MemoryModelRegistry` — the third client of moca::SpecRegistry after
- * the policy and dispatcher registries — with the shared spec grammar
+ * `MemoryModelRegistry` — moca::SpecRegistry over MemoryModel, built
+ * against the SoC configuration — with the shared spec grammar
  *
  *     name[:key=value[,key=value...]]
  *
@@ -42,9 +42,7 @@
 #define MOCA_MEM_MEMORY_MODEL_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/spec.h"
@@ -56,8 +54,6 @@ namespace moca::mem {
 
 /** Memory-model specs use the shared registry grammar. */
 using MemSpec = moca::Spec;
-/** ... and the shared parameter-schema entry type. */
-using MemParam = moca::SpecParam;
 
 /** One requester's byte demand for a step. */
 struct MemRequest
@@ -154,71 +150,28 @@ class MemoryModel
     MemTraffic traffic_;
 };
 
-/** Everything the registry knows about one memory model. */
-struct MemoryModelInfo
-{
-    std::string name;
-    std::string description;
-    std::vector<MemParam> params;
-
-    /**
-     * Build the model for `cfg` with `spec`'s parameters applied.
-     * Called with an already-validated spec (name matches, every
-     * param key is declared); malformed parameter *values* are fatal
-     * here.  Must be thread-safe: sweep workers build concurrently.
-     */
-    std::function<std::unique_ptr<MemoryModel>(
-        const sim::SocConfig &cfg, const MemSpec &spec)>
-        factory;
-};
-
 /**
- * The process-wide memory-model registry (moca::SpecRegistry client;
- * iteration order is registration order, built-ins first).
+ * The process-wide memory-model registry (`--list-mem-models`,
+ * `--mem`; iteration order is registration order, built-ins first).
+ * validate() is structural: a model's parameter ranges are checked
+ * against the SoC configuration it runs on, so callers trial-build
+ * with make(spec, cfg) once that configuration is known.
  */
-class MemoryModelRegistry : public moca::SpecRegistry<MemoryModelInfo>
-{
-  public:
-    static MemoryModelRegistry &instance();
+using MemoryModelRegistry =
+    moca::SpecRegistry<MemoryModel, const sim::SocConfig &>;
 
-    /** Parse, validate, and build a model from a spec string. */
-    std::unique_ptr<MemoryModel> make(const std::string &spec,
-                                      const sim::SocConfig &cfg) const;
-    std::unique_ptr<MemoryModel> make(const MemSpec &spec,
-                                      const sim::SocConfig &cfg) const;
-
-    /**
-     * Full spec validation against the SoC configuration the model
-     * will run on: grammar, name (did-you-mean on typos), declared
-     * parameter keys, and parameter *values*, by trial-building the
-     * model.  Fatal with actionable messages before any simulation
-     * work starts.
-     */
-    void validate(const std::string &spec,
-                  const sim::SocConfig &cfg) const;
-
-  private:
-    MemoryModelRegistry()
-        : SpecRegistry("memory model", "memory models",
-                       "--list-mem-models")
-    {
-    }
-};
-
-/**
- * Link-time self-registration hook:
+/** Link-time self-registration hook:
  *
  *     static mem::MemoryModelRegistrar reg({"mine", "...", {...},
  *                                           factory});
  */
-struct MemoryModelRegistrar
-{
-    explicit MemoryModelRegistrar(MemoryModelInfo info)
-    {
-        MemoryModelRegistry::instance().add(std::move(info));
-    }
-};
+using MemoryModelRegistrar = moca::Registrar<MemoryModelRegistry>;
 
 } // namespace moca::mem
+
+namespace moca {
+template <>
+mem::MemoryModelRegistry &mem::MemoryModelRegistry::instance();
+} // namespace moca
 
 #endif // MOCA_MEM_MEMORY_MODEL_H

@@ -54,7 +54,7 @@ MocaPolicy::MocaPolicy(const sim::SocConfig &soc_cfg,
           runtime::ContentionTuning{cfg.throttleTickCycles,
                                     cfg.fixedThreshold}),
       scheduler_(sched::SchedulerConfig{
-          cfg.scoreThreshold, 0.5, cfg.enableMemAwarePairing},
+          cfg.scoreThreshold, cfg.enableMemAwarePairing},
           soc_cfg.dramBytesPerCycle),
       estimator_(soc_cfg, cfg.sparsityAwarePredictor)
 {
@@ -203,7 +203,8 @@ MocaPolicy::admitJobs(sim::Soc &soc)
                 *soc.job(id).spec.model,
                 std::max(1, soc.jobTiles(id))).bw;
             ++total;
-            if (bw > 0.5 * soc.config().dramBytesPerCycle)
+            if (sched::isMemIntensive(bw,
+                                      soc.config().dramBytesPerCycle))
                 ++mem;
         }
         if (total > 0 && 2 * mem >= total + 1)

@@ -19,8 +19,7 @@ MocaScheduler::score(const SchedTask &task, Cycles now)
 bool
 MocaScheduler::isMemIntensive(const SchedTask &task) const
 {
-    return task.estimatedAvgBw >
-        cfg_.memIntensiveFraction * dram_bw_;
+    return sched::isMemIntensive(task.estimatedAvgBw, dram_bw_);
 }
 
 void

@@ -33,16 +33,24 @@ struct SchedTask
     double estimatedAvgBw = 0.0; ///< Mean DRAM demand, bytes/cycle.
 };
 
+/** Memory-intensive flag cutoff as a fraction of DRAM bandwidth
+ *  (Algorithm 3 line 7). */
+inline constexpr double kMemIntensiveFraction = 0.5;
+
+/** Algorithm 3 lines 7-11: a mean DRAM demand of `avg_bw` bytes/cycle
+ *  is memory-intensive on a `dram_bw` bytes/cycle channel. */
+inline bool
+isMemIntensive(double avg_bw, double dram_bw)
+{
+    return avg_bw > kMemIntensiveFraction * dram_bw;
+}
+
 /** Scheduler tuning knobs. */
 struct SchedulerConfig
 {
     /** ExQueue admission threshold on the score (Algorithm 3
      *  line 14); 0 admits every dispatched task. */
     double scoreThreshold = 0.0;
-
-    /** Memory-intensive flag cutoff as a fraction of DRAM bandwidth
-     *  (Algorithm 3 line 7 uses 0.5). */
-    double memIntensiveFraction = 0.5;
 
     /** Disable the memory-aware pairing (ablation knob); selection
      *  then degenerates to pure score order. */

@@ -26,18 +26,6 @@ PhaseProfiler::seconds(const std::string &phase) const
 }
 
 std::string
-PhaseProfiler::summary() const
-{
-    std::string out;
-    for (const auto &[name, total] : phases_) {
-        if (!out.empty())
-            out += "  ";
-        out += strprintf("%s %.3fs", name.c_str(), total);
-    }
-    return out;
-}
-
-std::string
 PhaseProfiler::render(const std::string &title) const
 {
     double sum = 0.0;

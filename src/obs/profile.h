@@ -1,13 +1,11 @@
 /**
  * @file
- * Wall-clock phase profiling scopes.  All timing goes through the
+ * Wall-clock phase accumulation.  Callers time their phases with the
  * detlint-sanctioned moca::WallTimer shim (common/walltime.h) — no
- * raw std::chrono — and is purely diagnostic: phase totals feed
- * reports and bench tables, never simulation decisions.
- *
- * This is the one code path every bench reports phase timings
- * through: accumulate with ScopedPhase (or add()), then print
- * summary() / render().
+ * raw std::chrono — and add() the seconds here.  Phase totals are
+ * purely diagnostic: they feed reports and bench tables (the PDES
+ * phase tables of cluster_scale and serve_loop, via render()), never
+ * simulation decisions.
  */
 
 #ifndef MOCA_OBS_PROFILE_H
@@ -16,8 +14,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/walltime.h"
 
 namespace moca::obs {
 
@@ -36,34 +32,11 @@ class PhaseProfiler
     const std::vector<std::pair<std::string, double>> &
     entries() const { return phases_; }
 
-    /** One-line "phase 0.123s  phase2 0.045s" summary ("" if empty). */
-    std::string summary() const;
-
     /** Multi-line breakdown table with per-phase share of total. */
     std::string render(const std::string &title) const;
 
   private:
     std::vector<std::pair<std::string, double>> phases_;
-};
-
-/** RAII scope: adds its WallTimer lap to a phase on destruction. */
-class ScopedPhase
-{
-  public:
-    ScopedPhase(PhaseProfiler &profiler, std::string phase)
-        : profiler_(profiler), phase_(std::move(phase))
-    {
-    }
-
-    ScopedPhase(const ScopedPhase &) = delete;
-    ScopedPhase &operator=(const ScopedPhase &) = delete;
-
-    ~ScopedPhase() { profiler_.add(phase_, timer_.seconds()); }
-
-  private:
-    PhaseProfiler &profiler_;
-    std::string phase_;
-    WallTimer timer_;
 };
 
 } // namespace moca::obs

@@ -157,36 +157,23 @@ registerBuiltins(AdmissionRegistry &reg)
 
 } // anonymous namespace
 
-AdmissionRegistry &
-AdmissionRegistry::instance()
+} // namespace moca::serve
+
+namespace moca {
+
+template <>
+serve::AdmissionRegistry &
+serve::AdmissionRegistry::instance()
 {
     // detlint: allow(R4) magic-static init; read-only after startup
-    static AdmissionRegistry reg = [] {
-        AdmissionRegistry r;
-        registerBuiltins(r);
+    static SpecRegistry reg = [] {
+        // validate() trial-builds (admission needs no context).
+        SpecRegistry r("admission policy", "admission policies",
+                       "list-admission", "admission", std::tuple<>());
+        serve::registerBuiltins(r);
         return r;
     }();
     return reg;
 }
 
-std::unique_ptr<AdmissionPolicy>
-AdmissionRegistry::make(const AdmissionSpec &spec) const
-{
-    return checkSpec(spec).factory(spec);
-}
-
-std::unique_ptr<AdmissionPolicy>
-AdmissionRegistry::make(const std::string &spec) const
-{
-    return make(AdmissionSpec::parse(spec, "admission policy"));
-}
-
-void
-AdmissionRegistry::validate(const std::string &spec) const
-{
-    // Admission parameters carry no SoC-configuration dependence, so
-    // a trial build catches bad values up front too.
-    (void)make(spec);
-}
-
-} // namespace moca::serve
+} // namespace moca

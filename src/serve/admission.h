@@ -8,11 +8,13 @@
  * capacity from the ones it could.
  *
  * Admission policies are string-keyed self-registering factories
- * mirroring cluster::DispatcherRegistry, with the shared spec grammar
+ * behind `AdmissionRegistry` — moca::SpecRegistry over
+ * AdmissionPolicy, built from the spec alone — with the shared spec
+ * grammar
  *
  *     name[:key=value[,key=value...]]
  *
- * and the same error discipline (did-you-mean on unknown names,
+ * and the shared error discipline (did-you-mean on unknown names,
  * declared-parameter validation, `--list-admission` catalogue).
  * Built-ins:
  *
@@ -35,9 +37,6 @@
 #ifndef MOCA_SERVE_ADMISSION_H
 #define MOCA_SERVE_ADMISSION_H
 
-#include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/dispatcher.h"
@@ -75,70 +74,30 @@ class AdmissionPolicy
            const std::vector<cluster::SocLoad> &up_socs) = 0;
 };
 
-/** Admission specs reuse the shared spec grammar and parser. */
+/** Admission specs use the shared registry grammar. */
 using AdmissionSpec = moca::Spec;
-/** ... and the shared parameter-schema entry type. */
-using AdmissionParam = moca::SpecParam;
-
-/** Everything the registry knows about one admission policy. */
-struct AdmissionInfo
-{
-    std::string name;
-    std::string description;
-    std::vector<AdmissionParam> params;
-
-    /** Build the policy from an already-validated spec. */
-    std::function<std::unique_ptr<AdmissionPolicy>(
-        const AdmissionSpec &spec)>
-        factory;
-};
 
 /**
- * The process-wide admission-policy registry (iteration order is
- * registration order, built-ins first).  The shared machinery lives
- * in the moca::SpecRegistry base.
+ * The process-wide admission-policy registry (`--list-admission`,
+ * `--admission`; iteration order is registration order, built-ins
+ * first).  validate() is full: admission parameters carry no
+ * SoC-configuration dependence, like dispatchers, so it trial-builds
+ * and catches bad parameter *values* before any simulation work.
  */
-class AdmissionRegistry : public moca::SpecRegistry<AdmissionInfo>
-{
-  public:
-    static AdmissionRegistry &instance();
+using AdmissionRegistry = moca::SpecRegistry<AdmissionPolicy>;
 
-    /** Parse, validate, and build a policy from a spec string. */
-    std::unique_ptr<AdmissionPolicy>
-    make(const std::string &spec) const;
-    std::unique_ptr<AdmissionPolicy>
-    make(const AdmissionSpec &spec) const;
-
-    /**
-     * Full spec validation: grammar, name, parameter keys, and
-     * parameter *values* by trial-building (admission parameters
-     * carry no SoC-configuration dependence, like dispatchers).
-     * Fatal with actionable messages before any simulation work.
-     */
-    void validate(const std::string &spec) const;
-
-  private:
-    AdmissionRegistry()
-        : SpecRegistry("admission policy", "admission policies",
-                       "--list-admission")
-    {
-    }
-};
-
-/**
- * Link-time self-registration hook:
+/** Link-time self-registration hook:
  *
  *     static serve::AdmissionRegistrar reg({"mine", "...", {...},
  *                                           factory});
  */
-struct AdmissionRegistrar
-{
-    explicit AdmissionRegistrar(AdmissionInfo info)
-    {
-        AdmissionRegistry::instance().add(std::move(info));
-    }
-};
+using AdmissionRegistrar = moca::Registrar<AdmissionRegistry>;
 
 } // namespace moca::serve
+
+namespace moca {
+template <>
+serve::AdmissionRegistry &serve::AdmissionRegistry::instance();
+} // namespace moca
 
 #endif // MOCA_SERVE_ADMISSION_H

@@ -120,7 +120,7 @@ struct SocConfig
     Cycles schedPeriod = 100'000;
 
     /**
-     * Deadlock bound: Soc::run(0) aborts once simulated time exceeds
+     * Deadlock bound: a Soc run aborts once simulated time exceeds
      * this many cycles (a stuck policy would otherwise spin forever).
      * Long-horizon stress sweeps raise it to an honest bound via the
      * shared `max_cycles=` bench option.

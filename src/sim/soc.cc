@@ -101,8 +101,6 @@ Soc::admitArrivals()
         ++next_arrival_;
         any = true;
     }
-    if (any)
-        ++waiting_epoch_;
     return any;
 }
 
@@ -276,7 +274,6 @@ Soc::startJob(int id, int num_tiles, Cycles resume_penalty)
     h.state = JobState::Running;
     h.numTiles = num_tiles;
     waitingRemove(id);
-    ++waiting_epoch_;
     addRunning(id, num_tiles);
     h.exec.valid = false;
     if (resume_penalty > 0)
@@ -332,7 +329,6 @@ Soc::pauseJob(int id)
         panic("pauseJob(%d): job is not running", id);
     h.state = JobState::Paused;
     waitingAdd(id);
-    ++waiting_epoch_;
     dropRunning(id, h.numTiles);
     h.numTiles = 0;
     h.exec.valid = false; // partial layer progress is discarded
@@ -879,11 +875,10 @@ Soc::gridCeil(Cycles t) const
 }
 
 void
-Soc::beginRun(Cycles max_cycles)
+Soc::beginRun()
 {
     if (!sorted_)
         sortArrivals();
-    run_max_cycles_ = max_cycles == 0 ? cfg_.maxCycles : max_cycles;
     if (!began_) {
         next_sched_tick_ = 0;
         began_ = true;
@@ -952,9 +947,9 @@ Soc::stepOnce(Cycles horizon)
         panic("stepOnce: now=%llu is at/past horizon %llu",
               static_cast<unsigned long long>(now_),
               static_cast<unsigned long long>(horizon));
-    if (now_ > run_max_cycles_)
+    if (now_ > cfg_.maxCycles)
         fatal("simulation exceeded %llu cycles; policy deadlock?",
-              static_cast<unsigned long long>(run_max_cycles_));
+              static_cast<unsigned long long>(cfg_.maxCycles));
 
     step(horizon);
     return !allDone();
@@ -964,7 +959,7 @@ void
 Soc::advanceTo(Cycles horizon)
 {
     // kNoHorizon flows through every min() clamp without ever
-    // binding (now() is bounded by run_max_cycles_ ~ 1e12), so
+    // binding (now() is bounded by cfg.maxCycles ~ 1e12), so
     // draining to completion takes the bounded code path.
     while (!allDone() && now_ < horizon)
         stepOnce(horizon);
@@ -1008,9 +1003,9 @@ Soc::finishRun()
 }
 
 void
-Soc::run(Cycles max_cycles)
+Soc::run()
 {
-    beginRun(max_cycles);
+    beginRun();
     advanceTo(kNoHorizon);
     finishRun();
 }

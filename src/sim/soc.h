@@ -100,12 +100,9 @@ class Soc
     /** Queue a job for dispatch at spec.dispatch. */
     void addJob(const JobSpec &spec);
 
-    /**
-     * Run until every job has completed.
-     * @param max_cycles safety limit; fatal when exceeded (deadlock
-     *        in a policy).  0 uses cfg.maxCycles.
-     */
-    void run(Cycles max_cycles = 0);
+    /** Run until every job has completed; fatal once simulated time
+     *  exceeds cfg.maxCycles (deadlock in a policy). */
+    void run();
 
     // --- Resumable stepping (cluster co-simulation) -------------------
     //
@@ -118,9 +115,8 @@ class Soc
     // a 1-SoC cluster replays the single-SoC simulation
     // bit-identically.
 
-    /** Prepare for stepping: sort arrivals, arm the scheduler tick.
-     *  @param max_cycles as for run(); 0 uses cfg.maxCycles. */
-    void beginRun(Cycles max_cycles = 0);
+    /** Prepare for stepping: sort arrivals, arm the scheduler tick. */
+    void beginRun();
 
     /**
      * Execute one step (one demand/arbitrate/advance round, or one
@@ -215,15 +211,12 @@ class Soc
     /** Running job count (no copy; dispatcher feedback). */
     std::size_t runningCount() const { return running_ids_.size(); }
     /**
-     * Change epoch of the waiting set: bumped whenever membership
-     * changes.  Policies can memoize derived per-waiting-set state
-     * across scheduling points whose epoch is unchanged (MoCA's
-     * running-set mix bias uses the running twin below; its admit
-     * queue is cached per job id instead, so it needs no epoch).
+     * Change epoch of the running set: bumped whenever membership
+     * changes and when a running job's tile allocation changes
+     * (resizeJob).  Policies can memoize derived per-running-set
+     * state across scheduling points whose epoch is unchanged
+     * (MoCA's running-set mix bias).
      */
-    std::uint64_t waitingEpoch() const { return waiting_epoch_; }
-    /** Change epoch of the running set; also bumped when a running
-     *  job's tile allocation changes (resizeJob). */
     std::uint64_t runningEpoch() const { return running_epoch_; }
     /** Tiles not allocated to any running job. */
     int freeTiles() const;
@@ -320,8 +313,6 @@ class Soc
     Cycles next_sched_tick_ = 0;
     bool sorted_ = false;
     bool began_ = false;       ///< beginRun() has armed the stepping.
-    Cycles run_max_cycles_ = 0; ///< Deadlock bound of the current run.
-    std::uint64_t waiting_epoch_ = 0; ///< See waitingEpoch().
     std::uint64_t running_epoch_ = 0; ///< See runningEpoch().
 
     /** Validate a job's id and model, then append its records. */

@@ -12,12 +12,16 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <type_traits>
 #include <unistd.h>
 
 #include "common/argparse.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/spec_registry.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -300,6 +304,97 @@ TEST(Units, CeilDiv)
     EXPECT_EQ(ceilDiv(10, 3), 4);
     EXPECT_EQ(ceilDiv(9, 3), 3);
     EXPECT_EQ(ceilDiv<std::uint64_t>(1, 256), 1u);
+}
+
+// --- SpecRegistry ------------------------------------------------------
+
+/** A product built against a two-part context, to check that make()
+ *  forwards the context to the factory. */
+struct Widget
+{
+    int size = 0;
+    std::string label;
+    std::string spec;
+};
+
+using WidgetRegistry = SpecRegistry<Widget, int, const std::string &>;
+
+WidgetRegistry::Info
+widgetInfo(const std::string &name)
+{
+    return {name, "test widget", {{"k", "int", "0", "a knob"}},
+            [](int size, const std::string &label, const Spec &spec) {
+                return std::make_unique<Widget>(
+                    Widget{size, label, spec.canonical()});
+            }};
+}
+
+TEST(SpecRegistry, MakeForwardsContextAndSpec)
+{
+    WidgetRegistry reg("widget", "widgets", "list-widgets", "widget");
+    reg.add(widgetInfo("w"));
+    const auto w = reg.make("w:k=3", 7, "seven");
+    EXPECT_EQ(w->size, 7);
+    EXPECT_EQ(w->label, "seven");
+    EXPECT_EQ(w->spec, "w:k=3");
+    EXPECT_EQ(reg.names(), (std::vector<std::string>{"w"}));
+    EXPECT_STREQ(reg.listFlag(), "list-widgets");
+    EXPECT_STREQ(reg.selectFlag(), "widget");
+}
+
+TEST(SpecRegistry, ValidateTrialBuildsOnlyWithATrialContext)
+{
+    int builds = 0;
+    auto counting = [&builds](const std::string &name) {
+        auto info = widgetInfo(name);
+        info.factory = [&builds](int size, const std::string &label,
+                                 const Spec &spec) {
+            ++builds;
+            return std::make_unique<Widget>(
+                Widget{size, label, spec.canonical()});
+        };
+        return info;
+    };
+    WidgetRegistry structural("widget", "widgets", "list-widgets",
+                              "widget");
+    structural.add(counting("w"));
+    structural.validate("w:k=1");
+    EXPECT_EQ(builds, 0);
+
+    WidgetRegistry trial("widget", "widgets", "list-widgets", "widget",
+                         std::make_tuple(1, std::string("trial")));
+    trial.add(counting("w"));
+    trial.validate("w:k=1");
+    EXPECT_EQ(builds, 1);
+}
+
+TEST(SpecRegistryDeathTest, RegistrationErrorsAreFatal)
+{
+    WidgetRegistry reg("widget", "widgets", "list-widgets", "widget");
+    EXPECT_DEATH(reg.add(widgetInfo("")),
+                 "cannot register a widget with an empty name");
+    for (const char *bad : {"a:b", "a,b", "a=b"})
+        EXPECT_DEATH(reg.add(widgetInfo(bad)),
+                     "may not contain ':', ',' or '='");
+    auto no_factory = widgetInfo("bare");
+    no_factory.factory = nullptr;
+    EXPECT_DEATH(reg.add(no_factory),
+                 "widget 'bare' registered without a factory");
+    reg.add(widgetInfo("w"));
+    EXPECT_DEATH(reg.add(widgetInfo("w")),
+                 "widget 'w' is already registered");
+}
+
+TEST(SpecRegistryDeathTest, LookupErrorsNameTheRegistry)
+{
+    WidgetRegistry reg("widget", "widgets", "list-widgets", "widget");
+    reg.add(widgetInfo("gadget"));
+    EXPECT_DEATH((void)reg.make("gadgt", 1, "x"),
+                 "unknown widget 'gadgt' \\(did you mean 'gadget'\\?\\); "
+                 "known widgets: gadget \\(run with --list-widgets");
+    EXPECT_DEATH(reg.validate("gadget:q=1"),
+                 "widget 'gadget' has no parameter 'q'; declared "
+                 "parameters: k");
 }
 
 } // namespace

@@ -56,7 +56,7 @@ TEST(Errors, TileOverAllocationPanics)
     sim::Soc soc(cfg, policy);
     soc.addJob(spec(0, dnn::ModelId::Kws));
     soc.addJob(spec(1, dnn::ModelId::Kws));
-    soc.run(0); // completes both; but manual misuse must still trap
+    soc.run(); // completes both; but manual misuse must still trap
     EXPECT_DEATH(soc.startJob(0, 1), "not startable");
 }
 

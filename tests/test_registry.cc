@@ -60,12 +60,12 @@ TEST(PolicySpec, MalformedSpecsDie)
 TEST(PolicyList, SplitsSpecsAndContinuationParams)
 {
     const auto specs =
-        splitPolicyList("moca:tick=2048,threshold=fixed,prema");
+        splitSpecList("moca:tick=2048,threshold=fixed,prema", "--policy");
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0], "moca:tick=2048,threshold=fixed");
     EXPECT_EQ(specs[1], "prema");
 
-    const auto plain = splitPolicyList("moca,prema");
+    const auto plain = splitSpecList("moca,prema", "--policy");
     ASSERT_EQ(plain.size(), 2u);
     EXPECT_EQ(plain[0], "moca");
     EXPECT_EQ(plain[1], "prema");

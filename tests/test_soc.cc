@@ -194,7 +194,7 @@ TEST(Soc, FreeTileAccounting)
     soc.addJob(spec(0, dnn::ModelId::Kws));
     soc.addJob(spec(1, dnn::ModelId::Kws));
     // After starting two 3-tile jobs, 2 tiles remain.
-    soc.run(0);
+    soc.run();
     EXPECT_EQ(soc.freeTiles(), cfg.numTiles);
     EXPECT_EQ(soc.results().size(), 2u);
 }
