@@ -146,10 +146,11 @@ class ParallelEngine
 
     /**
      * Swap the occupant of slot `soc_idx` (e.g. a recovered SoC
-     * replacing a failed one's frozen simulator).  The new SoC must
-     * outlive the engine like the originals; shard layout is
-     * untouched — slots, not SoC objects, are sharded.  Coordinator-
-     * only, between epochs.
+     * replacing a failed one's frozen simulator).  The engine never
+     * touches the old occupant again, so the caller may free it; the
+     * new SoC must live as long as it occupies the slot.  Shard
+     * layout is untouched — slots, not SoC objects, are sharded.
+     * Coordinator-only, between epochs.
      */
     void replaceSoc(std::size_t soc_idx, sim::Soc *soc);
 

@@ -67,13 +67,46 @@ enum class SlotState
     Failed,   ///< Frozen in the engine; queue lost.
 };
 
-/** One fleet slot and its SoC incarnations (failures swap in fresh
- *  SoCs; old incarnations stay frozen but keep their results). */
+/** What a slot's SoC incarnations add up to, folded in boot order. */
+struct SlotTotals
+{
+    std::vector<sim::JobResult> results;
+    std::vector<sim::TraceEvent> events; ///< Under capture only.
+    std::uint64_t steps = 0;
+    double busyCycles = 0.0; ///< Sum of dramBusyFraction x cycles.
+    Cycles cycles = 0;
+
+    /** Finish `soc`'s run and add what it produced. */
+    void fold(sim::Soc &soc, bool capture)
+    {
+        soc.finishRun();
+        results.insert(results.end(), soc.results().begin(),
+                       soc.results().end());
+        steps += soc.stats().quanta;
+        busyCycles += soc.stats().dramBusyFraction *
+            static_cast<double>(soc.stats().cyclesSimulated);
+        cycles += soc.stats().cyclesSimulated;
+        if (capture) {
+            // Every incarnation's events carry the slot's socId; the
+            // exporter merges them onto one slot track.
+            const auto &ev = soc.trace().events();
+            events.insert(events.end(), ev.begin(), ev.end());
+        }
+    }
+};
+
+/** One fleet slot: its live SoC incarnation, plus the totals of the
+ *  incarnations a failure retired (a reboot folds the dead SoC into
+ *  `retired` and frees it, so memory is bounded by the live fleet). */
 struct Slot
 {
     SlotState state = SlotState::Up;
-    std::vector<std::unique_ptr<sim::Policy>> policies;
-    std::vector<std::unique_ptr<sim::Soc>> socs;
+    // The policy is declared first so the SoC referencing it dies
+    // first.
+    std::unique_ptr<sim::Policy> policy;
+    std::unique_ptr<sim::Soc> soc;
+    int boots = 0;
+    SlotTotals retired;
     /** Live incarnation: dense job id -> request id. */
     std::vector<int> jobReq;
     /** Live incarnation: harvested-results cursor. */
@@ -81,11 +114,9 @@ struct Slot
     int placed = 0;
     double outstandingMacs = 0.0;
 
-    sim::Soc &live() { return *socs.back(); }
-    int incarnation() const
-    {
-        return static_cast<int>(socs.size()) - 1;
-    }
+    sim::Soc &live() { return *soc; }
+    const sim::Soc &live() const { return *soc; }
+    int incarnation() const { return boots - 1; }
 };
 
 /** Front-end progress of one request. */
@@ -321,15 +352,21 @@ void
 ServeDriver::bootSoc(std::size_t slot_idx)
 {
     Slot &slot = slots_[slot_idx];
+    if (slot.soc) {
+        // Retire the previous incarnation: keep what it produced,
+        // free the simulator (before the policy it references).
+        slot.retired.fold(*slot.soc, cfg_.capture != nullptr);
+        slot.soc.reset();
+    }
     sim::SocConfig soc_cfg = slotCfgs_[slot_idx];
     soc_cfg.socId = static_cast<int>(slot_idx);
-    slot.policies.push_back(
-        exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg));
-    slot.socs.push_back(
-        std::make_unique<sim::Soc>(soc_cfg, *slot.policies.back()));
+    slot.policy =
+        exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg);
+    slot.soc = std::make_unique<sim::Soc>(soc_cfg, *slot.policy);
+    slot.boots++;
     if (cfg_.capture)
-        slot.socs.back()->trace().enable();
-    slot.socs.back()->beginRun();
+        slot.soc->trace().enable();
+    slot.soc->beginRun();
     slot.jobReq.clear();
     slot.seen = 0;
 }
@@ -380,9 +417,9 @@ void
 ServeDriver::harvest()
 {
     // Completions are consumed in slot-index order from each slot's
-    // *live* incarnation (frozen pre-failure incarnations can never
-    // produce new results), so reaction order is a pure function of
-    // fleet state — never of PDES worker timing.
+    // live incarnation (retired ones produce no new results), so
+    // reaction order is a pure function of fleet state — never of
+    // PDES worker timing.
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         Slot &slot = slots_[i];
         const auto &results = slot.live().results();
@@ -443,7 +480,7 @@ ServeDriver::upLoads() const
         const Slot &slot = slots_[i];
         if (slot.state != SlotState::Up)
             continue;
-        const sim::Soc &soc = *slot.socs.back();
+        const sim::Soc &soc = slot.live();
         cluster::SocLoad l;
         l.socIdx = static_cast<int>(i);
         l.now = soc.now();
@@ -707,9 +744,10 @@ ServeDriver::handleRecover(int slot_idx)
         panic("recovering slot %d that is not Failed", slot_idx);
     res_.recoverEvents++;
     captureEvent(sim::TraceEventKind::SocRecover, slot_idx);
-    // Reboot: a fresh SoC (and fresh policy state) joins the slot.
-    // Its clock starts at 0 with nothing queued, so it is done() and
-    // makes no epoch run until placed on.
+    // Reboot: a fresh SoC (and fresh policy state) replaces the
+    // failed one, which bootSoc retires.  Its clock starts at 0 with
+    // nothing queued, so it is done() and makes no epoch run until
+    // placed on.
     bootSoc(static_cast<std::size_t>(slot_idx));
     engine_->replaceSoc(static_cast<std::size_t>(slot_idx),
                         &slot.live());
@@ -726,8 +764,8 @@ ServeDriver::handleScaleTick()
     for (const Slot &slot : slots_)
         if (slot.state == SlotState::Up)
             outstanding += static_cast<long>(
-                slot.socs.back()->waitingCount() +
-                slot.socs.back()->runningCount());
+                slot.live().waitingCount() +
+                slot.live().runningCount());
     switch (autoscaler_.evaluate(upCount_, outstanding)) {
       case ScaleAction::None:
         break;
@@ -839,34 +877,22 @@ ServeDriver::finalize()
 
         // Aggregate the slot across its incarnations: every
         // completion ran on real fleet capacity, orphan or not.
-        std::vector<sim::JobResult> all;
-        double busy_weighted = 0.0;
-        Cycles cycles = 0;
-        for (auto &soc : slot.socs) {
-            soc->finishRun();
-            all.insert(all.end(), soc->results().begin(),
-                       soc->results().end());
-            share.simSteps += soc->stats().quanta;
-            busy_weighted += soc->stats().dramBusyFraction *
-                static_cast<double>(soc->stats().cyclesSimulated);
-            cycles += soc->stats().cyclesSimulated;
-            if (cfg_.capture) {
-                // Every incarnation's events carry the slot's socId;
-                // the exporter merges them onto one slot track.
-                const auto &events = soc->trace().events();
-                cfg_.capture->socEvents.insert(
-                    cfg_.capture->socEvents.end(), events.begin(),
-                    events.end());
-            }
-        }
+        SlotTotals &all = slot.retired;
+        all.fold(slot.live(), cfg_.capture != nullptr);
+        if (cfg_.capture)
+            cfg_.capture->socEvents.insert(
+                cfg_.capture->socEvents.end(), all.events.begin(),
+                all.events.end());
+        share.simSteps = all.steps;
         sampled = sampled || slot.live().sampler() != nullptr;
-        completed += all.size();
+        completed += all.results.size();
         share.metrics = metrics::computeMetrics(
-            all, [&](dnn::ModelId id) { return isoLatency(i, id); });
-        share.dramBusyFraction = cycles > 0
-            ? busy_weighted / static_cast<double>(cycles)
+            all.results,
+            [&](dnn::ModelId id) { return isoLatency(i, id); });
+        share.dramBusyFraction = all.cycles > 0
+            ? all.busyCycles / static_cast<double>(all.cycles)
             : 0.0;
-        for (const auto &jr : all)
+        for (const auto &jr : all.results)
             share.makespan = std::max(share.makespan, jr.finish);
         out.simSteps += share.simSteps;
         out.stp += share.metrics.stp;

@@ -24,8 +24,10 @@
  * Capacity churn.  A fleet slot is Up (taking placements), Draining
  * (autoscaled down: no new placements, running work finishes), or
  * Failed (frozen in the engine; its queue is lost).  Recovery swaps
- * a *fresh* SoC into the slot.  The dispatcher and admission policy
- * only ever see the Up slots.
+ * a *fresh* SoC into the slot; the failed one's results, steps,
+ * DRAM-busy time and trace events are folded into the slot and its
+ * simulator is freed.  The dispatcher and admission policy only ever
+ * see the Up slots.
  *
  * Open loop.  runCluster replaces the client pool with its task
  * stream: fixed arrival cycles, no think time, no timeouts, no

@@ -16,6 +16,17 @@ namespace {
 constexpr double kInf = 1e30;
 constexpr Cycles kNoArrival = std::numeric_limits<Cycles>::max();
 
+/** Reserve room for at least `n` elements, at least doubling the
+ *  capacity when it must grow: one-at-a-time growth (a stream of
+ *  injectJob calls) then reallocates O(log n) times, not n times. */
+template <typename T>
+void
+reserveGeometric(std::vector<T> &v, std::size_t n)
+{
+    if (v.capacity() < n)
+        v.reserve(std::max(n, 2 * v.capacity()));
+}
+
 } // anonymous namespace
 
 void
@@ -899,10 +910,10 @@ Soc::reserveRunState()
     const std::size_t nj = jobs_.size();
     const std::size_t nr = static_cast<std::size_t>(
         std::max(1, cfg_.numTiles));
-    waiting_ids_.reserve(nj);
+    reserveGeometric(waiting_ids_, nj);
     waiting_pos_.resize(nj, -1);
-    running_ids_.reserve(nj);
-    results_.reserve(nj);
+    reserveGeometric(running_ids_, nj);
+    reserveGeometric(results_, nj);
     probe_scratch_.reserve(nr);
     entries_scratch_.reserve(nr);
     requests_scratch_.reserve(nr);
@@ -983,8 +994,8 @@ Soc::injectJob(const JobSpec &spec)
     // Injections arrive in nondecreasing dispatch order, so the
     // sorted arrival order is maintained by appending.
     arrival_order_.push_back(spec.id);
-    // The job count grew: re-derive the arena bounds (capacity only
-    // ever grows, so steady-state injections are no-ops here).
+    // The job count grew: re-derive the arena bounds.  They grow
+    // geometrically, so most injections find room already.
     reserveRunState();
     debugCaptureCapacities();
 }

@@ -517,7 +517,8 @@ class Soc
     std::vector<std::size_t> debug_caps_;
 #endif
     /** Reserve id sets, results, and per-step scratch from the job
-     *  count and tile count so the hot loop never grows a vector. */
+     *  count and tile count so the hot loop never grows a vector.
+     *  The job-count buffers grow geometrically across injections. */
     void reserveRunState();
     /** Capacities of the buffers reserveRunState() sizes. */
     std::vector<std::size_t> runStateCapacities() const;

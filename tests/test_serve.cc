@@ -6,14 +6,18 @@
  * across PDES worker counts (failures and admission control
  * included), the forced-timeout retry path, the autoscaler's
  * drain-never-loses-work invariant, mid-run SoC fail/recover on both
- * time-advance kernels and both in-flight policies, and goodput
+ * time-advance kernels and both in-flight policies, retired SoC
+ * incarnations keeping their results and trace events, and goodput
  * wiring through cluster::runCluster.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/cluster.h"
 #include "exp/oracle.h"
+#include "obs/capture.h"
 #include "serve/serve.h"
 
 using namespace moca;
@@ -374,6 +378,49 @@ TEST(Serve, FailRecoverMidRunBothKernelsBothPolicies)
                 EXPECT_EQ(r.requeued, 0u);
             }
         }
+    }
+}
+
+TEST(Serve, RetiredIncarnationsKeepTheirResultsAndEvents)
+{
+    // A high failure rate reboots slots many times over; each reboot
+    // folds the dead SoC into its slot and frees it.  Its completions,
+    // trace events and metrics must all survive that.
+    ServeConfig sc = testServe(3, 6, 4);
+    sc.failures.rate = 8000.0;
+    sc.failures.meanDowntime = 1e5;
+    const ServeResult plain = serve::runServe(sc);
+    obs::Capture capture;
+    sc.capture = &capture;
+    const ServeResult traced = serve::runServe(sc);
+    expectAccountingInvariants(traced);
+    expectIdentical(plain, traced);
+    ASSERT_GT(traced.recoverEvents, 3u);
+
+    std::uint64_t num_jobs = 0;
+    for (const auto &share : traced.cluster.perSoc)
+        num_jobs += static_cast<std::uint64_t>(share.metrics.numJobs);
+    const auto completed = static_cast<std::uint64_t>(std::count_if(
+        capture.socEvents.begin(), capture.socEvents.end(),
+        [](const sim::TraceEvent &e) {
+            return e.kind == sim::TraceEventKind::JobCompleted;
+        }));
+    EXPECT_EQ(completed, traced.attempts - traced.lostJobs);
+    EXPECT_EQ(num_jobs, completed);
+    EXPECT_EQ(capture.frontend.count(sim::TraceEventKind::SocRecover),
+              traced.recoverEvents);
+
+    for (std::size_t i = 0; i < plain.cluster.perSoc.size(); ++i) {
+        const auto &a = plain.cluster.perSoc[i];
+        const auto &b = traced.cluster.perSoc[i];
+        EXPECT_EQ(a.metrics.numJobs, b.metrics.numJobs) << i;
+        EXPECT_EQ(a.metrics.slaRate, b.metrics.slaRate) << i;
+        EXPECT_EQ(a.metrics.stp, b.metrics.stp) << i;
+        EXPECT_EQ(a.metrics.fairness, b.metrics.fairness) << i;
+        EXPECT_EQ(a.metrics.meanNormLatency,
+                  b.metrics.meanNormLatency)
+            << i;
+        EXPECT_EQ(a.dramBusyFraction, b.dramBusyFraction) << i;
     }
 }
 

@@ -389,5 +389,30 @@ TEST(Soc, IdleGapStopsAtHorizonAndKeepsTickGrid)
     }
 }
 
+// --- A long-lived fleet SoC grows its arena geometrically ---------------
+
+TEST(Soc, InjectionsGrowRunStateGeometrically)
+{
+    // A fleet SoC takes its jobs one injection at a time.  An exact
+    // reserve per injection would copy every result on each one.
+    SocConfig cfg;
+    exp::SoloPolicy policy(cfg.numTiles);
+    Soc soc(cfg, policy);
+    soc.beginRun();
+    constexpr int kJobs = 2000;
+    std::size_t capacity = soc.results().capacity();
+    int changes = 0;
+    for (int i = 0; i < kJobs; ++i) {
+        soc.injectJob(
+            spec(i, dnn::ModelId::Kws, static_cast<Cycles>(i)));
+        if (soc.results().capacity() != capacity) {
+            capacity = soc.results().capacity();
+            ++changes;
+        }
+    }
+    EXPECT_GE(capacity, static_cast<std::size_t>(kJobs));
+    EXPECT_LE(changes, 16);
+}
+
 } // namespace
 } // namespace moca::sim
