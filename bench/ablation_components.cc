@@ -17,6 +17,8 @@
  *                            [qos=l|m|h] [--policy SPEC[,SPEC...]]
  *                            [--list-policies] [--jobs N]
  *                            [--csv PATH] [--json PATH]
+ *
+ * Any other `set=` or `qos=` value is fatal.
  */
 
 #include <cstdio>
@@ -51,14 +53,9 @@ main(int argc, char **argv)
     workload::TraceConfig trace;
     trace.numTasks = static_cast<int>(args.getInt("tasks", 200));
     trace.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const std::string set = args.getString("set", "c");
-    trace.set = set == "a" ? workload::WorkloadSet::A
-        : set == "b" ? workload::WorkloadSet::B
-                     : workload::WorkloadSet::C;
-    const std::string qos = args.getString("qos", "m");
-    trace.qos = qos == "l" ? workload::QosLevel::Light
-        : qos == "h" ? workload::QosLevel::Hard
-                     : workload::QosLevel::Medium;
+    trace.set =
+        workload::workloadSetFromName(args.getString("set", "c"));
+    trace.qos = workload::qosLevelFromName(args.getString("qos", "m"));
 
     std::printf("== MoCA component ablation (%s, %s, tasks=%d, "
                 "seed=%llu) ==\n\n",

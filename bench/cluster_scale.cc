@@ -20,7 +20,9 @@
  * workers (cluster/parallel.h); every emitted number is bit-identical
  * for every N, which CI gates by byte-diffing the `timing=0` JSON of
  * `--cluster-jobs 1` vs `--cluster-jobs 4`.  (`--jobs` parallelizes
- * across grid cells as everywhere else; the two compose.)
+ * across grid cells as everywhere else; the two compose.)  These
+ * fleet flags, the cell loop, the telemetry export and the `timing=1`
+ * phase report are the bench harness's (exp::FleetOptions).
  *
  * Telemetry (src/obs): `--trace-out FILE` exports the *first* grid
  * cell's run as a Chrome trace_event JSON (chrome://tracing /
@@ -52,14 +54,11 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
-#include "common/walltime.h"
 #include "exp/oracle.h"
 #include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
-#include "obs/chrome_trace.h"
-#include "obs/profile.h"
-#include "obs/sampler.h"
+#include "workload/workload.h"
 
 using namespace moca;
 
@@ -68,12 +67,9 @@ namespace {
 std::vector<dnn::ModelId>
 parseMix(const std::string &text)
 {
-    if (text.empty() || text == "c")
-        return dnn::workloadSetC();
-    if (text == "a")
-        return dnn::workloadSetA();
-    if (text == "b")
-        return dnn::workloadSetB();
+    if (text.size() == 1)
+        return workload::workloadSetModels(
+            workload::workloadSetFromName(text));
     if (text == "wide") {
         std::vector<dnn::ModelId> mix = dnn::allModelIds();
         for (dnn::ModelId id : dnn::extensionModelIds())
@@ -105,12 +101,8 @@ int
 main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
-    sim::SocConfig base = exp::socConfigFromArgs(args);
-    // Fleet scale is the point of this bench: default to the event
-    // kernel (stress_scale compares the kernels; here we just want
-    // the fast one) unless the user picked one explicitly.
-    if (!args.has("kernel"))
-        base.kernel = sim::SimKernel::Event;
+    exp::FleetOptions fleet = exp::fleetOptionsFromArgs(args);
+    const sim::SocConfig &base = fleet.soc;
     const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, {"prema", "planaria", "moca"});
     const auto dispatchers =
@@ -127,39 +119,17 @@ main(int argc, char **argv)
     const double load = args.getDouble("load", 0.8);
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
-    const int cluster_jobs =
-        static_cast<int>(args.getInt("cluster-jobs", 1));
-    if (cluster_jobs < 1)
-        fatal("--cluster-jobs %d: the fleet engine needs at least "
-              "one worker", cluster_jobs);
-    // timing=0 zeroes every wall-clock field so two runs that must be
-    // value-identical (e.g. --cluster-jobs 1 vs 4 in CI) emit
-    // byte-identical JSON.
-    const bool timing = args.getBool("timing", true);
-    const bool record_wall =
-        exp::resolveJobs(opts.jobs) == 1 && timing;
-
     // Telemetry export targets the first grid cell only: one capture
     // bag, written by that cell's run alone (never shared).
-    const std::string trace_out = args.getString("trace-out", "");
-    const std::string sample_out = args.getString("sample-out", "");
-    if (!sample_out.empty() && base.sampleEvery == 0) {
-        base.sampleEvery = 100'000;
-        inform("--sample-out without --sample-every: defaulting to "
-               "sampling every %llu cycles",
-               static_cast<unsigned long long>(base.sampleEvery));
-    }
+    const std::string sample_out = exp::sampleOutFromArgs(args, fleet.soc);
     obs::Capture capture;
-    const bool want_capture =
-        !trace_out.empty() || !sample_out.empty();
 
     std::printf("== cluster_scale: fleet co-simulation "
                 "(process=%s load=%.2f seed=%llu jobs=%d "
                 "cluster-jobs=%d) ==\n\n",
                 cluster::arrivalProcessName(process), load,
                 static_cast<unsigned long long>(seed),
-                exp::resolveJobs(opts.jobs), cluster_jobs);
+                exp::resolveJobs(fleet.sweep.jobs), fleet.clusterJobs);
     exp::printSocBanner(base);
 
     // One task stream per fleet size, shared read-only by every
@@ -200,30 +170,24 @@ main(int argc, char **argv)
     }
 
     std::printf("running %zu fleet cells...\n\n", cells.size());
-    const WallTimer total_timer;
-    exp::SweepRunner::runIndexed(
-        cells.size(), opts.jobs, [&](std::size_t i) {
-            Cell &cell = cells[i];
+    const double total_wall = exp::runTimedCells(
+        fleet, cells,
+        [&](Cell &cell, std::size_t i) {
             cluster::ClusterConfig cc =
                 cluster::ClusterConfig::homogeneous(cell.socs, base);
             cc.policy = cell.policy;
             cc.dispatcher = cell.dispatcher;
             cc.dispatcherSeed = seed;
-            cc.jobs = cluster_jobs;
-            cc.profile = record_wall;
-            if (i == 0 && want_capture)
+            cc.jobs = fleet.clusterJobs;
+            cc.profile = fleet.recordWall;
+            if (i == 0 && (!fleet.traceOut.empty() || !sample_out.empty()))
                 cc.capture = &capture;
-            const WallTimer cell_timer;
             cell.result = cluster::runCluster(cc, *cell.stream);
-            cell.wall = cell_timer.seconds();
-            if (opts.verbose)
-                std::printf("  [%zu/%zu] socs=%d %s %s done "
-                            "(%.1f s)\n",
-                            i + 1, cells.size(), cell.socs,
-                            cell.dispatcher.c_str(),
-                            cell.policy.c_str(), cell.wall);
+        },
+        [](const Cell &cell) {
+            return strprintf("socs=%d %s %s", cell.socs,
+                             cell.dispatcher.c_str(), cell.policy.c_str());
         });
-    const double total_wall = total_timer.seconds();
 
     Table t({"socs", "tasks", "dispatcher", "policy", "SLA",
              "SLA-hi", "p50n", "p99n", "STP", "goodput/s",
@@ -245,45 +209,27 @@ main(int argc, char **argv)
             .cell(static_cast<long long>(r.simSteps))
             .cell(static_cast<long long>(r.epochs))
             .cell(static_cast<long long>(r.horizonStalls))
-            .cell(record_wall ? cell.wall : 0.0, 2);
+            .cell(cell.wall, 2);
     }
     t.print("cluster fleet sweep (p50n/p99n: end-to-end latency "
             "normalized to isolated full-SoC latency; epochs/stalls: "
             "PDES barrier epochs and skipped no-activity windows)");
     std::printf("\ntotal wall: %.2f s\n", total_wall);
 
-    if (record_wall) {
+    if (fleet.recordWall) {
         // Where the fleet runs actually spent their wall clock,
-        // summed over all cells (obs/profile.h).
-        obs::PhaseProfiler phases;
-        for (const auto &cell : cells) {
-            phases.add("shard-advance",
-                       cell.result.phases.shardAdvanceSec);
-            phases.add("barrier-wait",
-                       cell.result.phases.barrierWaitSec);
-            phases.add("dispatch", cell.result.phases.dispatchSec);
-        }
-        std::fputs(
-            phases.render("PDES phase profile (all cells)").c_str(),
-            stdout);
+        // summed over all cells.
+        cluster::PhaseBreakdown phases;
+        for (const auto &cell : cells)
+            phases += cell.result.phases;
+        std::fputs(exp::phaseReport("PDES phase profile (all cells)",
+                                    phases, "dispatch")
+                       .c_str(),
+                   stdout);
     }
+    exp::writeFleetTelemetry(fleet.traceOut, sample_out, capture);
 
-    if (!trace_out.empty()) {
-        obs::ChromeTraceWriter writer;
-        writer.addCapture(capture);
-        writer.write(trace_out);
-    }
-    if (!sample_out.empty()) {
-        if (capture.socSeries.empty())
-            warn("--sample-out %s: the run produced no sampled "
-                 "series", sample_out.c_str());
-        else
-            obs::writeTimeseries(capture.socSeries.front(),
-                                 sample_out);
-    }
-
-    const std::string json = args.getString("json", "");
-    if (!json.empty()) {
+    exp::writeJsonDocument(args, [&] {
         std::vector<JsonValue> rows;
         for (const auto &cell : cells) {
             const auto &r = cell.result;
@@ -311,25 +257,22 @@ main(int argc, char **argv)
                  {{"epochs", r.epochs},
                   {"horizon_stalls", r.horizonStalls},
                   {"mean_socs_stepped", jsonFixed(r.meanSocsStepped, 4)},
-                  {"wall_s",
-                   jsonFixed(record_wall ? cell.wall : 0.0, 6)}}},
+                  {"wall_s", jsonFixed(cell.wall, 6)}}},
                 5));
         }
-        const std::string doc = jsonDocument(
+        return jsonDocument(
             {{{"bench", "cluster_scale"}},
              {{"process", cluster::arrivalProcessName(process)}},
              {{"load_factor", jsonFixed(load, 3)}},
              {{"seed", seed}},
              {{"kernel", sim::simKernelName(base.kernel)}},
-             {{"jobs", exp::resolveJobs(opts.jobs)}},
+             {{"jobs", exp::resolveJobs(fleet.sweep.jobs)}},
              {{"cells", jsonArray(rows, 4, 2)}},
              {{"total", jsonObject({{{"wall_s",
-                                      jsonFixed(timing ? total_wall
-                                                       : 0.0,
+                                      jsonFixed(fleet.timing
+                                                    ? total_wall
+                                                    : 0.0,
                                                 6)}}})}}});
-        if (!writeTextFile(json, doc))
-            fatal("cannot write %s", json.c_str());
-        std::printf("wrote %s\n", json.c_str());
-    }
+    });
     return 0;
 }

@@ -202,8 +202,7 @@ main(int argc, char **argv)
     }
     std::printf("total wall: %.2f s\n", wall);
 
-    const std::string json = args.getString("json", "");
-    if (!json.empty()) {
+    exp::writeJsonDocument(args, [&] {
         std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             const auto &r = results[i];
@@ -240,7 +239,7 @@ main(int argc, char **argv)
                                  4)}}}));
             }
         }
-        const std::string doc = jsonDocument(
+        return jsonDocument(
             {{{"bench", "mem_interference"}},
              {{"tasks", tasks}},
              {{"load_factor", jsonFixed(load, 3)}},
@@ -249,9 +248,6 @@ main(int argc, char **argv)
              {{"cells", jsonArray(rows, 4, 2)}},
              {{"margins", jsonArray(margin_rows, 4, 2)}},
              {{"total", jsonObject({{{"wall_s", jsonFixed(wall, 6)}}})}}});
-        if (!writeTextFile(json, doc))
-            fatal("cannot write %s", json.c_str());
-        std::printf("wrote %s\n", json.c_str());
-    }
+    });
     return 0;
 }

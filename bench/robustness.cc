@@ -9,7 +9,8 @@
  * seeded SoC failures into a small closed-loop serving fleet
  * (serve/serve.h) to check the ratios survive capacity churn.  The
  * 34 trace cells of (a)-(c) run as one grid on the sweep engine;
- * the (d) serving cells run on the same runIndexed pool.
+ * the (d) serving cells run on the same runIndexed pool.  Every ratio
+ * is exp::marginRatio over exp::referencePolicy (moca when listed).
  *
  * Usage: robustness [tasks=N] [--policy SPEC[,SPEC...]]
  *                   [--list-policies] [--jobs N] [--csv PATH]
@@ -24,6 +25,7 @@
 #include "common/log.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "exp/matrix.h"
 #include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "serve/serve.h"
@@ -33,8 +35,8 @@ using namespace moca;
 namespace {
 
 /**
- * The reference policy's SLA and its ratio over every other selected
- * policy, from one scenario's consecutive results.
+ * The reference policy's SLA and its margin over every other selected
+ * policy in one scenario; `sla[p]` is the SLA rate of `policies[p]`.
  */
 struct Ratios
 {
@@ -43,22 +45,15 @@ struct Ratios
 };
 
 Ratios
-toRatios(const std::vector<exp::ScenarioResult> &results,
-         std::size_t base, const std::vector<std::string> &policies,
-         const std::string &ref)
+toRatios(const std::vector<double> &sla,
+         const std::vector<std::string> &policies, const std::string &ref)
 {
-    auto sla = [&](const std::string &spec) {
-        for (std::size_t p = 0; p < policies.size(); ++p)
-            if (results[base + p].policy == spec)
-                return std::max(results[base + p].metrics.slaRate,
-                                1e-3);
-        return 1e-3;
-    };
     Ratios r;
-    r.refSla = sla(ref);
-    for (const auto &spec : policies)
-        if (spec != ref)
-            r.vsOthers.push_back(r.refSla / sla(spec));
+    r.refSla = sla[std::find(policies.begin(), policies.end(), ref) -
+                   policies.begin()];
+    for (std::size_t p = 0; p < policies.size(); ++p)
+        if (policies[p] != ref)
+            r.vsOthers.push_back(exp::marginRatio(r.refSla, sla[p], 1e-3));
     return r;
 }
 
@@ -85,11 +80,7 @@ main(int argc, char **argv)
     const int tasks = static_cast<int>(args.getInt("tasks", 150));
     const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, exp::allPolicySpecs());
-    const std::string ref =
-        std::find(policies.begin(), policies.end(), "moca") !=
-            policies.end()
-        ? "moca"
-        : policies.front();
+    const std::string ref = exp::referencePolicy(policies);
 
     std::printf("== Robustness: seeds, arrival processes, reconfig "
                 "granularity (Workload-C QoS-M, tasks=%d) ==\n\n",
@@ -148,13 +139,19 @@ main(int argc, char **argv)
     const exp::SweepRunner runner(opts);
     const auto results = runner.run(grid);
     exp::writeSweepFiles(args, grid, results);
+    // Trace scenario k is results[k * per_scenario ...], policy order.
+    auto scenarioRatios = [&](std::size_t k) {
+        std::vector<double> sla;
+        for (std::size_t p = 0; p < per_scenario; ++p)
+            sla.push_back(results[k * per_scenario + p].metrics.slaRate);
+        return toRatios(sla, policies, ref);
+    };
 
     {
         Table t(ratioHeader("Seed", policies, ref));
         StatAccum first_ratio;
         for (std::size_t s = 0; s < seeds.size(); ++s) {
-            const Ratios r =
-                toRatios(results, s * per_scenario, policies, ref);
+            const Ratios r = scenarioRatios(s);
             if (!r.vsOthers.empty())
                 first_ratio.add(r.vsOthers.front());
             t.row().cell(static_cast<long long>(seeds[s]))
@@ -173,10 +170,8 @@ main(int argc, char **argv)
 
     {
         Table t(ratioHeader("Arrivals", policies, ref));
-        const std::size_t base = seeds.size() * per_scenario;
         for (std::size_t p = 0; p < patterns.size(); ++p) {
-            const Ratios r = toRatios(
-                results, base + p * per_scenario, policies, ref);
+            const Ratios r = scenarioRatios(seeds.size() + p);
             t.row().cell(workload::arrivalPatternName(patterns[p]))
                 .cell(r.refSla, 3);
             for (double v : r.vsOthers)
@@ -221,33 +216,24 @@ main(int argc, char **argv)
                 serve_results[i] = serve::runServe(sc);
             });
 
-        auto sla = [&](std::size_t fr, const std::string &spec) {
-            for (std::size_t p = 0; p < policies.size(); ++p)
-                if (policies[p] == spec)
-                    return std::max(
-                        serve_results[fr * policies.size() + p]
-                            .cluster.slaRate,
-                        1e-3);
-            return 1e-3;
-        };
         std::vector<std::string> header =
             ratioHeader("Failures/Gcyc", policies, ref);
         header.push_back("fail events");
         header.push_back("requeued");
         Table t(header);
         for (std::size_t fr = 0; fr < fail_rates.size(); ++fr) {
-            const double ref_sla = sla(fr, ref);
-            t.row().cell(fail_rates[fr], 0).cell(ref_sla, 3);
-            for (const auto &spec : policies)
-                if (spec != ref)
-                    t.cell(ref_sla / sla(fr, spec), 2);
+            std::vector<double> sla;
             std::uint64_t fails = 0, requeued = 0;
             for (std::size_t p = 0; p < policies.size(); ++p) {
-                fails += serve_results[fr * policies.size() + p]
-                             .failEvents;
-                requeued += serve_results[fr * policies.size() + p]
-                                .requeued;
+                const auto &sr = serve_results[fr * policies.size() + p];
+                sla.push_back(sr.cluster.slaRate);
+                fails += sr.failEvents;
+                requeued += sr.requeued;
             }
+            const Ratios r = toRatios(sla, policies, ref);
+            t.row().cell(fail_rates[fr], 0).cell(r.refSla, 3);
+            for (double v : r.vsOthers)
+                t.cell(v, 2);
             t.cell(static_cast<long long>(fails))
                 .cell(static_cast<long long>(requeued));
         }

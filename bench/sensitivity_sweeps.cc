@@ -26,6 +26,7 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "exp/matrix.h"
 #include "exp/registry.h"
 #include "exp/sweep/options.h"
 
@@ -78,7 +79,7 @@ printSweepTable(const std::string &title, const std::string &axis,
         p.staticStp = results[i + 1].metrics.stp;
         t.row().cell(p.axisValue).cell(p.mocaSla, 3)
             .cell(p.staticSla, 3)
-            .cell(p.mocaSla / std::max(p.staticSla, 1e-3), 2)
+            .cell(exp::marginRatio(p.mocaSla, p.staticSla, 1e-3), 2)
             .cell(p.mocaStp, 2).cell(p.staticStp, 2);
     }
     t.print(title);

@@ -22,7 +22,9 @@
  * `--cluster-jobs N` shards the fleet across N conservative-PDES
  * workers; every emitted number is bit-identical for every N — CI
  * gates this by byte-diffing the `timing=0` JSON of `--cluster-jobs
- * 1` vs `4`, failure injection included.
+ * 1` vs `4`, failure injection included.  The fleet flags, cell loop,
+ * telemetry export and phase report are cluster_scale's too (the
+ * bench harness, exp::FleetOptions).
  *
  * Telemetry (src/obs): `--trace-out FILE` exports one cell as a
  * Chrome trace_event JSON — SoC job spans, PDES epoch spans, and
@@ -47,7 +49,6 @@
  *                   [kernel=quantum|event] ...
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,12 +58,10 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
-#include "common/walltime.h"
+#include "exp/matrix.h"
 #include "exp/registry.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
-#include "obs/chrome_trace.h"
-#include "obs/profile.h"
 #include "serve/admission.h"
 #include "serve/serve.h"
 
@@ -97,11 +96,8 @@ int
 main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
-    sim::SocConfig base = exp::socConfigFromArgs(args);
-    // The closed loop re-plans at every harvest boundary; default to
-    // the event kernel like the other fleet-scale benches.
-    if (!args.has("kernel"))
-        base.kernel = sim::SimKernel::Event;
+    const exp::FleetOptions fleet = exp::fleetOptionsFromArgs(args);
+    const sim::SocConfig &base = fleet.soc;
     const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, {"prema", "planaria", "moca"});
     const auto dispatchers =
@@ -133,18 +129,6 @@ main(int argc, char **argv)
         args.getInt("control-quantum", 50'000));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
-    const int cluster_jobs =
-        static_cast<int>(args.getInt("cluster-jobs", 1));
-    if (cluster_jobs < 1)
-        fatal("--cluster-jobs %d: the fleet engine needs at least "
-              "one worker", cluster_jobs);
-    // timing=0 zeroes every wall-clock field so two runs that must
-    // be value-identical (--cluster-jobs 1 vs 4 in CI) emit
-    // byte-identical JSON.
-    const bool timing = args.getBool("timing", true);
-    const bool record_wall =
-        exp::resolveJobs(opts.jobs) == 1 && timing;
 
     std::printf("== serve_loop: closed-loop serving "
                 "(socs=%d rpc=%d outstanding=%d timeout-scale=%.1f "
@@ -153,7 +137,7 @@ main(int argc, char **argv)
                 socs, rpc, outstanding, timeout_scale,
                 serve::inflightPolicyName(inflight),
                 static_cast<unsigned long long>(seed),
-                exp::resolveJobs(opts.jobs), cluster_jobs);
+                exp::resolveJobs(fleet.sweep.jobs), fleet.clusterJobs);
     exp::printSocBanner(base);
 
     std::vector<Scenario> scenarios;
@@ -201,7 +185,7 @@ main(int argc, char **argv)
                 sc.dispatcher = dispatcher;
                 sc.admission = s.admission;
                 sc.dispatcherSeed = seed;
-                sc.jobs = cluster_jobs;
+                sc.jobs = fleet.clusterJobs;
                 sc.controlQuantum = quantum;
                 sc.clients.numClients = s.clients;
                 sc.clients.maxOutstanding = outstanding;
@@ -215,7 +199,7 @@ main(int argc, char **argv)
                 sc.failures.inflight = inflight;
                 sc.failures.seed = seed + 6;
                 sc.autoscaler.enabled = autoscale;
-                sc.profile = record_wall;
+                sc.profile = fleet.recordWall;
                 cell.cfg = sc;
                 cells.push_back(std::move(cell));
             }
@@ -225,10 +209,9 @@ main(int argc, char **argv)
     // Telemetry export: one capture bag on the first cell whose
     // scenario injects failures (the interesting timeline), else
     // cell 0; written by that cell's coordinator alone.
-    const std::string trace_out = args.getString("trace-out", "");
     obs::Capture capture;
     std::size_t capture_idx = cells.size();
-    if (!trace_out.empty() && !cells.empty()) {
+    if (!fleet.traceOut.empty() && !cells.empty()) {
         capture_idx = 0;
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (cells[i].cfg.failures.rate > 0.0) {
@@ -240,23 +223,17 @@ main(int argc, char **argv)
     }
 
     std::printf("running %zu serving cells...\n\n", cells.size());
-    const WallTimer total_timer;
-    exp::SweepRunner::runIndexed(
-        cells.size(), opts.jobs, [&](std::size_t i) {
-            Cell &cell = cells[i];
-            const WallTimer cell_timer;
+    const double total_wall = exp::runTimedCells(
+        fleet, cells,
+        [](Cell &cell, std::size_t) {
             cell.result = serve::runServe(cell.cfg);
-            cell.wall = cell_timer.seconds();
-            if (opts.verbose)
-                std::printf("  [%zu/%zu] %s %s %s %s done "
-                            "(%.1f s)\n",
-                            i + 1, cells.size(),
-                            cell.family.c_str(),
-                            cell.scenario.c_str(),
-                            cell.dispatcher.c_str(),
-                            cell.policy.c_str(), cell.wall);
+        },
+        [](const Cell &cell) {
+            return strprintf("%s %s %s %s", cell.family.c_str(),
+                             cell.scenario.c_str(),
+                             cell.dispatcher.c_str(),
+                             cell.policy.c_str());
         });
-    const double total_wall = total_timer.seconds();
 
     Table t({"family", "scenario", "dispatcher", "policy", "SLA",
              "goodput/s", "succ", "shed", "retry", "tmo", "p99n",
@@ -278,7 +255,7 @@ main(int argc, char **argv)
             .cell(r.clientLatency.p99 / 1e6, 2)
             .cell(r.meanUpSocs, 2)
             .cell(static_cast<long long>(r.failEvents))
-            .cell(record_wall ? cell.wall : 0.0, 2);
+            .cell(cell.wall, 2);
     }
     t.print("closed-loop serving sweep (SLA/goodput count "
             "client-observed responses only; shed/retry/tmo are the "
@@ -286,13 +263,7 @@ main(int argc, char **argv)
             "latency incl. backoff)");
 
     // ---- reference-vs-baseline margins per scenario -----------------
-    const std::string ref =
-        [&] {
-            for (const auto &p : policies)
-                if (p == "moca")
-                    return p;
-            return policies.front();
-        }();
+    const std::string ref = exp::referencePolicy(policies);
     const std::size_t P = policies.size();
     const std::size_t D = dispatchers.size();
     auto cellAt = [&](std::size_t si, std::size_t di,
@@ -336,8 +307,9 @@ main(int argc, char **argv)
                     .cell(rr.slaRate, 3)
                     .cell(rr.goodput, 0)
                     .cell(best_sla, 3)
-                    .cell(rr.slaRate / std::max(best_sla, 1e-3), 2)
-                    .cell(rr.goodput / std::max(best_goodput, 1e-3),
+                    .cell(exp::marginRatio(rr.slaRate, best_sla, 1e-3), 2)
+                    .cell(exp::marginRatio(rr.goodput, best_goodput,
+                                           1e-3),
                           2);
                 margins.push_back(std::move(mg));
             }
@@ -348,18 +320,14 @@ main(int argc, char **argv)
     }
     std::printf("\ntotal wall: %.2f s\n", total_wall);
 
-    if (record_wall) {
-        obs::PhaseProfiler phases;
-        for (const auto &cell : cells) {
-            const auto &p = cell.result.cluster.phases;
-            phases.add("shard-advance", p.shardAdvanceSec);
-            phases.add("barrier-wait", p.barrierWaitSec);
-            phases.add("coordinator", p.dispatchSec);
-        }
-        std::fputs(
-            phases.render("serving phase profile (all cells)")
-                .c_str(),
-            stdout);
+    if (fleet.recordWall) {
+        cluster::PhaseBreakdown phases;
+        for (const auto &cell : cells)
+            phases += cell.result.cluster.phases;
+        std::fputs(exp::phaseReport("serving phase profile (all cells)",
+                                    phases, "coordinator")
+                       .c_str(),
+                   stdout);
     }
 
     if (capture_idx < cells.size()) {
@@ -367,13 +335,10 @@ main(int argc, char **argv)
         inform("trace-out: exporting cell %s %s %s %s",
                traced.family.c_str(), traced.scenario.c_str(),
                traced.dispatcher.c_str(), traced.policy.c_str());
-        obs::ChromeTraceWriter writer;
-        writer.addCapture(capture);
-        writer.write(trace_out);
+        exp::writeFleetTelemetry(fleet.traceOut, "", capture);
     }
 
-    const std::string json = args.getString("json", "");
-    if (!json.empty()) {
+    exp::writeJsonDocument(args, [&] {
         std::vector<JsonValue> rows;
         for (const auto &cell : cells) {
             const auto &r = cell.result;
@@ -415,8 +380,7 @@ main(int argc, char **argv)
                   {"epochs", c.epochs}},
                  {{"mean_up_socs", jsonFixed(r.meanUpSocs, 4)},
                   {"end_cycle", r.endCycle},
-                  {"wall_s",
-                   jsonFixed(record_wall ? cell.wall : 0.0, 6)}}},
+                  {"wall_s", jsonFixed(cell.wall, 6)}}},
                 5));
         }
         std::vector<JsonValue> margin_rows;
@@ -430,10 +394,12 @@ main(int argc, char **argv)
                       {"sla_rate", jsonFixed(oc.slaRate, 6)},
                       {"goodput", jsonFixed(oc.goodput, 4)},
                       {"sla_ratio",
-                       jsonFixed(rr.slaRate / std::max(oc.slaRate, 1e-3),
+                       jsonFixed(exp::marginRatio(rr.slaRate, oc.slaRate,
+                                                  1e-3),
                                  4)},
                       {"goodput_ratio",
-                       jsonFixed(rr.goodput / std::max(oc.goodput, 1e-3),
+                       jsonFixed(exp::marginRatio(rr.goodput, oc.goodput,
+                                                  1e-3),
                                  4)}}}));
             }
             margin_rows.push_back(jsonObject(
@@ -446,7 +412,7 @@ main(int argc, char **argv)
                   {"baselines", jsonArray(baselines, 6, -1)}}},
                 5));
         }
-        const std::string doc = jsonDocument(
+        return jsonDocument(
             {{{"bench", "serve_loop"}},
              {{"socs", socs}, {"rpc", rpc}, {"outstanding", outstanding}},
              {{"think_factor", jsonFixed(think, 3)},
@@ -458,16 +424,14 @@ main(int argc, char **argv)
              {{"control_quantum", quantum},
               {"seed", seed},
               {"kernel", sim::simKernelName(base.kernel)}},
-             {{"jobs", exp::resolveJobs(opts.jobs)}},
+             {{"jobs", exp::resolveJobs(fleet.sweep.jobs)}},
              {{"cells", jsonArray(rows, 4, 2)}},
              {{"margins", jsonArray(margin_rows, 4, 2)}},
              {{"total", jsonObject({{{"wall_s",
-                                      jsonFixed(timing ? total_wall
-                                                       : 0.0,
+                                      jsonFixed(fleet.timing
+                                                    ? total_wall
+                                                    : 0.0,
                                                 6)}}})}}});
-        if (!writeTextFile(json, doc))
-            fatal("cannot write %s", json.c_str());
-        std::printf("wrote %s\n", json.c_str());
-    }
+    });
     return 0;
 }

@@ -21,7 +21,8 @@
  * `--sample-every N` turns on sim-time telemetry sampling in every
  * cell (src/obs; observational only), and `--sample-out FILE` writes
  * the first sampled cell's timeseries (CSV, or JSON for a .json
- * path).
+ * path; alone it samples every 100,000 cycles, the bench harness's
+ * default shared with the fleet benches).
  *
  * `quantum-cap=N` bounds the quantum-kernel tier: cells with more
  * than N tasks skip the (hours-long at 100k) quantum run, and their
@@ -83,13 +84,7 @@ main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
     sim::SocConfig base = exp::socConfigFromArgs(args);
-    const std::string sample_out = args.getString("sample-out", "");
-    if (!sample_out.empty() && base.sampleEvery == 0) {
-        base.sampleEvery = 100'000;
-        inform("--sample-out without --sample-every: defaulting to "
-               "sampling every %llu cycles",
-               static_cast<unsigned long long>(base.sampleEvery));
-    }
+    const std::string sample_out = exp::sampleOutFromArgs(args, base);
     const auto policies =
         exp::specsFromArgs<exp::PolicyRegistry>(args, {"moca"});
     const auto tasks_list = parseIntList(
@@ -339,8 +334,7 @@ main(int argc, char **argv)
             obs::writeTimeseries(*sampled->telemetry, sample_out);
     }
 
-    const std::string json = args.getString("json", "");
-    if (!json.empty()) {
+    exp::writeJsonDocument(args, [&] {
         std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             std::vector<JsonLine> lines = {
@@ -419,9 +413,7 @@ main(int argc, char **argv)
             total.emplace_back(
                 "speedup", jsonFixed(ewall > 0.0 ? qwall / ewall : 0.0, 3));
         doc.push_back({{"total", jsonObject({total})}});
-        if (!writeTextFile(json, jsonDocument(doc)))
-            fatal("cannot write %s", json.c_str());
-        std::printf("wrote %s\n", json.c_str());
-    }
+        return jsonDocument(doc);
+    });
     return 0;
 }

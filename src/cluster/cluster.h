@@ -102,6 +102,15 @@ struct PhaseBreakdown
     double shardAdvanceSec = 0.0; ///< Workers advancing their SoCs.
     double barrierWaitSec = 0.0;  ///< Workers waiting at the barrier.
     double dispatchSec = 0.0;     ///< Coordinator placement+injection.
+
+    /** Sum another run's phases into this one (bench reports). */
+    PhaseBreakdown &operator+=(const PhaseBreakdown &o)
+    {
+        shardAdvanceSec += o.shardAdvanceSec;
+        barrierWaitSec += o.barrierWaitSec;
+        dispatchSec += o.dispatchSec;
+        return *this;
+    }
 };
 
 /** Per-SoC share of a cluster run. */

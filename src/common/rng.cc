@@ -109,19 +109,4 @@ Rng::categorical(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-std::vector<std::size_t>
-Rng::permutation(std::size_t n)
-{
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i)
-        perm[i] = i;
-    for (std::size_t i = n; i > 1; --i) {
-        const auto j =
-            static_cast<std::size_t>(uniformInt(0,
-                static_cast<std::int64_t>(i) - 1));
-        std::swap(perm[i - 1], perm[j]);
-    }
-    return perm;
-}
-
 } // namespace moca

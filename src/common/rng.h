@@ -48,9 +48,6 @@ class Rng
      */
     std::size_t categorical(const std::vector<double> &weights);
 
-    /** Fisher-Yates shuffle of an index permutation [0, n). */
-    std::vector<std::size_t> permutation(std::size_t n);
-
   private:
     std::uint64_t s_[4];
 };

@@ -245,6 +245,27 @@ class SpecRegistry
 };
 
 /**
+ * Apply a validated spec's parameters to a config struct through its
+ * `bool applyParam(key, value)` surface.  The registry has already
+ * checked every key against the declared schema, so a key applyParam
+ * does not handle is a schema / applyParam mismatch: a programming
+ * error in the registration of that `noun` ("policy").
+ */
+template <typename Config>
+Config
+configFromSpec(const Spec &spec, const char *noun)
+{
+    Config cfg;
+    for (const auto &[key, value] : spec.params) {
+        if (!cfg.applyParam(key, value))
+            panic("%s %s declares parameter '%s' but its "
+                  "applyParam does not handle it",
+                  noun, spec.name.c_str(), key.c_str());
+    }
+    return cfg;
+}
+
+/**
  * Link-time self-registration hook for any registry:
  *
  *     static exp::PolicyRegistrar reg({"mine", "...", {...}, factory});

@@ -102,6 +102,21 @@ runMatrix(const MatrixConfig &mcfg, const sim::SocConfig &cfg,
                        SweepRunner(opts).run(matrixGrid(mcfg, cfg)));
 }
 
+double
+marginRatio(double ref, double other, double floor)
+{
+    return std::max(ref, floor) / std::max(other, floor);
+}
+
+std::string
+referencePolicy(const std::vector<std::string> &policies)
+{
+    return std::find(policies.begin(), policies.end(), "moca") !=
+            policies.end()
+        ? "moca"
+        : policies.front();
+}
+
 Margin
 marginOver(const std::vector<MatrixCell> &matrix, const std::string &ref,
            const std::string &other, double metrics::RunMetrics::*metric,
@@ -109,9 +124,9 @@ marginOver(const std::vector<MatrixCell> &matrix, const std::string &ref,
 {
     std::vector<double> ratios;
     for (const auto &cell : matrix)
-        ratios.push_back(
-            std::max(cell.result(ref).metrics.*metric, floor) /
-            std::max(cell.result(other).metrics.*metric, floor));
+        ratios.push_back(marginRatio(cell.result(ref).metrics.*metric,
+                                     cell.result(other).metrics.*metric,
+                                     floor));
     Margin m;
     m.geomean = geomean(ratios);
     m.max = ratios.empty()

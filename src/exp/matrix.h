@@ -9,6 +9,7 @@
 #ifndef MOCA_EXP_MATRIX_H
 #define MOCA_EXP_MATRIX_H
 
+#include <string>
 #include <vector>
 
 #include "exp/sweep/sweep.h"
@@ -72,10 +73,19 @@ struct Margin
 };
 
 /**
- * How far policy `ref` leads policy `other` on `metric`: the ratio
- * ref / other in every scenario, both sides floored at `floor` so a
- * zero metric on either side (an SLA rate of 0, say) still yields a
- * finite, positive ratio.
+ * The margin rule every bench reports: ref / other with both sides
+ * floored at `floor`, so a zero metric on either side (an SLA rate of
+ * 0, say) still yields a finite, positive ratio.
+ */
+double marginRatio(double ref, double other, double floor);
+
+/** The policy margins are taken over: "moca" when `policies` lists
+ *  it, else the first one. */
+std::string referencePolicy(const std::vector<std::string> &policies);
+
+/**
+ * How far policy `ref` leads policy `other` on `metric`: the
+ * marginRatio of ref over other in every scenario.
  */
 Margin marginOver(const std::vector<MatrixCell> &matrix,
                   const std::string &ref, const std::string &other,

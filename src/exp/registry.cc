@@ -15,25 +15,6 @@ namespace moca::exp {
 
 namespace {
 
-/**
- * Apply a validated spec's parameters to a policy config struct via
- * its applyParam surface.  The registry has already checked every key
- * against the declared schema, so an unknown key here is a schema /
- * applyParam mismatch — a programming error in the registration.
- */
-template <typename Config>
-Config
-configFromSpec(const PolicySpec &spec, Config cfg = Config())
-{
-    for (const auto &[key, value] : spec.params) {
-        if (!cfg.applyParam(key, value))
-            panic("policy %s declares parameter '%s' but its "
-                  "applyParam does not handle it",
-                  spec.name.c_str(), key.c_str());
-    }
-    return cfg;
-}
-
 void
 registerBuiltins(PolicyRegistry &reg)
 {
@@ -46,7 +27,8 @@ registerBuiltins(PolicyRegistry &reg)
           "token advantage a challenger needs to preempt"}},
         [](const sim::SocConfig &cfg, const PolicySpec &spec) {
             return std::make_unique<baselines::PremaPolicy>(
-                cfg, configFromSpec<baselines::PremaConfig>(spec));
+                cfg,
+                configFromSpec<baselines::PremaConfig>(spec, "policy"));
         },
     });
     reg.add({
@@ -59,7 +41,7 @@ registerBuiltins(PolicyRegistry &reg)
             return std::make_unique<baselines::StaticPartitionPolicy>(
                 cfg,
                 configFromSpec<baselines::StaticPartitionConfig>(
-                    spec));
+                    spec, "policy"));
         },
     });
     reg.add({
@@ -72,7 +54,8 @@ registerBuiltins(PolicyRegistry &reg)
           "cap on concurrently co-located jobs"}},
         [](const sim::SocConfig &cfg, const PolicySpec &spec) {
             return std::make_unique<baselines::PlanariaPolicy>(
-                cfg, configFromSpec<baselines::PlanariaConfig>(spec));
+                cfg,
+                configFromSpec<baselines::PlanariaConfig>(spec, "policy"));
         },
     });
     reg.add({
@@ -101,7 +84,7 @@ registerBuiltins(PolicyRegistry &reg)
           "equal 1/N share"}},
         [](const sim::SocConfig &cfg, const PolicySpec &spec) {
             return std::make_unique<MocaPolicy>(
-                cfg, configFromSpec<MocaPolicyConfig>(spec));
+                cfg, configFromSpec<MocaPolicyConfig>(spec, "policy"));
         },
     });
     reg.add({

@@ -2,11 +2,14 @@
 
 #include <cstdio>
 
+#include "cluster/cluster.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/units.h"
 #include "exp/sweep/records.h"
 #include "mem/memory_model.h"
+#include "obs/capture.h"
+#include "obs/chrome_trace.h"
 
 namespace moca::exp {
 
@@ -110,6 +113,86 @@ writeSweepFiles(const ArgMap &args, const std::vector<SweepCell> &cells,
     const std::string json = args.getString("json", "");
     if (!json.empty() && !writeTextFile(json, sweepJson(cells, results)))
         fatal("cannot write %s", json.c_str());
+}
+
+void
+writeJsonDocument(const ArgMap &args,
+                  const std::function<std::string()> &doc)
+{
+    const std::string path = args.getString("json", "");
+    if (path.empty())
+        return;
+    if (!writeTextFile(path, doc()))
+        fatal("cannot write %s", path.c_str());
+    std::printf("wrote %s\n", path.c_str());
+}
+
+std::string
+sampleOutFromArgs(const ArgMap &args, sim::SocConfig &cfg)
+{
+    std::string path = args.getString("sample-out", "");
+    if (!path.empty() && cfg.sampleEvery == 0) {
+        cfg.sampleEvery = 100'000;
+        inform("--sample-out without --sample-every: defaulting to "
+               "sampling every %llu cycles",
+               static_cast<unsigned long long>(cfg.sampleEvery));
+    }
+    return path;
+}
+
+FleetOptions
+fleetOptionsFromArgs(const ArgMap &args)
+{
+    FleetOptions fleet;
+    fleet.soc = socConfigFromArgs(args);
+    // stress_scale compares the kernels; fleet scale wants the fast one.
+    if (!args.has("kernel"))
+        fleet.soc.kernel = sim::SimKernel::Event;
+    fleet.sweep = sweepOptionsFromArgs(args);
+    fleet.clusterJobs = static_cast<int>(args.getInt("cluster-jobs", 1));
+    if (fleet.clusterJobs < 1)
+        fatal("--cluster-jobs %d: the fleet engine needs at least "
+              "one worker", fleet.clusterJobs);
+    fleet.timing = args.getBool("timing", true);
+    fleet.recordWall =
+        fleet.timing && resolveJobs(fleet.sweep.jobs) == 1;
+    fleet.traceOut = args.getString("trace-out", "");
+    return fleet;
+}
+
+void
+writeFleetTelemetry(const std::string &trace_out,
+                    const std::string &sample_out,
+                    const obs::Capture &capture)
+{
+    if (!trace_out.empty()) {
+        obs::ChromeTraceWriter writer;
+        writer.addCapture(capture);
+        writer.write(trace_out);
+    }
+    if (sample_out.empty())
+        return;
+    if (capture.socSeries.empty())
+        warn("--sample-out %s: the run produced no sampled series",
+             sample_out.c_str());
+    else
+        obs::writeTimeseries(capture.socSeries.front(), sample_out);
+}
+
+std::string
+phaseReport(const std::string &title, const cluster::PhaseBreakdown &p,
+            const char *dispatch_label)
+{
+    const double sum = p.shardAdvanceSec + p.barrierWaitSec + p.dispatchSec;
+    std::string out = title + "\n";
+    auto row = [&](const char *name, double sec) {
+        out += strprintf("  %-16s %9.3f s  %5.1f%%\n", name, sec,
+                         sum > 0.0 ? 100.0 * sec / sum : 0.0);
+    };
+    row("shard-advance", p.shardAdvanceSec);
+    row("barrier-wait", p.barrierWaitSec);
+    row(dispatch_label, p.dispatchSec);
+    return out;
 }
 
 } // namespace moca::exp

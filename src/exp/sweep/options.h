@@ -1,10 +1,10 @@
 /**
  * @file
- * Command-line plumbing shared by every bench and example binary:
+ * The bench harness, shared by every bench and example binary:
  * SoC-configuration overrides, the Table II banner, sweep-engine
- * options (`--jobs N`), and the per-cell result files (`--csv PATH`,
- * `--json PATH`).  This replaces the per-binary boilerplate that used
- * to live in bench/bench_common.h.
+ * options (`--jobs N`), result files (`--csv PATH`, `--json PATH`),
+ * and for the fleet benches their flags, timed cell loop, telemetry
+ * export and phase report.
  */
 
 #ifndef MOCA_EXP_SWEEP_OPTIONS_H
@@ -12,12 +12,22 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/argparse.h"
 #include "common/spec.h"
+#include "common/walltime.h"
 #include "exp/sweep/sweep.h"
+
+namespace moca::cluster {
+struct PhaseBreakdown;
+}
+
+namespace moca::obs {
+struct Capture;
+}
 
 namespace moca::exp {
 
@@ -75,6 +85,71 @@ specsFromArgs(const ArgMap &args, std::vector<std::string> def)
 void writeSweepFiles(const ArgMap &args,
                      const std::vector<SweepCell> &cells,
                      const std::vector<ScenarioResult> &results);
+
+/** With `--json PATH`, write the bench's own document `doc()`: fatal
+ *  when the file cannot be written, else print "wrote PATH". */
+void writeJsonDocument(const ArgMap &args,
+                       const std::function<std::string()> &doc);
+
+/** `--sample-out FILE` ("" if absent).  Without `--sample-every` it
+ *  turns sampling on in `cfg` at every 100,000 cycles. */
+std::string sampleOutFromArgs(const ArgMap &args, sim::SocConfig &cfg);
+
+/** The flags cluster_scale and serve_loop share. */
+struct FleetOptions
+{
+    sim::SocConfig soc; ///< Event kernel unless `kernel=` is given.
+    SweepOptions sweep;
+    int clusterJobs = 1; ///< `--cluster-jobs N` PDES workers (>= 1).
+    /** `timing=0` zeroes every wall-clock field, so runs that must be
+     *  value-identical (`--cluster-jobs` 1 vs 4) emit identical JSON. */
+    bool timing = true;
+    /** Per-cell walls and phases mean something only when timing is
+     *  on and cells run one at a time. */
+    bool recordWall = false;
+    std::string traceOut; ///< `--trace-out FILE`.
+};
+
+/** Parse FleetOptions; fatal on `--cluster-jobs` < 1. */
+FleetOptions fleetOptionsFromArgs(const ArgMap &args);
+
+/**
+ * Run every cell on the sweep engine: `run(cell, i)` simulates cell
+ * i, and its wall seconds land in `cell.wall` (0 unless recordWall).
+ * `verbose=1` prints "  [i/n] <label(cell)> done (x s)".  Returns the
+ * wall seconds of the whole loop.
+ */
+template <typename Cell, typename Run, typename Label>
+double
+runTimedCells(const FleetOptions &fleet, std::vector<Cell> &cells,
+              const Run &run, const Label &label)
+{
+    const WallTimer total;
+    SweepRunner::runIndexed(
+        cells.size(), fleet.sweep.jobs, [&](std::size_t i) {
+            const WallTimer timer;
+            run(cells[i], i);
+            const double wall = timer.seconds();
+            cells[i].wall = fleet.recordWall ? wall : 0.0;
+            if (fleet.sweep.verbose)
+                std::printf("  [%zu/%zu] %s done (%.1f s)\n", i + 1,
+                            cells.size(), label(cells[i]).c_str(), wall);
+        });
+    return total.seconds();
+}
+
+/** Write `capture`'s Chrome trace to `trace_out` and its first
+ *  sampled SoC series to `sample_out` (warning if none); an empty
+ *  path writes nothing. */
+void writeFleetTelemetry(const std::string &trace_out,
+                         const std::string &sample_out,
+                         const obs::Capture &capture);
+
+/** The phase report: `title`, then each phase's seconds and share;
+ *  `dispatch_label` names the coordinator's phase. */
+std::string phaseReport(const std::string &title,
+                        const cluster::PhaseBreakdown &phases,
+                        const char *dispatch_label);
 
 } // namespace moca::exp
 

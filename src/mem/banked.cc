@@ -298,24 +298,6 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
     return grants;
 }
 
-namespace {
-
-template <typename Config>
-Config
-configFromSpec(const MemSpec &spec)
-{
-    Config cfg;
-    for (const auto &[key, value] : spec.params) {
-        if (!cfg.applyParam(key, value))
-            panic("memory model %s declares parameter '%s' but its "
-                  "applyParam does not handle it",
-                  spec.name.c_str(), key.c_str());
-    }
-    return cfg;
-}
-
-} // anonymous namespace
-
 MemoryModelRegistry::Info
 bankedModelInfo()
 {
@@ -339,7 +321,8 @@ bankedModelInfo()
           "locality relaxation time constant in cycles"}},
         [](const sim::SocConfig &cfg, const MemSpec &spec) {
             return std::make_unique<BankedMemoryModel>(
-                cfg, configFromSpec<BankedConfig>(spec));
+                cfg,
+                configFromSpec<BankedConfig>(spec, "memory model"));
         },
     };
 }

@@ -29,6 +29,18 @@ qosLevelName(QosLevel level)
     return "?";
 }
 
+QosLevel
+qosLevelFromName(const std::string &name)
+{
+    if (name == "l")
+        return QosLevel::Light;
+    if (name == "m")
+        return QosLevel::Medium;
+    if (name == "h")
+        return QosLevel::Hard;
+    fatal("unknown QoS level '%s'; expected l, m, or h", name.c_str());
+}
+
 const std::vector<dnn::ModelId> &
 workloadSetModels(WorkloadSet set)
 {
@@ -49,6 +61,19 @@ workloadSetName(WorkloadSet set)
       case WorkloadSet::C: return "Workload-C";
     }
     return "?";
+}
+
+WorkloadSet
+workloadSetFromName(const std::string &name)
+{
+    if (name == "a")
+        return WorkloadSet::A;
+    if (name == "b")
+        return WorkloadSet::B;
+    if (name == "c")
+        return WorkloadSet::C;
+    fatal("unknown workload set '%s'; expected a, b, or c",
+          name.c_str());
 }
 
 const std::vector<double> &

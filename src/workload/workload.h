@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +41,10 @@ double qosMultiplier(QosLevel level);
 /** Printable name ("QoS-L", ...). */
 const char *qosLevelName(QosLevel level);
 
+/** Parse a QoS level from its letter ("l", "m" or "h"); fatal on
+ *  anything else. */
+QosLevel qosLevelFromName(const std::string &name);
+
 /** The paper's three workload sets (Table III). */
 enum class WorkloadSet { A, B, C };
 
@@ -48,6 +53,10 @@ const std::vector<dnn::ModelId> &workloadSetModels(WorkloadSet set);
 
 /** Printable name ("Workload-A", ...). */
 const char *workloadSetName(WorkloadSet set);
+
+/** Parse a workload set from its letter ("a", "b" or "c"); fatal on
+ *  anything else. */
+WorkloadSet workloadSetFromName(const std::string &name);
 
 /**
  * Static priority distribution over levels 0..11, shaped after the

@@ -95,18 +95,6 @@ TEST(Rng, CategoricalRespectsWeights)
     EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
 }
 
-TEST(Rng, PermutationIsPermutation)
-{
-    Rng rng(9);
-    const auto perm = rng.permutation(50);
-    std::vector<bool> seen(50, false);
-    for (auto p : perm) {
-        ASSERT_LT(p, 50u);
-        EXPECT_FALSE(seen[p]);
-        seen[p] = true;
-    }
-}
-
 TEST(StatAccum, BasicMoments)
 {
     StatAccum s;

@@ -18,9 +18,9 @@
 #include "cluster/workload.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
+#include "exp/sweep/options.h"
 #include "obs/capture.h"
 #include "obs/chrome_trace.h"
-#include "obs/profile.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "serve/serve.h"
@@ -435,23 +435,28 @@ TEST(ChromeTrace, ServeCaptureRecordsFrontendEvents)
     EXPECT_TRUE(jsonWellFormed(w.render()));
 }
 
-// --- Phase profiler ---------------------------------------------------
+// --- Phase report -----------------------------------------------------
 
-TEST(PhaseProfiler, AccumulatesInFirstSeenOrder)
+TEST(PhaseReport, SumsBreakdownsAndRendersFixedLayout)
 {
-    obs::PhaseProfiler p;
-    p.add("advance", 1.5);
-    p.add("wait", 0.5);
-    p.add("advance", 0.5);
-    EXPECT_DOUBLE_EQ(p.seconds("advance"), 2.0);
-    EXPECT_DOUBLE_EQ(p.seconds("wait"), 0.5);
-    EXPECT_EQ(p.seconds("missing"), 0.0);
-    ASSERT_EQ(p.entries().size(), 2u);
-    EXPECT_EQ(p.entries()[0].first, "advance"); // First-seen order.
-    EXPECT_NE(p.render("title").find("advance"), std::string::npos);
+    cluster::PhaseBreakdown phases;
+    phases += {1.5, 0.5, 0.0};
+    phases += {0.5, 0.0, 2.0};
+    EXPECT_EQ(exp::phaseReport("serving phase profile (all cells)",
+                               phases, "coordinator"),
+              "serving phase profile (all cells)\n"
+              "  shard-advance        2.000 s   44.4%\n"
+              "  barrier-wait         0.500 s   11.1%\n"
+              "  coordinator          2.000 s   44.4%\n");
+    // Nothing recorded (profiling off): zero shares, not NaN.
+    EXPECT_EQ(exp::phaseReport("t", cluster::PhaseBreakdown{}, "dispatch"),
+              "t\n"
+              "  shard-advance        0.000 s    0.0%\n"
+              "  barrier-wait         0.000 s    0.0%\n"
+              "  dispatch             0.000 s    0.0%\n");
 }
 
-TEST(PhaseProfiler, ClusterProfileFillsPhaseBreakdown)
+TEST(PhaseReport, ClusterProfileFillsPhaseBreakdown)
 {
     const sim::SocConfig soc = testSoc();
     cluster::ClusterConfig cc =

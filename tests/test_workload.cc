@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the workload generator: QoS multipliers, workload
- * sets, the priority distribution and grouping, trace determinism,
- * arrival-rate calibration, and SLA-target derivation.
+ * sets, the set and QoS-level names, the priority distribution and
+ * grouping, trace determinism, arrival-rate calibration, and
+ * SLA-target derivation.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,25 @@ TEST(Workload, SetsMatchTableIII)
     EXPECT_EQ(workloadSetModels(WorkloadSet::A).size(), 3u);
     EXPECT_EQ(workloadSetModels(WorkloadSet::B).size(), 4u);
     EXPECT_EQ(workloadSetModels(WorkloadSet::C).size(), 7u);
+}
+
+TEST(Workload, NamesMapToSetsAndQosLevels)
+{
+    EXPECT_EQ(workloadSetFromName("a"), WorkloadSet::A);
+    EXPECT_EQ(workloadSetFromName("b"), WorkloadSet::B);
+    EXPECT_EQ(workloadSetFromName("c"), WorkloadSet::C);
+    EXPECT_EQ(qosLevelFromName("l"), QosLevel::Light);
+    EXPECT_EQ(qosLevelFromName("m"), QosLevel::Medium);
+    EXPECT_EQ(qosLevelFromName("h"), QosLevel::Hard);
+}
+
+TEST(WorkloadDeathTest, UnknownNamesAreFatal)
+{
+    EXPECT_DEATH(workloadSetFromName("d"),
+                 "unknown workload set 'd'; expected a, b, or c");
+    EXPECT_DEATH(workloadSetFromName("C"), "unknown workload set");
+    EXPECT_DEATH(qosLevelFromName("x"),
+                 "unknown QoS level 'x'; expected l, m, or h");
 }
 
 TEST(Workload, PriorityWeightsCoverAllLevels)
