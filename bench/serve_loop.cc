@@ -4,9 +4,9 @@
  * survive when the control loop fights back?  Every other results
  * family replays open-loop arrival traces; here K closed-loop clients
  * (serve/serve.h) issue requests reactively from completions through
- * admission control, with optional SoC failure injection and
- * autoscaling, so retry storms and shed-vs-queue tradeoffs feed back
- * into the offered load.
+ * admission control, with optional SoC failure injection, so retry
+ * storms and shed-vs-queue tradeoffs feed back into the offered
+ * load.
  *
  * Three sweep families share one grid:
  *   - clients:   client-count axis (offered-load ramp), always-admit,
@@ -28,19 +28,18 @@
  *
  * Telemetry (src/obs): `--trace-out FILE` exports one cell as a
  * Chrome trace_event JSON — SoC job spans, PDES epoch spans, and
- * front-end shed/defer/fail/recover/autoscale instants on one
- * timeline.  The exported cell is the first one with a nonzero fail
- * rate (so the fail/recover story is visible), falling back to the
- * first cell.  `--sample-every N` enables per-SoC sim-time sampling
+ * front-end shed/defer/fail/recover instants on one timeline.  The
+ * exported cell is the first one with a nonzero fail rate (so the
+ * fail/recover story is visible), falling back to the first cell.
+ * `--sample-every N` enables per-SoC sim-time sampling
  * (the traced cell's sampled series ride along into the trace as
  * counter tracks).  Observational only: emitted metrics are
  * bit-identical with or without telemetry.
  *
  * Usage: serve_loop [socs=4] [clients=4,16,64] [base-clients=16]
- *                   [rpc=24] [outstanding=1] [think=4.0]
- *                   [timeout-scale=6.0] [retries=3]
- *                   [fail-rates=0,100,400] [downtime=2e6]
- *                   [inflight=requeue|drop] [autoscale=0|1]
+ *                   [rpc=24] [think=4.0] [timeout-scale=6.0]
+ *                   [retries=3] [fail-rates=0,100,400]
+ *                   [downtime=2e6] [inflight=requeue|drop]
  *                   [control-quantum=50000] [seed=S] [timing=0|1]
  *                   [--cluster-jobs N] [--policy SPEC[,...]]
  *                   [--dispatcher SPEC[,...]] [--admission SPEC[,...]]
@@ -113,8 +112,6 @@ main(int argc, char **argv)
     const int base_clients =
         static_cast<int>(args.getInt("base-clients", 16));
     const int rpc = static_cast<int>(args.getInt("rpc", 24));
-    const int outstanding =
-        static_cast<int>(args.getInt("outstanding", 1));
     const double think = args.getDouble("think", 4.0);
     const double timeout_scale =
         args.getDouble("timeout-scale", 6.0);
@@ -124,17 +121,15 @@ main(int argc, char **argv)
     const double downtime = args.getDouble("downtime", 2e6);
     const auto inflight = serve::inflightPolicyFromName(
         args.getString("inflight", "requeue"));
-    const bool autoscale = args.getBool("autoscale", false);
     const auto quantum = static_cast<Cycles>(
         args.getInt("control-quantum", 50'000));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
 
     std::printf("== serve_loop: closed-loop serving "
-                "(socs=%d rpc=%d outstanding=%d timeout-scale=%.1f "
-                "inflight=%s seed=%llu jobs=%d cluster-jobs=%d) "
-                "==\n\n",
-                socs, rpc, outstanding, timeout_scale,
+                "(socs=%d rpc=%d timeout-scale=%.1f inflight=%s "
+                "seed=%llu jobs=%d cluster-jobs=%d) ==\n\n",
+                socs, rpc, timeout_scale,
                 serve::inflightPolicyName(inflight),
                 static_cast<unsigned long long>(seed),
                 exp::resolveJobs(fleet.sweep.jobs), fleet.clusterJobs);
@@ -188,7 +183,6 @@ main(int argc, char **argv)
                 sc.jobs = fleet.clusterJobs;
                 sc.controlQuantum = quantum;
                 sc.clients.numClients = s.clients;
-                sc.clients.maxOutstanding = outstanding;
                 sc.clients.requestsPerClient = rpc;
                 sc.clients.thinkFactor = think;
                 sc.clients.timeoutScale = timeout_scale;
@@ -198,7 +192,6 @@ main(int argc, char **argv)
                 sc.failures.meanDowntime = downtime;
                 sc.failures.inflight = inflight;
                 sc.failures.seed = seed + 6;
-                sc.autoscaler.enabled = autoscale;
                 sc.profile = fleet.recordWall;
                 cell.cfg = sc;
                 cells.push_back(std::move(cell));
@@ -361,10 +354,8 @@ main(int argc, char **argv)
                   {"lost_jobs", r.lostJobs},
                   {"fail_events", r.failEvents},
                   {"recover_events", r.recoverEvents}},
-                 {{"scale_ups", r.scaleUps},
-                  {"scale_downs", r.scaleDowns},
-                  {"success_rate", jsonFixed(r.successRate, 6)}},
-                 {{"sla_rate", jsonFixed(c.slaRate, 6)},
+                 {{"success_rate", jsonFixed(r.successRate, 6)},
+                  {"sla_rate", jsonFixed(c.slaRate, 6)},
                   {"sla_rate_high", jsonFixed(c.slaRateHigh, 6)},
                   {"goodput", jsonFixed(c.goodput, 4)}},
                  {{"shed_rate", jsonFixed(c.shedRate, 6)},
@@ -414,13 +405,12 @@ main(int argc, char **argv)
         }
         return jsonDocument(
             {{{"bench", "serve_loop"}},
-             {{"socs", socs}, {"rpc", rpc}, {"outstanding", outstanding}},
+             {{"socs", socs}, {"rpc", rpc}},
              {{"think_factor", jsonFixed(think, 3)},
               {"timeout_scale", jsonFixed(timeout_scale, 3)},
               {"retries", retries}},
              {{"downtime", jsonFixed(downtime, 1)},
-              {"inflight", serve::inflightPolicyName(inflight)},
-              {"autoscale", autoscale ? 1 : 0}},
+              {"inflight", serve::inflightPolicyName(inflight)}},
              {{"control_quantum", quantum},
               {"seed", seed},
               {"kernel", sim::simKernelName(base.kernel)}},

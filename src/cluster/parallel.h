@@ -136,11 +136,11 @@ class ParallelEngine
 
     /**
      * Include/exclude SoC `soc_idx` from epochs (serve-layer failure
-     * injection and autoscaler capacity churn).  An inactive SoC is
-     * never advanced — its clock freezes wherever the last epoch left
-     * it — and never makes an epoch run.  Coordinator-only, between
-     * epochs (i.e. at a quiescent barrier point), so the change is
-     * ordered against every worker exactly like an injection.
+     * injection).  An inactive SoC is never advanced — its clock
+     * freezes wherever the last epoch left it — and never makes an
+     * epoch run.  Coordinator-only, between epochs (i.e. at a
+     * quiescent barrier point), so the change is ordered against
+     * every worker exactly like an injection.
      */
     void setActive(std::size_t soc_idx, bool active);
 

@@ -6,8 +6,8 @@
  *
  *  - per-SoC TraceRecorder events (merged, stamped with socId),
  *  - PDES epoch / horizon-stall spans from cluster::ParallelEngine,
- *  - serve front-end events (admission shed/defer, SoC fail/recover,
- *    autoscale) recorded by the coordinator,
+ *  - serve front-end events (admission shed/defer, SoC fail/recover)
+ *    recorded by the coordinator,
  *
  * plus any per-SoC sampled timeseries.  A null Capture pointer in
  * ClusterConfig/ServeConfig disables all of it (the default); the

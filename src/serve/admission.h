@@ -25,8 +25,8 @@
  *                 rate with bounded burst
  *
  * A policy sees the arriving task, the front-end clock, and the load
- * snapshot of the *Up* SoCs only — failed and draining capacity is
- * invisible, exactly as it is to the dispatcher.  `Defer` asks the
+ * snapshot of the *Up* SoCs only — failed capacity is invisible,
+ * exactly as it is to the dispatcher.  `Defer` asks the
  * front-end to retry admission later (the client keeps waiting);
  * `Shed` rejects outright (the client backs off and retries, or gives
  * up).  One instance per serve run; implementations may keep state

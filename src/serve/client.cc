@@ -9,15 +9,25 @@
 
 namespace moca::serve {
 
+namespace {
+
+// Backoff before retry r: min(kBackoffCap, kBackoffFactor^(r-1)) units.
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffCap = 8.0;
+
+// QoS-M target = kQosScale x isolated single-tile latency.
+constexpr double kQosScale = 4.0;
+
+} // namespace
+
 Cycles
-retryBackoff(const ClientPoolConfig &cfg, Cycles unit, int attempt)
+retryBackoff(Cycles unit, int attempt)
 {
     if (attempt < 1)
         fatal("retryBackoff: attempt numbers are 1-based (got %d)",
               attempt);
-    const double units = std::min(
-        cfg.backoffCap,
-        cfg.backoffBase * std::pow(cfg.backoffFactor, attempt - 1));
+    const double units =
+        std::min(kBackoffCap, std::pow(kBackoffFactor, attempt - 1));
     return static_cast<Cycles>(units * static_cast<double>(unit));
 }
 
@@ -29,9 +39,6 @@ ClientPool::ClientPool(
     if (cfg_.numClients < 1)
         fatal("client pool needs at least one client (got %d)",
               cfg_.numClients);
-    if (cfg_.maxOutstanding < 1)
-        fatal("client window must be >= 1 (got %d)",
-              cfg_.maxOutstanding);
     if (cfg_.requestsPerClient < 1)
         fatal("clients need at least one request each (got %d)",
               cfg_.requestsPerClient);
@@ -39,22 +46,11 @@ ClientPool::ClientPool(
         fatal("think factor and timeout scale must be >= 0");
     if (cfg_.maxRetries < 0)
         fatal("maxRetries must be >= 0 (got %d)", cfg_.maxRetries);
-    if (cfg_.backoffBase < 0.0 || cfg_.backoffFactor < 1.0 ||
-        cfg_.backoffCap < cfg_.backoffBase)
-        fatal("backoff needs base >= 0, factor >= 1, cap >= base");
 
     const std::vector<dnn::ModelId> &models =
-        cfg_.mix.empty() ? workload::workloadSetModels(cfg_.set)
-                         : cfg_.mix;
-    if (models.empty())
-        fatal("client pool needs a non-empty model mix");
-
-    const std::vector<double> qos_shares = {cfg_.qosLightShare,
-                                            cfg_.qosMediumShare,
-                                            cfg_.qosHardShare};
-    if (qos_shares[0] < 0 || qos_shares[1] < 0 || qos_shares[2] < 0 ||
-        qos_shares[0] + qos_shares[1] + qos_shares[2] <= 0.0)
-        fatal("QoS class shares must be non-negative and sum > 0");
+        workload::workloadSetModels(cfg_.set);
+    // QoS classes L/M/H in a 1:2:1 ratio.
+    const std::vector<double> qos_shares = {0.25, 0.50, 0.25};
 
     double mean_iso = 0.0;
     for (dnn::ModelId id : models)
@@ -82,8 +78,7 @@ ClientPool::ClientPool(
             req.think = static_cast<Cycles>(
                 rng.exponential(std::max(1.0, think_mean)));
             req.task = cluster::drawTaskAttributes(
-                rng, models, qos_shares, cfg_.qosScale,
-                isolated_latency);
+                rng, models, qos_shares, kQosScale, isolated_latency);
             req.task.id = id;
             if (cfg_.timeoutScale > 0.0)
                 req.timeout = std::max<Cycles>(

@@ -1,9 +1,9 @@
 /**
  * @file
  * Closed-loop client population for the serving subsystem: K users,
- * each holding a bounded window of outstanding requests, thinking for
- * a seeded exponential delay between a response and the next issue,
- * and retrying timed-out requests with capped exponential backoff.
+ * each with one request in flight at a time, thinking for a seeded
+ * exponential delay between a response and the next issue, and
+ * retrying timed-out requests with capped exponential backoff.
  * Arrivals are generated *reactively* from completions — when the
  * fleet slows down, the offered load slows with it, which is the
  * feedback loop the open-loop synthesizer (cluster/workload.h) by
@@ -38,8 +38,7 @@ namespace moca::serve {
 /** Parameters of the client population. */
 struct ClientPoolConfig
 {
-    int numClients = 8;       ///< K concurrent users.
-    int maxOutstanding = 1;   ///< Per-client in-flight window.
+    int numClients = 8;         ///< K concurrent users.
     int requestsPerClient = 64; ///< Requests each client issues.
 
     /** Mean think time = thinkFactor x mean isolated single-tile
@@ -53,36 +52,21 @@ struct ClientPoolConfig
     /** Retries after the first attempt before the client gives up. */
     int maxRetries = 3;
 
-    // Capped exponential backoff before retry r (r = 1, 2, ...):
-    //     min(backoffCap, backoffBase * backoffFactor^(r-1))
-    // in units of the mix's mean isolated single-tile latency.
-    double backoffBase = 1.0;
-    double backoffFactor = 2.0;
-    double backoffCap = 8.0;
-
-    /** Model mix: explicit ids, or (when empty) the models of `set`. */
-    std::vector<dnn::ModelId> mix;
+    /** Model mix: the models of `set`, QoS classes L/M/H drawn
+     *  1:2:1 with the QoS-M target at 4x the isolated single-tile
+     *  latency (cluster::SynthConfig's defaults). */
     workload::WorkloadSet set = workload::WorkloadSet::C;
-
-    /** QoS class ratio over L/M/H (normalized internally). */
-    double qosLightShare = 0.25;
-    double qosMediumShare = 0.50;
-    double qosHardShare = 0.25;
-
-    /** QoS-M target = qosScale x isolated single-tile latency. */
-    double qosScale = 4.0;
 
     std::uint64_t seed = 1;
 };
 
 /**
  * Backoff delay before retry `attempt` (1-based): the capped
- * exponential min(cap, base * factor^(attempt-1)) in units of
- * `unit` cycles.  Pure function — the retry cadence of a request
- * depends only on the config and the attempt number.
+ * exponential min(8, 2^(attempt-1)) in units of `unit` cycles.  Pure
+ * function — the retry cadence of a request depends only on the
+ * attempt number.
  */
-Cycles retryBackoff(const ClientPoolConfig &cfg, Cycles unit,
-                    int attempt);
+Cycles retryBackoff(Cycles unit, int attempt);
 
 /** One pre-generated client request. */
 struct ClientRequest
@@ -116,7 +100,6 @@ class ClientPool
                const std::function<Cycles(dnn::ModelId)>
                    &isolated_latency);
 
-    const ClientPoolConfig &config() const { return cfg_; }
     int numClients() const { return cfg_.numClients; }
     int totalRequests() const
     {
@@ -135,7 +118,7 @@ class ClientPool
     /** Backoff before retry `attempt` (1-based) of any request. */
     Cycles backoff(int attempt) const
     {
-        return retryBackoff(cfg_, meanIso_, attempt);
+        return retryBackoff(meanIso_, attempt);
     }
 
   private:

@@ -6,6 +6,13 @@
 
 namespace moca::serve {
 
+namespace {
+
+/** Never fail a SoC while at most this many are not Down. */
+constexpr int kMinUp = 1;
+
+} // namespace
+
 const char *
 inflightPolicyName(InflightPolicy policy)
 {
@@ -35,8 +42,6 @@ FailureInjector::FailureInjector(const FailureConfig &cfg)
     if (cfg_.meanDowntime <= 0.0)
         fatal("mean downtime must be > 0 cycles (got %g)",
               cfg_.meanDowntime);
-    if (cfg_.minUp < 1)
-        fatal("failure minUp must be >= 1 (got %d)", cfg_.minUp);
     if (enabled())
         firstFailure_ = drawGap();
 }
@@ -55,7 +60,7 @@ FailureInjector::FailPlan
 FailureInjector::plan(Cycles now, int num_candidates)
 {
     FailPlan out;
-    if (num_candidates > cfg_.minUp) {
+    if (num_candidates > kMinUp) {
         out.victim = static_cast<int>(rng_.uniformInt(
             0, static_cast<std::int64_t>(num_candidates) - 1));
         out.recoverAt = now +

@@ -57,10 +57,6 @@ struct FailureConfig
 
     InflightPolicy inflight = InflightPolicy::Requeue;
 
-    /** Never fail a SoC while at most this many are not Down —
-     *  guards against a fully-dark fleet that can serve nothing. */
-    int minUp = 1;
-
     std::uint64_t seed = 7;
 };
 
@@ -75,7 +71,6 @@ class FailureInjector
   public:
     explicit FailureInjector(const FailureConfig &cfg);
 
-    const FailureConfig &config() const { return cfg_; }
     bool enabled() const { return cfg_.rate > 0.0; }
 
     /** Cycle of the first failure (drawn at construction). */
@@ -85,7 +80,7 @@ class FailureInjector
     struct FailPlan
     {
         int victim = -1;      ///< Index into `candidates`, or -1
-                              ///< when the minUp guard vetoed.
+                              ///< when the last-SoC guard vetoed.
         Cycles recoverAt = 0; ///< Recovery cycle (victim >= 0 only).
         Cycles nextFailAt = 0; ///< Next failure event cycle.
     };
@@ -93,9 +88,9 @@ class FailureInjector
     /**
      * Decide the failure firing at `now`: pick a victim uniformly
      * from `num_candidates` eligible (non-Down) slots — vetoed when
-     * that would leave fewer than minUp — and draw the downtime and
-     * the next failure gap.  Consumes RNG draws only for the parts
-     * that happen, in a fixed order.
+     * it is the last one, since a fully-dark fleet serves nothing —
+     * and draw the downtime and the next failure gap.  Consumes RNG
+     * draws only for the parts that happen, in a fixed order.
      */
     FailPlan plan(Cycles now, int num_candidates);
 

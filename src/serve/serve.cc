@@ -21,18 +21,17 @@ namespace {
 /**
  * Front-end event kinds, in the order they are processed at a tied
  * cycle: capacity changes first (so same-cycle placements see the
- * new world), then the control tick, then timeouts (a freed retry
- * budget may matter to a same-cycle issue), then issues.  The fixed
- * rank plus a scheduling sequence number makes the queue order — and
- * with it the whole run — deterministic.
+ * new world), then timeouts (a freed retry budget may matter to a
+ * same-cycle issue), then issues.  The fixed rank plus a scheduling
+ * sequence number makes the queue order — and with it the whole run
+ * — deterministic.
  */
 enum class EvKind : int
 {
     Fail = 0,
     Recover = 1,
-    ScaleTick = 2,
-    Timeout = 3,
-    Issue = 4,
+    Timeout = 2,
+    Issue = 3,
 };
 
 struct Event
@@ -59,25 +58,19 @@ struct EventLater
     }
 };
 
-/** Lifecycle of one fleet slot. */
-enum class SlotState
-{
-    Up,       ///< Accepting placements.
-    Draining, ///< Autoscaled down: finishing, not accepting.
-    Failed,   ///< Frozen in the engine; queue lost.
-};
-
 /** What a slot's SoC incarnations add up to, folded in boot order. */
 struct SlotTotals
 {
     std::vector<sim::JobResult> results;
     std::vector<sim::TraceEvent> events; ///< Under capture only.
+    obs::Timeseries series;              ///< Under capture only.
     std::uint64_t steps = 0;
     double busyCycles = 0.0; ///< Sum of dramBusyFraction x cycles.
     Cycles cycles = 0;
 
-    /** Finish `soc`'s run and add what it produced. */
-    void fold(sim::Soc &soc, bool capture)
+    /** Finish `soc`'s run, booted at front-end cycle `booted`, and
+     *  add what it produced. */
+    void fold(sim::Soc &soc, bool capture, Cycles booted)
     {
         soc.finishRun();
         results.insert(results.end(), soc.results().begin(),
@@ -91,6 +84,15 @@ struct SlotTotals
             // exporter merges them onto one slot track.
             const auto &ev = soc.trace().events();
             events.insert(events.end(), ev.begin(), ev.end());
+            // A rebooted SoC's clock starts at 0 and samples the idle
+            // gap up to its first placement: keep only the rows from
+            // its boot on, so the slot's series stays increasing.
+            if (const obs::Sampler *sampler = soc.sampler()) {
+                series.columns = sampler->series().columns;
+                for (const auto &row : sampler->series().rows)
+                    if (row.at >= booted)
+                        series.rows.push_back(row);
+            }
         }
     }
 };
@@ -100,12 +102,15 @@ struct SlotTotals
  *  `retired` and frees it, so memory is bounded by the live fleet). */
 struct Slot
 {
-    SlotState state = SlotState::Up;
+    /** Frozen in the engine with its queue lost; else Up (accepting
+     *  placements). */
+    bool failed = false;
     // The policy is declared first so the SoC referencing it dies
     // first.
     std::unique_ptr<sim::Policy> policy;
     std::unique_ptr<sim::Soc> soc;
     int boots = 0;
+    Cycles bootedAt = 0; ///< Front-end cycle the live SoC booted at.
     SlotTotals retired;
     /** Live incarnation: dense job id -> request id. */
     std::vector<int> jobReq;
@@ -138,14 +143,6 @@ struct ReqProgress
     bool success = false;
 };
 
-/** Per-client issue window. */
-struct ClientState
-{
-    int nextSeq = 0;
-    int inFlight = 0;
-    bool issueScheduled = false;
-};
-
 /**
  * The fleet driver behind both runServe (closed-loop clients) and
  * cluster::runCluster (a fixed-arrival task stream).  It owns the only
@@ -174,7 +171,6 @@ class ServeDriver
     std::unique_ptr<ClientPool> pool_; ///< Closed loop only.
     std::unique_ptr<AdmissionPolicy> admission_;
     std::unique_ptr<cluster::Dispatcher> dispatcher_;
-    Autoscaler autoscaler_;
     FailureInjector injector_;
 
     /** The request population (attributes + per-attempt timeout):
@@ -182,7 +178,6 @@ class ServeDriver
     std::vector<cluster::ClusterTask> reqTasks_;
     std::vector<Cycles> reqTimeout_;
     std::vector<ReqProgress> progress_;
-    std::vector<ClientState> clients_;
 
     std::vector<Slot> slots_;
     std::unique_ptr<cluster::ParallelEngine> engine_;
@@ -256,7 +251,6 @@ class ServeDriver
     void harvest();
 
     std::vector<cluster::SocLoad> upLoads() const;
-    void maybeScheduleIssue(int client, Cycles trigger);
     void handleIssue(int req);
     void placeRequest(int req, const std::vector<cluster::SocLoad> &up);
     void failAttempt(int req);
@@ -264,7 +258,6 @@ class ServeDriver
     void handleTimeout(int req, std::uint64_t token);
     void handleFail();
     void handleRecover(int slot);
-    void handleScaleTick();
 
     void finalize();
 };
@@ -273,15 +266,9 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
                          std::vector<sim::SocConfig> slot_cfgs,
                          const std::vector<cluster::ClusterTask> *stream)
     : cfg_(cfg), slotCfgs_(std::move(slot_cfgs)),
-      autoscaler_(cfg.autoscaler), injector_(cfg.failures)
+      injector_(cfg.failures)
 {
     const int n = static_cast<int>(slotCfgs_.size());
-    if (cfg_.autoscaler.enabled && cfg_.autoscaler.maxSocs > n)
-        fatal("autoscaler maxSocs %d exceeds the fleet size %d",
-              cfg_.autoscaler.maxSocs, n);
-    if (cfg_.autoscaler.enabled && cfg_.autoscaler.minSocs > n)
-        fatal("autoscaler minSocs %d exceeds the fleet size %d",
-              cfg_.autoscaler.minSocs, n);
     for (const sim::SocConfig &c : slotCfgs_)
         hardCap_ = std::max(hardCap_, c.maxCycles);
 
@@ -313,8 +300,6 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
             reqTasks_.push_back(pool_->request(i).task);
             reqTimeout_.push_back(pool_->request(i).timeout);
         }
-        clients_.resize(
-            static_cast<std::size_t>(pool_->numClients()));
     }
     progress_.resize(reqTasks_.size());
     respLatency_.reserve(reqTasks_.size());
@@ -339,13 +324,14 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
     engine_ = std::make_unique<cluster::ParallelEngine>(
         std::move(fleet), cfg_.jobs);
 
+    // Each client issues its first request after one think time.
     if (pool_)
-        for (int c = 0; c < pool_->numClients(); ++c)
-            maybeScheduleIssue(c, 0);
+        for (int c = 0; c < pool_->numClients(); ++c) {
+            const int req = c * cfg_.clients.requestsPerClient;
+            push(pool_->request(req).think, EvKind::Issue, req);
+        }
     if (injector_.enabled())
         push(injector_.firstFailure(), EvKind::Fail);
-    if (cfg_.autoscaler.enabled)
-        push(cfg_.autoscaler.interval, EvKind::ScaleTick);
 }
 
 void
@@ -355,7 +341,8 @@ ServeDriver::bootSoc(std::size_t slot_idx)
     if (slot.soc) {
         // Retire the previous incarnation: keep what it produced,
         // free the simulator (before the policy it references).
-        slot.retired.fold(*slot.soc, cfg_.capture != nullptr);
+        slot.retired.fold(*slot.soc, cfg_.capture != nullptr,
+                          slot.bootedAt);
         slot.soc.reset();
     }
     sim::SocConfig soc_cfg = slotCfgs_[slot_idx];
@@ -364,6 +351,7 @@ ServeDriver::bootSoc(std::size_t slot_idx)
         exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg);
     slot.soc = std::make_unique<sim::Soc>(soc_cfg, *slot.policy);
     slot.boots++;
+    slot.bootedAt = now_;
     if (cfg_.capture)
         slot.soc->trace().enable();
     slot.soc->beginRun();
@@ -459,10 +447,6 @@ ServeDriver::harvest()
                 if (jr.slaMet())
                     ++respHighMet_;
             }
-            if (jr.spec.slaLatency > 0)
-                autoscaler_.recordResponse(
-                    latency /
-                    static_cast<double>(jr.spec.slaLatency));
             clientLatency_.push_back(static_cast<double>(
                 jr.finish - p.firstIssue));
             resolveRequest(req, true, jr.finish);
@@ -478,7 +462,7 @@ ServeDriver::upLoads() const
     loads.reserve(slots_.size());
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const Slot &slot = slots_[i];
-        if (slot.state != SlotState::Up)
+        if (slot.failed)
             continue;
         const sim::Soc &soc = slot.live();
         cluster::SocLoad l;
@@ -496,20 +480,6 @@ ServeDriver::upLoads() const
 }
 
 void
-ServeDriver::maybeScheduleIssue(int client, Cycles trigger)
-{
-    ClientState &c = clients_[static_cast<std::size_t>(client)];
-    if (c.issueScheduled ||
-        c.nextSeq >= cfg_.clients.requestsPerClient ||
-        c.inFlight >= cfg_.clients.maxOutstanding)
-        return;
-    const int req = client * cfg_.clients.requestsPerClient +
-        c.nextSeq;
-    c.issueScheduled = true;
-    push(trigger + pool_->request(req).think, EvKind::Issue, req);
-}
-
-void
 ServeDriver::handleIssue(int req)
 {
     ReqProgress &p = progress_[static_cast<std::size_t>(req)];
@@ -519,28 +489,18 @@ ServeDriver::handleIssue(int req)
         p.issued = true;
         p.firstIssue = now_;
         res_.requests++;
-        if (pool_) {
-            const ClientRequest &cr = pool_->request(req);
-            ClientState &c =
-                clients_[static_cast<std::size_t>(cr.client)];
-            c.issueScheduled = false;
-            c.nextSeq++;
-            c.inFlight++;
-            // The window may still have room: the next request
-            // thinks from this issue, not from a completion.
-            maybeScheduleIssue(cr.client, now_);
-        } else if (static_cast<std::size_t>(req) + 1 <
-                   reqTasks_.size()) {
+        // A fixed-arrival stream schedules its next arrival here; a
+        // client issues its next request once this one resolves.
+        if (!pool_ &&
+            static_cast<std::size_t>(req) + 1 < reqTasks_.size())
             push(reqTasks_[static_cast<std::size_t>(req) + 1].arrival,
                  EvKind::Issue, req + 1);
-        }
     }
 
     const std::vector<cluster::SocLoad> up = upLoads();
     if (up.empty()) {
-        // No capacity at all (everything failed or draining): hold
-        // the request at the front door and re-try at the next
-        // control tick.
+        // No capacity at all (everything failed): hold the request at
+        // the front door and re-try at the next control tick.
         res_.deferrals++;
         captureEvent(sim::TraceEventKind::AdmissionDefer, req);
         push(now_ + deferDelay(), EvKind::Issue, req);
@@ -637,16 +597,13 @@ ServeDriver::resolveRequest(int req, bool success, Cycles finish)
     if (!success)
         res_.giveUps++;
     res_.endCycle = std::max(res_.endCycle, finish);
-    if (pool_) {
-        const ClientRequest &cr = pool_->request(req);
-        ClientState &c =
-            clients_[static_cast<std::size_t>(cr.client)];
-        c.inFlight--;
-        // The client thinks from the moment it observed the
-        // response; reactions discovered at an epoch boundary never
-        // schedule into the past.
-        maybeScheduleIssue(cr.client, std::max(now_, finish));
-    }
+    // One request in flight per client: its next one thinks from the
+    // moment the client observed this response; reactions discovered
+    // at an epoch boundary never schedule into the past.
+    if (pool_ &&
+        pool_->request(req).seq + 1 < cfg_.clients.requestsPerClient)
+        push(std::max(now_, finish) + pool_->request(req + 1).think,
+             EvKind::Issue, req + 1);
 }
 
 void
@@ -664,11 +621,11 @@ ServeDriver::handleTimeout(int req, std::uint64_t token)
 void
 ServeDriver::handleFail()
 {
-    // Victims come from the powered slots (Up or Draining), chosen
-    // by the injector's dedicated stream; the minUp guard may veto.
+    // Victims come from the Up slots, chosen by the injector's
+    // dedicated stream; the last Up slot never fails.
     std::vector<int> candidates;
     for (std::size_t i = 0; i < slots_.size(); ++i)
-        if (slots_[i].state != SlotState::Failed)
+        if (!slots_[i].failed)
             candidates.push_back(static_cast<int>(i));
     const FailureInjector::FailPlan plan = injector_.plan(
         now_, static_cast<int>(candidates.size()));
@@ -682,9 +639,8 @@ ServeDriver::handleFail()
     res_.failEvents++;
     captureEvent(sim::TraceEventKind::SocFail,
                  static_cast<int>(idx));
-    if (slot.state == SlotState::Up)
-        noteUpChange(-1);
-    slot.state = SlotState::Failed;
+    noteUpChange(-1);
+    slot.failed = true;
     engine_->setActive(idx, false);
     push(plan.recoverAt, EvKind::Recover, -1,
          static_cast<int>(idx));
@@ -740,7 +696,7 @@ void
 ServeDriver::handleRecover(int slot_idx)
 {
     Slot &slot = slots_[static_cast<std::size_t>(slot_idx)];
-    if (slot.state != SlotState::Failed)
+    if (!slot.failed)
         panic("recovering slot %d that is not Failed", slot_idx);
     res_.recoverEvents++;
     captureEvent(sim::TraceEventKind::SocRecover, slot_idx);
@@ -752,52 +708,8 @@ ServeDriver::handleRecover(int slot_idx)
     engine_->replaceSoc(static_cast<std::size_t>(slot_idx),
                         &slot.live());
     engine_->setActive(static_cast<std::size_t>(slot_idx), true);
-    slot.state = SlotState::Up;
+    slot.failed = false;
     noteUpChange(+1);
-}
-
-void
-ServeDriver::handleScaleTick()
-{
-    push(now_ + cfg_.autoscaler.interval, EvKind::ScaleTick);
-    long outstanding = 0;
-    for (const Slot &slot : slots_)
-        if (slot.state == SlotState::Up)
-            outstanding += static_cast<long>(
-                slot.live().waitingCount() +
-                slot.live().runningCount());
-    switch (autoscaler_.evaluate(upCount_, outstanding)) {
-      case ScaleAction::None:
-        break;
-      case ScaleAction::Up:
-        // Lowest-index Draining slot rejoins (a drained SoC keeps
-        // its finished history and simply starts accepting again).
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].state == SlotState::Draining) {
-                slots_[i].state = SlotState::Up;
-                res_.scaleUps++;
-                captureEvent(sim::TraceEventKind::ScaleUp,
-                             static_cast<int>(i));
-                noteUpChange(+1);
-                break;
-            }
-        }
-        break;
-      case ScaleAction::Down:
-        // Highest-index Up slot drains: placements stop, running
-        // work finishes — a scaling decision never loses a task.
-        for (std::size_t i = slots_.size(); i-- > 0;) {
-            if (slots_[i].state == SlotState::Up) {
-                slots_[i].state = SlotState::Draining;
-                res_.scaleDowns++;
-                captureEvent(sim::TraceEventKind::ScaleDown,
-                             static_cast<int>(i));
-                noteUpChange(-1);
-                break;
-            }
-        }
-        break;
-    }
 }
 
 ServeResult
@@ -833,7 +745,6 @@ ServeDriver::run()
         switch (ev.kind) {
           case EvKind::Fail: handleFail(); break;
           case EvKind::Recover: handleRecover(ev.slot); break;
-          case EvKind::ScaleTick: handleScaleTick(); break;
           case EvKind::Timeout: handleTimeout(ev.req, ev.token); break;
           case EvKind::Issue: handleIssue(ev.req); break;
         }
@@ -841,8 +752,7 @@ ServeDriver::run()
             dispatchSec_ += coordTimer_.restart();
     }
 
-    // Drain the orphans (and draining slots); failed slots stay
-    // frozen.  Leftover control events are dead — every request is
+    // Drain the orphans; failed slots stay frozen.  Leftover control events are dead — every request is
     // resolved.  An idle fleet needs no drain epoch.
     if (engine_->wouldStep(sim::kNoHorizon))
         advanceTo(sim::kNoHorizon);
@@ -878,7 +788,7 @@ ServeDriver::finalize()
         // Aggregate the slot across its incarnations: every
         // completion ran on real fleet capacity, orphan or not.
         SlotTotals &all = slot.retired;
-        all.fold(slot.live(), cfg_.capture != nullptr);
+        all.fold(slot.live(), cfg_.capture != nullptr, slot.bootedAt);
         if (cfg_.capture)
             cfg_.capture->socEvents.insert(
                 cfg_.capture->socEvents.end(), all.events.begin(),
@@ -903,8 +813,7 @@ ServeDriver::finalize()
     if (cfg_.capture && sampled)
         for (Slot &slot : slots_)
             cfg_.capture->socSeries.push_back(
-                slot.live().sampler() ? slot.live().sampler()->series()
-                                      : obs::Timeseries{});
+                std::move(slot.retired.series));
     if (completed + res_.lostJobs != res_.attempts)
         panic("fleet lost tasks: %llu placed, %llu completed, %llu "
               "lost to SoC failures",
@@ -1014,8 +923,8 @@ runCluster(const ClusterConfig &cfg,
                   static_cast<unsigned long long>(
                       tasks[i - 1].arrival));
 
-    // Always-admit, no autoscaler, no failures, no timeouts, and an
-    // unbounded control quantum: the fleet advances exactly from one
+    // Always-admit, no failures, no timeouts, and an unbounded
+    // control quantum: the fleet advances exactly from one
     // arrival to the next, then drains.
     serve::ServeConfig sc;
     sc.policy = cfg.policy;

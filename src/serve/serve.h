@@ -1,17 +1,17 @@
 /**
  * @file
  * The fleet driver: ties the client population (serve/client.h),
- * admission control (serve/admission.h), the autoscaler
- * (serve/autoscaler.h), and failure injection (serve/failure.h)
- * around the conservative-PDES fleet engine (cluster/parallel.h) into
- * one deterministic serving loop.  It is the only fleet driver:
- * cluster::runCluster (cluster/cluster.h) is defined next to runServe
- * and feeds the same loop a fixed-arrival task stream.
+ * admission control (serve/admission.h) and failure injection
+ * (serve/failure.h) around the conservative-PDES fleet engine
+ * (cluster/parallel.h) into one deterministic serving loop.  It is
+ * the only fleet driver: cluster::runCluster (cluster/cluster.h) is
+ * defined next to runServe and feeds the same loop a fixed-arrival
+ * task stream.
  *
  * Execution model.  The front end keeps a single event queue —
  * client issues, retries, per-attempt timeouts, admission re-tries
- * of deferred requests, autoscaler ticks, SoC fail/recover — ordered
- * by (cycle, kind, sequence).  Between events the fleet advances in
+ * of deferred requests, SoC fail/recover — ordered by (cycle, kind,
+ * sequence).  Between events the fleet advances in
  * *control quanta*: the engine's epoch horizon is the earlier of the
  * next front-end event and now + controlQuantum, so completions are
  * harvested (in SoC index order) at deterministic boundaries and
@@ -21,20 +21,19 @@
  * front-end decision happens on the coordinator between epochs, so
  * the whole run is bit-identical for every ServeConfig::jobs value.
  *
- * Capacity churn.  A fleet slot is Up (taking placements), Draining
- * (autoscaled down: no new placements, running work finishes), or
- * Failed (frozen in the engine; its queue is lost).  Recovery swaps
- * a *fresh* SoC into the slot; the failed one's results, steps,
- * DRAM-busy time and trace events are folded into the slot and its
- * simulator is freed.  The dispatcher and admission policy only ever
- * see the Up slots.
+ * Capacity churn.  A fleet slot is Up (taking placements) or Failed
+ * (frozen in the engine; its queue is lost).  Recovery swaps a
+ * *fresh* SoC into the slot; the failed one's results, steps,
+ * DRAM-busy time, trace events and sampled series are folded into
+ * the slot and its simulator is freed.  The dispatcher and admission
+ * policy only ever see the Up slots.
  *
  * Open loop.  runCluster replaces the client pool with its task
  * stream: fixed arrival cycles, no think time, no timeouts, no
- * retries, always-admit, no autoscaler, no failures, and an unbounded
- * control quantum.  Every arrival is then one epoch barrier (a tied
- * arrival counts a horizon stall), and after the last arrival the
- * fleet drains.
+ * retries, always-admit, no failures, and an unbounded control
+ * quantum.  Every arrival is then one epoch barrier (a tied arrival
+ * counts a horizon stall), and after the last arrival the fleet
+ * drains.
  */
 
 #ifndef MOCA_SERVE_SERVE_H
@@ -45,7 +44,6 @@
 
 #include "cluster/cluster.h"
 #include "serve/admission.h"
-#include "serve/autoscaler.h"
 #include "serve/client.h"
 #include "serve/failure.h"
 
@@ -79,7 +77,6 @@ struct ServeConfig
     Cycles controlQuantum = 50'000;
 
     ClientPoolConfig clients;
-    AutoscalerConfig autoscaler;
     FailureConfig failures;
 
     /** Wall-clock phase profiling (see ClusterResult::phases);
@@ -89,8 +86,8 @@ struct ServeConfig
     /**
      * Telemetry capture bag (obs/capture.h): when non-null the run
      * records front-end events (admission shed/defer, SoC
-     * fail/recover, autoscale up/down), PDES epoch spans, per-SoC
-     * trace events, and sampled timeseries.  Observational only;
+     * fail/recover), PDES epoch spans, per-SoC trace events, and
+     * sampled timeseries.  Observational only;
      * single-coordinator-written like ClusterConfig::capture.
      */
     obs::Capture *capture = nullptr;
@@ -128,8 +125,6 @@ struct ServeResult
 
     std::uint64_t failEvents = 0;
     std::uint64_t recoverEvents = 0;
-    std::uint64_t scaleUps = 0;
-    std::uint64_t scaleDowns = 0;
 
     /** Client-observed latency (first issue -> completion, backoff
      *  and retries included) of successful requests, in cycles. */

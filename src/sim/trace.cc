@@ -21,8 +21,6 @@ traceEventKindName(TraceEventKind kind)
       case TraceEventKind::AdmissionDefer: return "defer";
       case TraceEventKind::SocFail: return "fail";
       case TraceEventKind::SocRecover: return "recover";
-      case TraceEventKind::ScaleUp: return "scale-up";
-      case TraceEventKind::ScaleDown: return "scale-down";
     }
     return "?";
 }

@@ -35,13 +35,11 @@ enum class TraceEventKind
     AdmissionDefer, ///< Admission deferred a request (jobId = req).
     SocFail,        ///< A fleet SoC failed (jobId = slot).
     SocRecover,     ///< A failed SoC came back (jobId = slot).
-    ScaleUp,        ///< Autoscaler activated a SoC (jobId = slot).
-    ScaleDown,      ///< Autoscaler drained a SoC (jobId = slot).
 };
 
 /** Count of TraceEventKind values (for coverage iteration). */
 inline constexpr int kNumTraceEventKinds =
-    static_cast<int>(TraceEventKind::ScaleDown) + 1;
+    static_cast<int>(TraceEventKind::SocRecover) + 1;
 
 /** One recorded event. */
 struct TraceEvent

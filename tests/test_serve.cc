@@ -4,16 +4,17 @@
  * grammar and decision logic, retry/backoff cadence, client-pool
  * determinism, the serve driver's accounting invariants, bit-identity
  * across PDES worker counts (failures and admission control
- * included), the forced-timeout retry path, the autoscaler's
- * drain-never-loses-work invariant, mid-run SoC fail/recover on both
- * time-advance kernels and both in-flight policies, retired SoC
- * incarnations keeping their results and trace events, and goodput
- * wiring through cluster::runCluster.
+ * included), the forced-timeout retry path, mid-run SoC fail/recover
+ * on both time-advance kernels and both in-flight policies, retired
+ * SoC incarnations keeping their results, trace events and sampled
+ * series, and goodput wiring through cluster::runCluster.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "exp/oracle.h"
@@ -83,8 +84,6 @@ expectIdentical(const ServeResult &a, const ServeResult &b)
     EXPECT_EQ(a.lostJobs, b.lostJobs);
     EXPECT_EQ(a.failEvents, b.failEvents);
     EXPECT_EQ(a.recoverEvents, b.recoverEvents);
-    EXPECT_EQ(a.scaleUps, b.scaleUps);
-    EXPECT_EQ(a.scaleDowns, b.scaleDowns);
     EXPECT_EQ(a.endCycle, b.endCycle);
     EXPECT_EQ(a.successRate, b.successRate);
     EXPECT_EQ(a.meanUpSocs, b.meanUpSocs);
@@ -202,17 +201,13 @@ TEST(Admission, SloBudgetTokenBucket)
 
 TEST(ClientPool, RetryBackoffCadence)
 {
-    serve::ClientPoolConfig cfg;
-    cfg.backoffBase = 1.0;
-    cfg.backoffFactor = 2.0;
-    cfg.backoffCap = 8.0;
     const Cycles unit = 1000;
-    EXPECT_EQ(serve::retryBackoff(cfg, unit, 1), 1000u);
-    EXPECT_EQ(serve::retryBackoff(cfg, unit, 2), 2000u);
-    EXPECT_EQ(serve::retryBackoff(cfg, unit, 3), 4000u);
-    EXPECT_EQ(serve::retryBackoff(cfg, unit, 4), 8000u);
+    EXPECT_EQ(serve::retryBackoff(unit, 1), 1000u);
+    EXPECT_EQ(serve::retryBackoff(unit, 2), 2000u);
+    EXPECT_EQ(serve::retryBackoff(unit, 3), 4000u);
+    EXPECT_EQ(serve::retryBackoff(unit, 4), 8000u);
     // Capped: attempt 5 would be 16x but the cap holds it at 8x.
-    EXPECT_EQ(serve::retryBackoff(cfg, unit, 5), 8000u);
+    EXPECT_EQ(serve::retryBackoff(unit, 5), 8000u);
 }
 
 TEST(ClientPool, DeterministicPopulation)
@@ -319,40 +314,6 @@ TEST(Serve, TimeoutRetryBackoffPath)
                   static_cast<double>(r.requests));
 }
 
-TEST(Serve, AutoscalerDrainNeverLosesWork)
-{
-    // Force permanent scale-down pressure: the fleet drains to
-    // minSocs while requests are in flight, but draining only stops
-    // new placements — every accepted attempt still resolves.
-    ServeConfig sc = testServe(4, 6, 3);
-    sc.autoscaler.enabled = true;
-    sc.autoscaler.minSocs = 1;
-    sc.autoscaler.downThreshold = 1e9;
-    sc.autoscaler.upThreshold = 2e9;
-    sc.autoscaler.interval = 20'000;
-    const ServeResult r = serve::runServe(sc);
-    expectAccountingInvariants(r);
-    EXPECT_GT(r.scaleDowns, 0u);
-    EXPECT_EQ(r.lostJobs, 0u);
-    EXPECT_EQ(r.requests, r.responses + r.giveUps);
-    EXPECT_LT(r.meanUpSocs, 4.0);
-}
-
-TEST(Serve, AutoscalerScalesBackUpUnderLoad)
-{
-    // Low depth thresholds around a busy loop: drained capacity must
-    // come back (scale-up re-activates the lowest drained slot).
-    ServeConfig sc = testServe(3, 8, 3);
-    sc.autoscaler.enabled = true;
-    sc.autoscaler.downThreshold = 0.5;
-    sc.autoscaler.upThreshold = 1.5;
-    sc.autoscaler.interval = 50'000;
-    const ServeResult r = serve::runServe(sc);
-    expectAccountingInvariants(r);
-    EXPECT_GT(r.scaleDowns, 0u);
-    EXPECT_GT(r.scaleUps, 0u);
-}
-
 TEST(Serve, FailRecoverMidRunBothKernelsBothPolicies)
 {
     for (auto kernel :
@@ -424,6 +385,53 @@ TEST(Serve, RetiredIncarnationsKeepTheirResultsAndEvents)
     }
 }
 
+TEST(Serve, RetiredIncarnationsKeepTheirSampledSeries)
+{
+    // Each slot's sampled series is the concatenation of its
+    // incarnations' rows: the failed SoC's up to the failure, then the
+    // rebooted SoC's from the reboot on.  A rebooted SoC's clock starts
+    // at 0, so its idle rows before the reboot must not appear.
+    ServeConfig sc = testServe(3, 6, 4);
+    sc.soc.sampleEvery = 20'000;
+    sc.failures.rate = 8000.0;
+    sc.failures.meanDowntime = 1e5;
+    const ServeResult plain = serve::runServe(sc);
+    obs::Capture capture;
+    sc.capture = &capture;
+    const ServeResult traced = serve::runServe(sc);
+    expectIdentical(plain, traced);
+    ASSERT_EQ(capture.socSeries.size(), 3u);
+
+    bool spans_reboot = false;
+    for (std::size_t i = 0; i < capture.socSeries.size(); ++i) {
+        const auto &rows = capture.socSeries[i].rows;
+        ASSERT_FALSE(rows.empty()) << i;
+        for (std::size_t r = 1; r < rows.size(); ++r)
+            EXPECT_LT(rows[r - 1].at, rows[r].at) << i << " row " << r;
+
+        // Down intervals (fail, recover) of this slot, in order.
+        std::vector<std::pair<Cycles, Cycles>> down;
+        for (const auto &e : capture.frontend.events()) {
+            if (e.jobId != static_cast<int>(i))
+                continue;
+            if (e.kind == sim::TraceEventKind::SocFail)
+                down.emplace_back(e.cycle, e.cycle);
+            else if (e.kind == sim::TraceEventKind::SocRecover)
+                down.back().second = e.cycle;
+        }
+        for (const auto &[fail, recover] : down) {
+            for (const auto &row : rows)
+                EXPECT_FALSE(row.at > fail && row.at < recover)
+                    << "slot " << i << " sampled at " << row.at
+                    << " while down (" << fail << ", " << recover << ")";
+            if (recover > fail && rows.front().at <= fail &&
+                rows.back().at >= recover)
+                spans_reboot = true;
+        }
+    }
+    EXPECT_TRUE(spans_reboot);
+}
+
 TEST(Serve, GoodputWiredThroughRunCluster)
 {
     const sim::SocConfig soc = testSoc();
@@ -452,47 +460,6 @@ TEST(Serve, GoodputWiredThroughRunCluster)
     EXPECT_EQ(r.shedRate, 0.0);
     EXPECT_EQ(r.retryRate, 0.0);
     EXPECT_EQ(r.timeoutRate, 0.0);
-}
-
-// ---- autoscaler decision logic --------------------------------------
-
-TEST(Autoscaler, DepthHysteresisAndBounds)
-{
-    serve::AutoscalerConfig cfg;
-    cfg.enabled = true;
-    cfg.minSocs = 1;
-    cfg.maxSocs = 4;
-    cfg.upThreshold = 8.0;
-    cfg.downThreshold = 2.0;
-    serve::Autoscaler scaler(cfg);
-    // Above the band: up; inside: hold; below: down.
-    EXPECT_EQ(scaler.evaluate(2, 20), serve::ScaleAction::Up);
-    EXPECT_EQ(scaler.evaluate(2, 10), serve::ScaleAction::None);
-    EXPECT_EQ(scaler.evaluate(2, 2), serve::ScaleAction::Down);
-    // Bounds: never above maxSocs, never below minSocs.
-    EXPECT_EQ(scaler.evaluate(4, 100), serve::ScaleAction::None);
-    EXPECT_EQ(scaler.evaluate(1, 0), serve::ScaleAction::None);
-}
-
-TEST(Autoscaler, P99HoldsUntilWindowFills)
-{
-    serve::AutoscalerConfig cfg;
-    cfg.enabled = true;
-    cfg.signal = serve::ScaleSignal::P99;
-    cfg.window = 8;
-    cfg.upThreshold = 1.0;
-    cfg.downThreshold = 0.1;
-    serve::Autoscaler scaler(cfg);
-    for (int i = 0; i < 7; ++i) {
-        scaler.recordResponse(5.0);
-        EXPECT_EQ(scaler.evaluate(2, 0), serve::ScaleAction::None);
-    }
-    scaler.recordResponse(5.0);
-    EXPECT_EQ(scaler.evaluate(2, 0), serve::ScaleAction::Up);
-    // A window of fast responses swings the tail below the band.
-    for (int i = 0; i < 8; ++i)
-        scaler.recordResponse(0.01);
-    EXPECT_EQ(scaler.evaluate(2, 0), serve::ScaleAction::Down);
 }
 
 // ---- misuse ----------------------------------------------------------
