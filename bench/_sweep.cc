@@ -57,6 +57,7 @@ runTimingBaseline(const ArgMap &args,
     const int tasks = static_cast<int>(args.getInt("timing_tasks", 100));
     const int hw = exp::resolveJobs(0);
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
+    args.requireAllRead();
 
     std::printf("== sweep throughput baseline: fig5-sized grid "
                 "(%zu cells, tasks=%d, kernel=%s, mem=%s, "
@@ -95,6 +96,9 @@ main(int argc, char **argv)
 
     const int tasks = static_cast<int>(args.getInt("tasks", 150));
     const sim::SocConfig cfg = exp::socConfigFromArgs(args);
+    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     // The historical smoke grid: Workload-C QoS-M at three offered
     // loads and four QoS scales, each under the selected policies on
@@ -115,9 +119,8 @@ main(int argc, char **argv)
         }
     }
 
-    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(args, grid, results);
+    exp::writeSweepFiles(out, grid, results);
 
     for (std::size_t i = 0; i < results.size();) {
         std::printf("%s :", grid[i].label.c_str());

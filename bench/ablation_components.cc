@@ -56,6 +56,9 @@ main(int argc, char **argv)
     trace.set =
         workload::workloadSetFromName(args.getString("set", "c"));
     trace.qos = workload::qosLevelFromName(args.getString("qos", "m"));
+    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     std::printf("== MoCA component ablation (%s, %s, tasks=%d, "
                 "seed=%llu) ==\n\n",
@@ -107,9 +110,8 @@ main(int argc, char **argv)
         }
     }
 
-    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(args, grid, results);
+    exp::writeSweepFiles(out, grid, results);
 
     Table t({"Variant", "SLA", "SLA p-High", "STP", "Fairness",
              "Thrash (MB)"});

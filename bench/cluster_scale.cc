@@ -122,6 +122,8 @@ main(int argc, char **argv)
     // Telemetry export targets the first grid cell only: one capture
     // bag, written by that cell's run alone (never shared).
     const std::string sample_out = exp::sampleOutFromArgs(args, fleet.soc);
+    const std::string json = args.getString("json", "");
+    args.requireAllRead();
     obs::Capture capture;
 
     std::printf("== cluster_scale: fleet co-simulation "
@@ -229,7 +231,7 @@ main(int argc, char **argv)
     }
     exp::writeFleetTelemetry(fleet.traceOut, sample_out, capture);
 
-    exp::writeJsonDocument(args, [&] {
+    exp::writeJsonDocument(json, [&] {
         std::vector<JsonValue> rows;
         for (const auto &cell : cells) {
             const auto &r = cell.result;

@@ -47,6 +47,7 @@ main(int argc, char **argv)
     const auto predictor_specs =
         exp::specsFromArgs<exp::PolicyRegistry>(
             args, {"moca:sparsity_aware=1", "moca:sparsity_aware=0"});
+    args.requireAllRead();
 
     std::printf("== Sparse-DNN extension (paper Sec. III-E) ==\n\n");
     exp::printSocBanner(cfg);

@@ -118,6 +118,7 @@ main(int argc, char **argv)
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const int jobs = exp::sweepOptionsFromArgs(args).jobs;
+    args.requireAllRead();
 
     std::printf("== Figure 1: latency increase under co-location "
                 "(reps=%d seed=%llu jobs=%d) ==\n\n", reps,

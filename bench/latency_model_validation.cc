@@ -59,6 +59,7 @@ main(int argc, char **argv)
               "policy is fixed to 'solo' and --policy cannot change "
               "it");
     const int jobs = exp::sweepOptionsFromArgs(args).jobs;
+    args.requireAllRead();
 
     std::printf("== Algorithm 1 validation: prediction vs. measured "
                 "isolated latency ==\n\n");

@@ -81,6 +81,8 @@ main(int argc, char **argv)
         "mems=");
     for (const auto &m : mems)
         (void)mem::MemoryModelRegistry::instance().make(m, base);
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     const std::vector<workload::WorkloadSet> sets = {
         workload::WorkloadSet::A,
@@ -137,10 +139,9 @@ main(int argc, char **argv)
     const WallTimer timer;
     const auto results = exp::SweepRunner(opts).run(grid);
     const double wall = timer.seconds();
-    const std::string csv = args.getString("csv", "");
-    if (!csv.empty() &&
-        !writeTextFile(csv, exp::sweepCsv(grid, results)))
-        fatal("cannot write %s", csv.c_str());
+    if (!out.csv.empty() &&
+        !writeTextFile(out.csv, exp::sweepCsv(grid, results)))
+        fatal("cannot write %s", out.csv.c_str());
 
     Table t({"Mix", "Mem model", "Policy", "SLA", "p-High", "STP",
              "RowHit%", "BankCV", "L2 lost (MB)"});
@@ -202,7 +203,7 @@ main(int argc, char **argv)
     }
     std::printf("total wall: %.2f s\n", wall);
 
-    exp::writeJsonDocument(args, [&] {
+    exp::writeJsonDocument(out.json, [&] {
         std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             const auto &r = results[i];

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "dnn/model_zoo.h"
 #include "exp/sweep/sweep.h"
+#include "mem/memory_model.h"
 #include "moca/hw/throttle_engine.h"
 #include "moca/runtime/contention_manager.h"
 #include "moca/runtime/latency_model.h"
@@ -123,16 +124,28 @@ BENCHMARK(BM_ThrottleEngine_Advance);
 void
 BM_Arbiter_MaxMin(benchmark::State &state)
 {
+    // The flat memory model's DRAM path: a max-min water-fill
+    // straight from the SoC's requests into the grant buffer.
     const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<sim::BwDemand> demands(n);
+    std::vector<mem::MemRequest> requests(n);
     Rng rng(3);
-    for (auto &d : demands) {
-        d.bytes = rng.uniform(0.0, 8192.0);
-        d.weight = rng.uniform(1.0, 8.0);
+    for (auto &r : requests) {
+        r.dramBytes = rng.uniform(0.0, 8192.0);
+        r.weight = rng.uniform(1.0, 8.0);
     }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            sim::allocateBandwidth(demands, 8192.0));
+    std::vector<mem::MemGrant> grants(n);
+    std::vector<char> done;
+    for (auto _ : state) {
+        sim::maxMinFill(
+            n, 8192.0,
+            [&](std::size_t i) { return requests[i].dramBytes; },
+            [&](std::size_t i) { return requests[i].weight; },
+            [&](std::size_t i) -> double & {
+                return grants[i].dramBytes;
+            },
+            done);
+        benchmark::DoNotOptimize(grants.data());
+    }
 }
 BENCHMARK(BM_Arbiter_MaxMin)->Arg(4)->Arg(8);
 

@@ -139,6 +139,8 @@ main(int argc, char **argv)
     mcfg.loadFactor = args.getDouble("load", mcfg.loadFactor);
     mcfg.qosScale = args.getDouble("qos_scale", mcfg.qosScale);
     mcfg.policies = policies;
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     std::printf("== Paper figures: Table III, Figures 5-8 "
                 "(tasks=%d seed=%llu load=%.2f jobs=%d) ==\n\n",
@@ -150,7 +152,7 @@ main(int argc, char **argv)
 
     const auto grid = exp::matrixGrid(mcfg, cfg);
     auto results = exp::SweepRunner(opts).run(grid);
-    exp::writeSweepFiles(args, grid, results);
+    exp::writeSweepFiles(out, grid, results);
     const auto matrix = exp::pivotMatrix(mcfg, std::move(results));
 
     std::vector<std::string> header = {"Scenario"};

@@ -81,6 +81,10 @@ main(int argc, char **argv)
     const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
         args, exp::allPolicySpecs());
     const std::string ref = exp::referencePolicy(policies);
+    const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
+    const exp::SweepRunner runner(opts);
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     std::printf("== Robustness: seeds, arrival processes, reconfig "
                 "granularity (Workload-C QoS-M, tasks=%d) ==\n\n",
@@ -135,10 +139,8 @@ main(int argc, char **argv)
         grid.push_back(std::move(cell));
     }
 
-    const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
-    const exp::SweepRunner runner(opts);
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(args, grid, results);
+    exp::writeSweepFiles(out, grid, results);
     // Trace scenario k is results[k * per_scenario ...], policy order.
     auto scenarioRatios = [&](std::size_t k) {
         std::vector<double> sla;

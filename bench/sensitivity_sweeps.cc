@@ -101,6 +101,9 @@ main(int argc, char **argv)
     if (policies.size() != 2)
         fatal("sensitivity_sweeps needs exactly two policy specs, "
               "got %zu", policies.size());
+    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
+    const exp::OutputFiles out = exp::outputFilesFromArgs(args);
+    args.requireAllRead();
 
     std::printf("== SoC sensitivity sweeps (%s vs %s, "
                 "Workload-C QoS-M, tasks=%d) ==\n\n",
@@ -128,9 +131,8 @@ main(int argc, char **argv)
                  seed);
     }
 
-    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(args, grid, results);
+    exp::writeSweepFiles(out, grid, results);
 
     printSweepTable("DRAM bandwidth sweep", "DRAM (GB/s)", policies,
                     grid, results, 0, 8);

@@ -125,6 +125,8 @@ main(int argc, char **argv)
         args.getInt("control-quantum", 50'000));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::string json = args.getString("json", "");
+    args.requireAllRead();
 
     std::printf("== serve_loop: closed-loop serving "
                 "(socs=%d rpc=%d timeout-scale=%.1f inflight=%s "
@@ -331,7 +333,7 @@ main(int argc, char **argv)
         exp::writeFleetTelemetry(fleet.traceOut, "", capture);
     }
 
-    exp::writeJsonDocument(args, [&] {
+    exp::writeJsonDocument(json, [&] {
         std::vector<JsonValue> rows;
         for (const auto &cell : cells) {
             const auto &r = cell.result;

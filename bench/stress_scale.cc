@@ -106,6 +106,8 @@ main(int argc, char **argv)
         static_cast<int>(args.getInt("quantum-cap", 0));
     const exp::SweepOptions opts = exp::sweepOptionsFromArgs(args);
     const bool serial = exp::resolveJobs(opts.jobs) == 1;
+    const std::string json = args.getString("json", "");
+    args.requireAllRead();
 
     const std::vector<workload::ArrivalPattern> patterns = {
         workload::ArrivalPattern::Poisson,
@@ -334,7 +336,7 @@ main(int argc, char **argv)
             obs::writeTimeseries(*sampled->telemetry, sample_out);
     }
 
-    exp::writeJsonDocument(args, [&] {
+    exp::writeJsonDocument(json, [&] {
         std::vector<JsonValue> rows;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             std::vector<JsonLine> lines = {

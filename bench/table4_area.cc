@@ -37,6 +37,7 @@ main(int argc, char **argv)
         fatal("table4_area models the MoCA hardware area; --policy "
               "cannot change what it measures");
     const int jobs = exp::sweepOptionsFromArgs(args).jobs;
+    args.requireAllRead();
 
     std::printf("== Table IV: area breakdown of an accelerator tile "
                 "with MoCA ==\n\n");

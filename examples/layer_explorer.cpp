@@ -84,10 +84,11 @@ int
 main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
+    const std::string which = args.getString("model", "alexnet");
+    args.requireAllRead();
     const sim::SocConfig cfg;
 
     printZooSummary(cfg);
-    const std::string which = args.getString("model", "alexnet");
     std::printf("\n");
     printModelDetail(dnn::modelIdFromName(which), cfg);
     std::printf("\n(pass model=<name> for another network: "

@@ -24,6 +24,13 @@ int
 main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
+    // The selected policies (default: all four mechanisms) replay the
+    // identical trace as one sweep grid (pass --jobs 4 to run them
+    // concurrently, --policy to swap mechanisms in and out).
+    const auto policies = exp::specsFromArgs<exp::PolicyRegistry>(
+        args, exp::allPolicySpecs());
+    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
+    args.requireAllRead();
     sim::SocConfig soc;
 
     // Mixed-criticality trace: all seven DNNs, medium QoS, saturating
@@ -39,15 +46,8 @@ main(int argc, char **argv)
                 workload::workloadSetName(trace.set),
                 workload::qosLevelName(trace.qos));
 
-    // The selected policies (default: all four mechanisms) replay the
-    // identical trace as one sweep grid (pass --jobs 4 to run them
-    // concurrently, --policy to swap mechanisms in and out).
     std::vector<exp::SweepCell> grid;
-    exp::appendPolicyCells(grid, "all-policies",
-                           exp::specsFromArgs<exp::PolicyRegistry>(
-                               args, exp::allPolicySpecs()),
-                           trace, soc);
-    const exp::SweepRunner runner(exp::sweepOptionsFromArgs(args));
+    exp::appendPolicyCells(grid, "all-policies", policies, trace, soc);
     const auto results = runner.run(grid);
 
     Table t({"Policy", "SLA", "p-Low", "p-Mid", "p-High", "STP",

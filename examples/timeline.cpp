@@ -26,6 +26,7 @@ main(int argc, char **argv)
 {
     ArgMap args(argc, argv);
     const std::string which = args.getString("policy", "moca");
+    args.requireAllRead();
 
     sim::SocConfig cfg;
     auto policy = exp::makePolicy(which, cfg);

@@ -111,44 +111,59 @@ ArgMap::ArgMap(int argc, char **argv)
     }
 }
 
+const std::string *
+ArgMap::lookup(const std::string &key) const
+{
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+}
+
 bool
 ArgMap::has(const std::string &key) const
 {
-    return values_.count(key) > 0;
+    return lookup(key) != nullptr;
 }
 
 std::string
 ArgMap::getString(const std::string &key, const std::string &def) const
 {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : *v;
 }
 
 std::int64_t
 ArgMap::getInt(const std::string &key, std::int64_t def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return parseIntValue("argument " + key, it->second);
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : parseIntValue("argument " + key, *v);
 }
 
 double
 ArgMap::getDouble(const std::string &key, double def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return parseDoubleValue("argument " + key, it->second);
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : parseDoubleValue("argument " + key, *v);
 }
 
 bool
 ArgMap::getBool(const std::string &key, bool def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return parseBoolValue("argument " + key, it->second);
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : parseBoolValue("argument " + key, *v);
+}
+
+void
+ArgMap::requireAllRead() const
+{
+    std::string unread;
+    for (const auto &kv : values_) {
+        if (read_.count(kv.first) == 0)
+            unread += (unread.empty() ? "" : ", ") + kv.first;
+    }
+    if (!unread.empty())
+        fatal("unknown argument(s): %s (misspelled, or not an option "
+              "of this program)", unread.c_str());
 }
 
 } // namespace moca

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,11 @@ std::vector<int> parseIntList(const std::string &what,
 std::vector<double> parseDoubleList(const std::string &what,
                                     const std::string &text);
 
-/** Parsed key=value command-line overrides with typed lookups. */
+/**
+ * Parsed key=value command-line overrides with typed lookups.  Every
+ * lookup records its key, so requireAllRead() can reject arguments
+ * the program never asked for.
+ */
 class ArgMap
 {
   public:
@@ -52,13 +57,22 @@ class ArgMap
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
-    const std::map<std::string, std::string> &entries() const
-    {
-        return values_;
-    }
+    /**
+     * fatal() naming every given argument no lookup has read (a
+     * misspelled key, or a flag this program does not have), so it
+     * cannot silently run the defaults.  Call once the program has
+     * read all of its options, before it starts work.
+     */
+    void requireAllRead() const;
 
   private:
     std::map<std::string, std::string> values_;
+    /** Keys looked up so far, given or not. */
+    // detlint: allow(R4) per-instance; a main reads its args on one thread
+    mutable std::set<std::string> read_;
+
+    /** Record `key` as read; its value, or nullptr when not given. */
+    const std::string *lookup(const std::string &key) const;
 };
 
 } // namespace moca

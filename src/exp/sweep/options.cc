@@ -103,23 +103,29 @@ sweepOptionsFromArgs(const ArgMap &args)
     return opts;
 }
 
-void
-writeSweepFiles(const ArgMap &args, const std::vector<SweepCell> &cells,
-                const std::vector<ScenarioResult> &results)
+OutputFiles
+outputFilesFromArgs(const ArgMap &args)
 {
-    const std::string csv = args.getString("csv", "");
-    if (!csv.empty() && !writeTextFile(csv, sweepCsv(cells, results)))
-        fatal("cannot write %s", csv.c_str());
-    const std::string json = args.getString("json", "");
-    if (!json.empty() && !writeTextFile(json, sweepJson(cells, results)))
-        fatal("cannot write %s", json.c_str());
+    return {args.getString("csv", ""), args.getString("json", "")};
 }
 
 void
-writeJsonDocument(const ArgMap &args,
+writeSweepFiles(const OutputFiles &out,
+                const std::vector<SweepCell> &cells,
+                const std::vector<ScenarioResult> &results)
+{
+    if (!out.csv.empty() &&
+        !writeTextFile(out.csv, sweepCsv(cells, results)))
+        fatal("cannot write %s", out.csv.c_str());
+    if (!out.json.empty() &&
+        !writeTextFile(out.json, sweepJson(cells, results)))
+        fatal("cannot write %s", out.json.c_str());
+}
+
+void
+writeJsonDocument(const std::string &path,
                   const std::function<std::string()> &doc)
 {
-    const std::string path = args.getString("json", "");
     if (path.empty())
         return;
     if (!writeTextFile(path, doc()))

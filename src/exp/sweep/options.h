@@ -77,18 +77,29 @@ specsFromArgs(const ArgMap &args, std::vector<std::string> def)
     return def;
 }
 
+/** The `--csv PATH` and `--json PATH` output files ("" when not
+ *  given), read up front so ArgMap::requireAllRead() sees them. */
+struct OutputFiles
+{
+    std::string csv;
+    std::string json;
+};
+
+OutputFiles outputFilesFromArgs(const ArgMap &args);
+
 /**
- * Write a finished sweep's per-cell records to the `--csv PATH` and
- * `--json PATH` files (sweepCsv / sweepJson); fatal when a file
- * cannot be written.  Does nothing for a flag that is not given.
+ * Write a finished sweep's per-cell records to the csv and json
+ * files (sweepCsv / sweepJson); fatal when a file cannot be written.
+ * Does nothing for a file that is not given.
  */
-void writeSweepFiles(const ArgMap &args,
+void writeSweepFiles(const OutputFiles &out,
                      const std::vector<SweepCell> &cells,
                      const std::vector<ScenarioResult> &results);
 
-/** With `--json PATH`, write the bench's own document `doc()`: fatal
- *  when the file cannot be written, else print "wrote PATH". */
-void writeJsonDocument(const ArgMap &args,
+/** Unless `path` is empty, write the bench's own document `doc()`
+ *  there: fatal when the file cannot be written, else print "wrote
+ *  PATH". */
+void writeJsonDocument(const std::string &path,
                        const std::function<std::string()> &doc);
 
 /** `--sample-out FILE` ("" if absent).  Without `--sample-every` it

@@ -168,9 +168,10 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
             treq_.push_back(
                 {s.bytes / rate(s.req), requests[s.req].weight});
         if (cfg_.dramProportionalArbitration)
-            sim::allocateBandwidthProportional(treq_, q, tgrant_);
+            sim::allocateBandwidthProportional(treq_, q, tgrant_,
+                                               tdone_);
         else
-            sim::allocateBandwidth(treq_, q, tgrant_);
+            sim::allocateBandwidth(treq_, q, tgrant_, tdone_);
         for (std::size_t s = 0; s < slices.size(); ++s) {
             const double bytes = std::min(
                 slices[s].bytes, tgrant_[s] * rate(slices[s].req));
@@ -282,7 +283,7 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
         treq_.reserve(slices.size());
         for (const auto &s : slices)
             treq_.push_back({s.bytes, requests[s.req].weight});
-        sim::allocateBandwidth(treq_, l2_bank_cap, tgrant_);
+        sim::allocateBandwidth(treq_, l2_bank_cap, tgrant_, tdone_);
         for (std::size_t s = 0; s < slices.size(); ++s) {
             grants[slices[s].req].l2Bytes += tgrant_[s];
             l2_granted += tgrant_[s];

@@ -155,6 +155,7 @@ class BankedMemoryModel : public MemoryModel
     std::vector<double> loc_; ///< Per-request locality snapshot.
     std::vector<sim::BwDemand> treq_;
     std::vector<double> tgrant_;
+    std::vector<char> tdone_;
     std::vector<MemGrant> grants_; ///< arbitrate() return buffer.
 };
 

@@ -58,15 +58,7 @@ class FlatMemoryModel : public MemoryModel
     arbitrate(const std::vector<MemRequest> &requests, Cycles horizon,
               MemStepStats &stats) override
     {
-        dram_req_.clear();
-        l2_req_.clear();
-        dram_req_.reserve(requests.size());
-        l2_req_.reserve(requests.size());
-        for (const auto &r : requests) {
-            dram_req_.push_back({r.dramBytes, r.weight});
-            l2_req_.push_back({r.l2Bytes, r.weight});
-        }
-
+        const std::size_t n = requests.size();
         const double q = static_cast<double>(horizon);
         double total_demand = 0.0;
         double max_demand = 0.0;
@@ -80,27 +72,35 @@ class FlatMemoryModel : public MemoryModel
         stats.thrashed = thrash.thrashed;
         stats.thrashLostBytes = thrash.lostBytes;
 
+        // Water-fill straight from the requests into the grants.
+        grants_.resize(n);
+        const auto weight = [&](std::size_t i) {
+            return requests[i].weight;
+        };
+        const auto dram = [&](std::size_t i) {
+            return requests[i].dramBytes;
+        };
+        const auto dram_grant = [&](std::size_t i) -> double & {
+            return grants_[i].dramBytes;
+        };
         if (cfg_.dramProportionalArbitration)
-            sim::allocateBandwidthProportional(dram_req_,
-                                               thrash.capacity, dram_);
+            sim::proportionalFill(n, thrash.capacity, dram, weight,
+                                  dram_grant, done_);
         else
-            sim::allocateBandwidth(dram_req_, thrash.capacity, dram_);
-        sim::allocateBandwidth(l2_req_, cfg_.l2BytesPerCycle() * q,
-                               l2_);
-
-        grants_.assign(requests.size(), MemGrant{});
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            grants_[i].dramBytes = dram_[i];
-            grants_[i].l2Bytes = l2_[i];
-        }
+            sim::maxMinFill(n, thrash.capacity, dram, weight,
+                            dram_grant, done_);
+        sim::maxMinFill(
+            n, cfg_.l2BytesPerCycle() * q,
+            [&](std::size_t i) { return requests[i].l2Bytes; }, weight,
+            [&](std::size_t i) -> double & { return grants_[i].l2Bytes; },
+            done_);
         return grants_;
     }
 
   private:
     sim::SocConfig cfg_;
     // Per-step scratch (one model instance per Soc, single-threaded).
-    std::vector<sim::BwDemand> dram_req_, l2_req_;
-    std::vector<double> dram_, l2_;
+    std::vector<char> done_;
     std::vector<MemGrant> grants_;
 };
 

@@ -636,6 +636,9 @@ ServeDriver::handleFail()
     const auto idx = static_cast<std::size_t>(
         candidates[static_cast<std::size_t>(plan.victim)]);
     Slot &slot = slots_[idx];
+    // The SoC stepped no further than its last completion; its series
+    // runs on, idle, up to the failure.
+    slot.soc->sampleIdleUntil(now_);
     res_.failEvents++;
     captureEvent(sim::TraceEventKind::SocFail,
                  static_cast<int>(idx));

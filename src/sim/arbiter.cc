@@ -6,89 +6,33 @@
 
 namespace moca::sim {
 
-namespace {
-
-/** Per-thread saturation-flag scratch: arbitration runs once per
- *  simulation step per channel, and sweeps arbitrate from worker
- *  threads concurrently. */
-std::vector<char> &
-doneScratch(std::size_t n)
+void
+detail::badDemand(double bytes, double weight)
 {
-    static thread_local std::vector<char> done;
-    done.assign(n, 0);
-    return done;
+    if (bytes < 0.0)
+        panic("negative bandwidth demand %f", bytes);
+    panic("non-positive arbiter weight %f", weight);
 }
-
-} // anonymous namespace
 
 std::vector<double>
 allocateBandwidth(const std::vector<BwDemand> &demands, double capacity)
 {
     std::vector<double> grants;
-    allocateBandwidth(demands, capacity, grants);
+    std::vector<char> done;
+    allocateBandwidth(demands, capacity, grants, done);
     return grants;
 }
 
 void
 allocateBandwidth(const std::vector<BwDemand> &demands, double capacity,
-                  std::vector<double> &grants)
+                  std::vector<double> &grants, std::vector<char> &done)
 {
-    const std::size_t n = demands.size();
-    grants.assign(n, 0.0);
-    if (n == 0 || capacity <= 0.0)
-        return;
-
-    for (const auto &d : demands) {
-        if (d.bytes < 0.0)
-            panic("negative bandwidth demand %f", d.bytes);
-        if (d.weight <= 0.0)
-            panic("non-positive arbiter weight %f", d.weight);
-    }
-
-    // Water-filling: repeatedly hand every unsatisfied requester its
-    // weighted share of the remaining capacity; requesters whose
-    // demand is met drop out and their leftover is redistributed.
-    std::vector<char> &done = doneScratch(n);
-    double remaining = capacity;
-    std::size_t active = n;
-
-    while (active > 0 && remaining > 1e-9) {
-        double weight_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (!done[i])
-                weight_sum += demands[i].weight;
-
-        bool any_capped = false;
-        double distributed = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (done[i])
-                continue;
-            const double share =
-                remaining * demands[i].weight / weight_sum;
-            const double want = demands[i].bytes - grants[i];
-            if (want <= share) {
-                grants[i] += want;
-                distributed += want;
-                done[i] = true;
-                --active;
-                any_capped = true;
-            }
-        }
-        if (!any_capped) {
-            // Everyone can absorb a full share: final round.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (done[i])
-                    continue;
-                const double share =
-                    remaining * demands[i].weight / weight_sum;
-                grants[i] += share;
-                distributed += share;
-            }
-            remaining -= distributed;
-            break;
-        }
-        remaining -= distributed;
-    }
+    grants.resize(demands.size());
+    maxMinFill(
+        demands.size(), capacity,
+        [&](std::size_t i) { return demands[i].bytes; },
+        [&](std::size_t i) { return demands[i].weight; },
+        [&](std::size_t i) -> double & { return grants[i]; }, done);
 }
 
 std::vector<double>
@@ -96,74 +40,23 @@ allocateBandwidthProportional(const std::vector<BwDemand> &demands,
                               double capacity)
 {
     std::vector<double> grants;
-    allocateBandwidthProportional(demands, capacity, grants);
+    std::vector<char> done;
+    allocateBandwidthProportional(demands, capacity, grants, done);
     return grants;
 }
 
 void
 allocateBandwidthProportional(const std::vector<BwDemand> &demands,
                               double capacity,
-                              std::vector<double> &grants)
+                              std::vector<double> &grants,
+                              std::vector<char> &done)
 {
-    const std::size_t n = demands.size();
-    grants.assign(n, 0.0);
-    if (n == 0 || capacity <= 0.0)
-        return;
-
-    for (const auto &d : demands) {
-        if (d.bytes < 0.0)
-            panic("negative bandwidth demand %f", d.bytes);
-        if (d.weight <= 0.0)
-            panic("non-positive arbiter weight %f", d.weight);
-    }
-
-    // Shares proportional to outstanding demand x weight; requesters
-    // whose full demand fits drop out and free their slice.
-    std::vector<char> &done = doneScratch(n);
-    double remaining = capacity;
-    std::size_t active = n;
-
-    while (active > 0 && remaining > 1e-9) {
-        double denom = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!done[i])
-                denom += (demands[i].bytes - grants[i]) *
-                    demands[i].weight;
-        }
-        if (denom <= 1e-12)
-            break;
-
-        bool any_capped = false;
-        double distributed = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (done[i])
-                continue;
-            const double want = demands[i].bytes - grants[i];
-            const double share =
-                remaining * want * demands[i].weight / denom;
-            if (want <= share) {
-                grants[i] += want;
-                distributed += want;
-                done[i] = true;
-                --active;
-                any_capped = true;
-            }
-        }
-        if (!any_capped) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (done[i])
-                    continue;
-                const double want = demands[i].bytes - grants[i];
-                const double share =
-                    remaining * want * demands[i].weight / denom;
-                grants[i] += share;
-                distributed += share;
-            }
-            remaining -= distributed;
-            break;
-        }
-        remaining -= distributed;
-    }
+    grants.resize(demands.size());
+    proportionalFill(
+        demands.size(), capacity,
+        [&](std::size_t i) { return demands[i].bytes; },
+        [&](std::size_t i) { return demands[i].weight; },
+        [&](std::size_t i) -> double & { return grants[i]; }, done);
 }
 
 ThrashOutcome

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -375,30 +376,34 @@ Soc::beginLayer(int id)
 }
 
 double
-Soc::layerRemainingTime(const JobHot &hot, double service) const
+Soc::memCapTime(const JobHot &hot) const
 {
-    const LayerExecState &e = hot.exec;
-    const double c = e.computeRem;
-    if (service <= 0.0)
-        return kInf;
-    // Memory time at the job's private DMA caps, inflated by the
-    // service ratio the shared channels granted.  DRAM refills flow
+    // Memory time at the job's private DMA caps.  DRAM refills flow
     // through the L2 pipeline concurrently, so the memory time is the
     // slower of the two channels, not their sum.
+    const LayerExecState &e = hot.exec;
     const double cap = cfg_.tileDmaBytesPerCycle *
         std::max(1, hot.numTiles);
     const double dram_cap = std::min(cap, cfg_.dramBytesPerCycle);
     const double l2_cap = std::min(cap, cfg_.l2BytesPerCycle());
-    const double m_cap =
-        std::max(e.dramRem / dram_cap, e.l2Rem / l2_cap);
+    return std::max(e.dramRem / dram_cap, e.l2Rem / l2_cap);
+}
+
+double
+Soc::remainingTime(double compute, double m_cap, double service) const
+{
+    if (service <= 0.0)
+        return kInf;
+    // The memory time inflated by the service ratio the shared
+    // channels granted, overlapped with the compute.
     const double m = m_cap / service;
     const double f = cfg_.overlapF;
-    return std::max(c, m) + f * std::min(c, m);
+    return std::max(compute, m) + f * std::min(compute, m);
 }
 
 Soc::AdvanceOutcome
 Soc::advanceJob(int id, Cycles quantum, double service,
-                double dram_budget, double l2_budget)
+                double dram_budget, double l2_budget, double m_cap)
 {
     AdvanceOutcome out;
     double t = static_cast<double>(quantum);
@@ -407,10 +412,13 @@ Soc::advanceJob(int id, Cycles quantum, double service,
         *jobs_[static_cast<std::size_t>(id)].spec.model;
 
     while (t > 1e-9) {
-        if (!job.exec.valid)
+        if (!job.exec.valid) {
             beginLayer(id);
+            m_cap = memCapTime(job);
+        }
 
-        double t_rem = layerRemainingTime(job, service);
+        const double t_rem =
+            remainingTime(job.exec.computeRem, m_cap, service);
         // Hard grant clamps: progress cannot consume more bytes than
         // the arbiters granted this quantum.
         double df_max = t / t_rem;
@@ -564,90 +572,107 @@ Soc::schedulingPoints(Cycles horizon)
     return !running_ids_.empty();
 }
 
-void
-Soc::computeDemands(const std::vector<int> &running, Cycles horizon,
-                    std::vector<DemandEntry> &entries)
+Soc::DemandTerms
+Soc::demandTerms(const JobHot &j) const
 {
-    entries.clear();
+    DemandTerms t;
+    t.mCap = memCapTime(j);
+    t.tFull = remainingTime(j.exec.computeRem, t.mCap, 1.0);
+    if (t.tFull > 0.0 && t.tFull < kInf) {
+        t.l2Rate = j.exec.l2Rem / t.tFull;
+        t.dramRate = j.exec.dramRem / t.tFull;
+    }
+    return t;
+}
 
-    for (int id : running) {
+bool
+Soc::demandAt(const DemandTerms &t, Cycles horizon,
+              mem::MemRequest &r) const
+{
+    const JobHot &j = hot_[static_cast<std::size_t>(r.id)];
+    // Private (uncontended) rate cap of the job's DMA engines.
+    const double cap = cfg_.tileDmaBytesPerCycle * j.numTiles;
+    const double q = static_cast<double>(horizon);
+
+    double l2_des, dram_des;
+    if (t.tFull >= kInf) {
+        l2_des = dram_des = 0.0;
+    } else if (t.tFull <= q) {
+        // Layer (and possibly more) finishes within the
+        // step at private speed: ask for the full rate.
+        l2_des = std::min(j.exec.l2Rem + q * cap * 0.25, q * cap);
+        dram_des = std::min(j.exec.dramRem + q * cap * 0.25, q * cap);
+    } else {
+        // The decoupled DMA runs ahead of compute: it issues
+        // at up to dmaRunAhead x the balanced rate until the
+        // scratchpad double-buffer backpressures.
+        const double ahead = std::max(1.0, cfg_.dmaRunAhead);
+        l2_des = std::min(q * cap, ahead * q * t.l2Rate);
+        dram_des = std::min(q * cap, ahead * q * t.dramRate);
+    }
+
+    // MoCA throttle: cap by the per-tile window allowance.
+    bool bound = false;
+    const hw::ThrottleEngine &throttle =
+        jobs_[static_cast<std::size_t>(r.id)].throttle;
+    if (throttle.config().enabled() || l2_des > 0.0) {
+        const std::uint64_t beats_per_tile =
+            throttle.peekAllowance(horizon);
+        const double allowed = static_cast<double>(beats_per_tile) *
+            static_cast<double>(cfg_.dmaBeatBytes) * j.numTiles;
+        if (l2_des > allowed) {
+            bound = true;
+            const double scale = l2_des > 0.0 ? allowed / l2_des : 0.0;
+            l2_des = allowed;
+            dram_des *= scale;
+        }
+    }
+    r.l2Bytes = l2_des;
+    r.dramBytes = dram_des;
+    return bound;
+}
+
+void
+Soc::probeDemands()
+{
+    probe_requests_.clear();
+    terms_.clear();
+    for (int id : running_ids_) {
         JobHot &j = hot_[static_cast<std::size_t>(id)];
-        hw::ThrottleEngine &throttle =
-            jobs_[static_cast<std::size_t>(id)].throttle;
-        DemandEntry e;
-        e.id = id;
+        mem::MemRequest r;
+        r.id = id;
+        r.weight = std::max(1, j.numTiles);
+        DemandTerms t;
         if (j.stallUntil > now_) {
-            e.stalled = true;
-            entries.push_back(e);
-            continue;
-        }
-        if (!j.exec.valid)
-            beginLayer(id);
-
-        // Private (uncontended) rate cap of the job's DMA engines.
-        const double cap =
-            cfg_.tileDmaBytesPerCycle * j.numTiles;
-        const double t_full = layerRemainingTime(j, 1.0);
-        const double q = static_cast<double>(horizon);
-
-        double l2_des, dram_des;
-        if (t_full >= kInf) {
-            l2_des = dram_des = 0.0;
-        } else if (t_full <= q) {
-            // Layer (and possibly more) finishes within the
-            // step at private speed: ask for the full rate.
-            l2_des = std::min(j.exec.l2Rem + q * cap * 0.25,
-                              q * cap);
-            dram_des = std::min(j.exec.dramRem + q * cap * 0.25,
-                                q * cap);
+            t.stalled = true;
         } else {
-            // The decoupled DMA runs ahead of compute: it issues
-            // at up to dmaRunAhead x the balanced rate until the
-            // scratchpad double-buffer backpressures.
-            const double ahead = std::max(1.0, cfg_.dmaRunAhead);
-            l2_des = std::min(q * cap,
-                              ahead * q * (j.exec.l2Rem / t_full));
-            dram_des = std::min(
-                q * cap, ahead * q * (j.exec.dramRem / t_full));
+            if (!j.exec.valid)
+                beginLayer(id);
+            t = demandTerms(j);
+            t.throttleBound = demandAt(t, cfg_.quantum, r);
         }
+        probe_requests_.push_back(r);
+        terms_.push_back(t);
+    }
+}
 
-        // MoCA throttle: cap by the per-tile window allowance.
-        if (throttle.config().enabled() || l2_des > 0.0) {
-            const std::uint64_t beats_per_tile =
-                throttle.peekAllowance(horizon);
-            const double allowed =
-                static_cast<double>(beats_per_tile) *
-                static_cast<double>(cfg_.dmaBeatBytes) *
-                j.numTiles;
-            if (l2_des > allowed) {
-                e.throttleBound = true;
-                const double scale =
-                    l2_des > 0.0 ? allowed / l2_des : 0.0;
-                l2_des = allowed;
-                dram_des *= scale;
-            }
-        }
-        e.l2Demand = l2_des;
-        e.dramDemand = dram_des;
-        entries.push_back(e);
+void
+Soc::rescaleDemands(Cycles step)
+{
+    // Below the layer end every demand term is linear in the step
+    // except the throttle allowance, which demandAt re-reads.
+    step_requests_ = probe_requests_;
+    for (std::size_t i = 0; i < step_requests_.size(); ++i) {
+        if (!terms_[i].stalled)
+            terms_[i].throttleBound =
+                demandAt(terms_[i], step, step_requests_[i]);
     }
 }
 
 const std::vector<mem::MemGrant> &
-Soc::arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon)
+Soc::arbitrate(const std::vector<mem::MemRequest> &requests,
+               Cycles horizon)
 {
-    std::vector<mem::MemRequest> &requests = requests_scratch_;
-    requests.clear();
-    for (const auto &e : entries) {
-        mem::MemRequest r;
-        r.id = e.id;
-        r.dramBytes = e.dramDemand;
-        r.l2Bytes = e.l2Demand;
-        r.weight =
-            std::max(1, hot_[static_cast<std::size_t>(e.id)].numTiles);
-        requests.push_back(r);
-    }
-
     mem::MemStepStats step;
     const std::vector<mem::MemGrant> &grants =
         mem_->arbitrate(requests, horizon, step);
@@ -664,16 +689,15 @@ Soc::arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon)
 }
 
 double
-Soc::serviceRatio(const DemandEntry &e, double dram_grant,
-                  double l2_grant) const
+Soc::serviceRatio(const mem::MemRequest &r, const mem::MemGrant &g) const
 {
     // Service ratio: how much of the demanded issue rate the shared
     // channels actually granted.
     double service = 1.0;
-    if (e.dramDemand > 1e-9)
-        service = std::min(service, dram_grant / e.dramDemand);
-    if (e.l2Demand > 1e-9)
-        service = std::min(service, l2_grant / e.l2Demand);
+    if (r.dramBytes > 1e-9)
+        service = std::min(service, g.dramBytes / r.dramBytes);
+    if (r.l2Bytes > 1e-9)
+        service = std::min(service, g.l2Bytes / r.l2Bytes);
     // The demand already includes the run-ahead margin; the balanced
     // rate is demand / runAhead, so a grant of demand/runAhead still
     // sustains full-speed execution.
@@ -681,27 +705,26 @@ Soc::serviceRatio(const DemandEntry &e, double dram_grant,
 }
 
 double
-Soc::advanceEntries(const std::vector<DemandEntry> &entries,
+Soc::advanceEntries(const std::vector<mem::MemRequest> &requests,
                     const std::vector<mem::MemGrant> &grants,
                     Cycles horizon)
 {
     double dram_used = 0.0;
     boundary_scratch_.clear();
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const int id = entries[i].id;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const int id = requests[i].id;
         Job &j = jobs_[static_cast<std::size_t>(id)];
         const JobHot &h = hot_[static_cast<std::size_t>(id)];
-        if (entries[i].stalled) {
+        if (terms_[i].stalled) {
             j.stallCycles += std::min<Cycles>(
                 horizon, h.stallRemaining(now_));
             j.throttle.advance(horizon, 0);
             continue;
         }
         const mem::MemGrant &g = grants[i];
-        const double service =
-            serviceRatio(entries[i], g.dramBytes, g.l2Bytes);
-        const AdvanceOutcome adv = advanceJob(id, horizon, service,
-                                              g.dramBytes, g.l2Bytes);
+        const AdvanceOutcome adv =
+            advanceJob(id, horizon, serviceRatio(requests[i], g),
+                       g.dramBytes, g.l2Bytes, terms_[i].mCap);
 
         j.dramBytesMoved +=
             static_cast<std::uint64_t>(adv.dramConsumed);
@@ -719,7 +742,7 @@ Soc::advanceEntries(const std::vector<DemandEntry> &entries,
 
         if (adv.blockBoundary || adv.jobComplete)
             boundary_scratch_.push_back(
-                {entries[i].id, adv.blockBoundary, adv.jobComplete});
+                {id, adv.blockBoundary, adv.jobComplete});
     }
     return dram_used;
 }
@@ -732,7 +755,14 @@ Soc::accountStep(Cycles step, double dram_used)
     stats_.dramBytes += static_cast<std::uint64_t>(dram_used);
     dram_busy_cycles_ += dram_used / cfg_.dramBytesPerCycle;
     if (tele_sampler_ && now_ >= tele_sampler_->pending())
-        sampleTelemetry();
+        sampleTelemetry(now_);
+}
+
+void
+Soc::sampleIdleUntil(Cycles t)
+{
+    if (tele_sampler_)
+        sampleTelemetry(t);
 }
 
 void
@@ -751,7 +781,7 @@ Soc::setupTelemetry()
 }
 
 void
-Soc::sampleTelemetry()
+Soc::sampleTelemetry(Cycles upto)
 {
     // State is piecewise-constant between steps, so the post-step
     // values hold at every grid point the step crossed.
@@ -760,7 +790,7 @@ Soc::sampleTelemetry()
     tele_free_tiles_->set(static_cast<double>(freeTiles()));
     tele_dram_mb_->set(static_cast<double>(stats_.dramBytes) /
                        static_cast<double>(MiB));
-    tele_sampler_->tick(now_);
+    tele_sampler_->tick(upto);
 }
 
 void
@@ -791,14 +821,14 @@ Soc::step(Cycles horizon)
 {
     if (!schedulingPoints(horizon))
         return;
-    const std::vector<int> &running = running_ids_;
 
     // Probe pass at quantum granularity: the demand-shape branch and
-    // throttle binding of the next quantum.  Under the event kernel
-    // they stay constant until the next state change (demand rates
-    // are layer-invariant: every remaining quantity shrinks by the
-    // same factor as the layer advances).
-    computeDemands(running, cfg_.quantum, probe_scratch_);
+    // throttle binding of the next quantum, plus each job's layer
+    // terms.  Under the event kernel they stay constant until the
+    // next state change (demand rates are layer-invariant: every
+    // remaining quantity shrinks by the same factor as the layer
+    // advances).
+    probeDemands();
 
     // The periodic tick and the next arrival bound every step, so the
     // tick fires at the exact schedPeriod cadence and arrivals are
@@ -815,14 +845,17 @@ Soc::step(Cycles horizon)
     const Cycles step = next - now_;
 
     // A full-quantum step (every quantum-kernel step, and the tail
-    // step of each layer under the event kernel) reuses the probe.
-    const std::vector<DemandEntry> *entries = &probe_scratch_;
+    // step of each layer under the event kernel) reuses the probe;
+    // a longer one rescales the probe's terms to the step.
+    const std::vector<mem::MemRequest> *requests = &probe_requests_;
     if (step != cfg_.quantum) {
-        computeDemands(running, step, entries_scratch_);
-        entries = &entries_scratch_;
+        rescaleDemands(step);
+        debugCheckStepPass(step);
+        requests = &step_requests_;
     }
-    const std::vector<mem::MemGrant> &grants = arbitrate(*entries, step);
-    const double dram_used = advanceEntries(*entries, grants, step);
+    const std::vector<mem::MemGrant> &grants =
+        arbitrate(*requests, step);
+    const double dram_used = advanceEntries(*requests, grants, step);
     accountStep(step, dram_used);
     dispatchBoundaries();
 }
@@ -838,10 +871,13 @@ Soc::nextStateChange() const
     const Cycles mem_change = mem_->cyclesUntilNextChange();
     if (mem_change > 0)
         next = std::min(next, gridCeil(now_ + mem_change));
-    for (const DemandEntry &e : probe_scratch_) {
-        const JobHot &j = hot_[static_cast<std::size_t>(e.id)];
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+        const int id = probe_requests_[i].id;
+        const DemandTerms &e = terms_[i];
         if (e.stalled) {
-            next = std::min(next, gridCeil(j.stallUntil));
+            next = std::min(
+                next,
+                gridCeil(hot_[static_cast<std::size_t>(id)].stallUntil));
             continue;
         }
         // A layer can never finish before its full-service
@@ -849,7 +885,7 @@ Soc::nextStateChange() const
         // *before* it: the tail quantum then replays the quantum
         // kernel's end-of-layer demand burst exactly, and no step
         // ever spans a demand-shape change.
-        const double t = layerRemainingTime(j, 1.0);
+        const double t = e.tFull;
         if (t < kInf) {
             const Cycles dt = static_cast<Cycles>(std::ceil(
                 std::min(t, static_cast<double>(
@@ -865,9 +901,8 @@ Soc::nextStateChange() const
             // state change (window rollover / reconfig-stall
             // end); stop there so per-window pacing is not
             // smeared across a long step.
-            const Cycles c =
-                jobs_[static_cast<std::size_t>(e.id)]
-                    .throttle.cyclesUntilNextChange();
+            const Cycles c = jobs_[static_cast<std::size_t>(id)]
+                                 .throttle.cyclesUntilNextChange();
             if (c > 0)
                 next = std::min(next, gridCeil(now_ + c));
         }
@@ -914,18 +949,18 @@ Soc::reserveRunState()
     waiting_pos_.resize(nj, -1);
     reserveGeometric(running_ids_, nj);
     reserveGeometric(results_, nj);
-    probe_scratch_.reserve(nr);
-    entries_scratch_.reserve(nr);
-    requests_scratch_.reserve(nr);
+    probe_requests_.reserve(nr);
+    step_requests_.reserve(nr);
+    terms_.reserve(nr);
     boundary_scratch_.reserve(nr);
 }
 
 std::vector<std::size_t>
 Soc::runStateCapacities() const
 {
-    return {waiting_ids_.capacity(),      running_ids_.capacity(),
-            results_.capacity(),          probe_scratch_.capacity(),
-            entries_scratch_.capacity(),  requests_scratch_.capacity(),
+    return {waiting_ids_.capacity(),     running_ids_.capacity(),
+            results_.capacity(),         probe_requests_.capacity(),
+            step_requests_.capacity(),   terms_.capacity(),
             boundary_scratch_.capacity()};
 }
 
@@ -944,6 +979,40 @@ Soc::debugCheckNoRealloc() const
     if (runStateCapacities() != debug_caps_)
         panic("hot-loop vector reallocated during run "
               "(reserveRunState under-sized a buffer)");
+#endif
+}
+
+void
+Soc::debugCheckStepPass(Cycles step) const
+{
+#ifndef NDEBUG
+    // The rescaled step pass must equal a full demand pass at the
+    // step length, bit for bit.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (std::size_t i = 0; i < step_requests_.size(); ++i) {
+        const mem::MemRequest &got = step_requests_[i];
+        const JobHot &j = hot_[static_cast<std::size_t>(got.id)];
+        mem::MemRequest want;
+        want.id = got.id;
+        const bool stalled = j.stallUntil > now_;
+        const bool bound =
+            !stalled && demandAt(demandTerms(j), step, want);
+        if (stalled != terms_[i].stalled ||
+            bound != terms_[i].throttleBound ||
+            !same(want.l2Bytes, got.l2Bytes) ||
+            !same(want.dramBytes, got.dramBytes))
+            panic("step pass diverged from a full demand pass: job %d, "
+                  "step %llu: l2 %.17g vs %.17g, dram %.17g vs %.17g, "
+                  "stalled %d vs %d, throttle-bound %d vs %d",
+                  got.id, static_cast<unsigned long long>(step),
+                  got.l2Bytes, want.l2Bytes, got.dramBytes,
+                  want.dramBytes, terms_[i].stalled, stalled,
+                  terms_[i].throttleBound, bound);
+    }
+#else
+    (void)step;
 #endif
 }
 

@@ -266,6 +266,14 @@ class Soc
      */
     const obs::Sampler *sampler() const { return tele_sampler_.get(); }
 
+    /**
+     * Emit the sampled rows of every grid point up to `t` from the
+     * current state.  For a SoC that stays idle from now() to `t` (a
+     * fleet SoC that fails after its last step) the rows are exact;
+     * stepping emits rows only up to now().  No-op without sampling.
+     */
+    void sampleIdleUntil(Cycles t);
+
   private:
     SocConfig cfg_;
     Policy &policy_;
@@ -350,15 +358,21 @@ class Soc
 
     // --- Step phases --------------------------------------------------
 
-    /** One running job's byte demand for a step. */
-    struct DemandEntry
+    /**
+     * One running job's layer terms from the quantum probe, parallel
+     * to its request in probe_requests_.  They hold until the job's
+     * next state change, so the step pass and the advance reuse them.
+     */
+    struct DemandTerms
     {
-        int id;
-        double dramDemand = 0.0;
-        double l2Demand = 0.0;
+        double tFull = 0.0;    ///< Full-service remaining layer time.
+        double mCap = 0.0;     ///< Memory time at the private DMA caps.
+        double l2Rate = 0.0;   ///< L2 bytes per cycle over tFull.
+        double dramRate = 0.0; ///< DRAM bytes per cycle over tFull.
         bool stalled = false;
-        /** The MoCA throttle allowance clamped the demand, so the
-         *  engine's next window rollover is a scheduling event. */
+        /** The MoCA throttle allowance clamped the latest demand pass
+         *  (the probe's flag feeds nextStateChange: the engine's next
+         *  window rollover is then a scheduling event). */
         bool throttleBound = false;
     };
 
@@ -389,35 +403,50 @@ class Soc
      */
     void skipIdleTicks(Cycles limit);
 
+    /** Layer terms of one non-stalled job with valid exec state. */
+    DemandTerms demandTerms(const JobHot &j) const;
+
     /**
-     * Demand phase: each running job's DMA byte demand over `horizon`
-     * cycles, capped by its private rate and throttle allowance,
-     * written into `out` (a per-step scratch buffer).  Initializes
-     * layer exec state as needed; no time accounting.
+     * Byte demand of job `r.id` over `horizon` cycles from its terms,
+     * capped by its private rate and throttle allowance, written into
+     * r.l2Bytes/r.dramBytes.  Returns true when the throttle bound.
      */
-    void computeDemands(const std::vector<int> &running, Cycles horizon,
-                        std::vector<DemandEntry> &out);
+    bool demandAt(const DemandTerms &t, Cycles horizon,
+                  mem::MemRequest &r) const;
+
+    /**
+     * Demand phase, quantum probe: every running job's terms and
+     * request over one quantum into terms_/probe_requests_.
+     * Initializes layer exec state as needed; no time accounting.
+     */
+    void probeDemands();
+
+    /** Demand phase, step pass: the probe's requests at `step` cycles
+     *  into step_requests_, from the stored terms. */
+    void rescaleDemands(Cycles step);
 
     /**
      * Arbitration phase: grant the shared DRAM channel (with the
      * oversubscription-thrash derate, accumulated into stats_) and
      * L2 banks over `horizon`.  Returns the memory model's grant
-     * buffer, one grant per entry, valid until the next call.
+     * buffer, one grant per request, valid until the next call.
      */
     const std::vector<mem::MemGrant> &
-    arbitrate(const std::vector<DemandEntry> &entries, Cycles horizon);
+    arbitrate(const std::vector<mem::MemRequest> &requests,
+              Cycles horizon);
 
-    /** Grant/demand service ratio in (0, 1] for one entry. */
-    double serviceRatio(const DemandEntry &e, double dram_grant,
-                        double l2_grant) const;
+    /** Grant/demand service ratio in (0, 1] for one request. */
+    double serviceRatio(const mem::MemRequest &r,
+                        const mem::MemGrant &g) const;
 
     /**
-     * Advance phase: move every entry forward by `horizon` cycles
-     * (stalled jobs accrue stall time), consuming granted bytes.
+     * Advance phase: move every request's job forward by `horizon`
+     * cycles (stalled jobs accrue stall time), consuming granted
+     * bytes.
      * Records boundary/completion events in boundary_scratch_; does
      * not advance now_.  Returns the step's consumed DRAM bytes.
      */
-    double advanceEntries(const std::vector<DemandEntry> &entries,
+    double advanceEntries(const std::vector<mem::MemRequest> &requests,
                           const std::vector<mem::MemGrant> &grants,
                           Cycles horizon);
 
@@ -441,9 +470,9 @@ class Soc
     /**
      * Event-kernel step bound: the earliest in-SoC state change after
      * now_ — memory-model change, stall expiry, layer-completion floor,
-     * binding-throttle rollover — read from the probe in
-     * probe_scratch_.  Every candidate is at or after now_ + quantum;
-     * kNoEvent when there is none.
+     * binding-throttle rollover — read from the probe's terms_.
+     * Every candidate is at or after now_ + quantum; kNoEvent when
+     * there is none.
      */
     Cycles nextStateChange() const;
 
@@ -462,6 +491,8 @@ class Soc
      *        private DMA caps.
      * @param dram_budget,l2_budget granted bytes this step (hard
      *        consumption clamps).
+     * @param m_cap memCapTime() of the job's current layer (the
+     *        probe's term; recomputed for each layer begun here).
      */
     struct AdvanceOutcome
     {
@@ -471,13 +502,20 @@ class Soc
         bool jobComplete = false;
     };
     AdvanceOutcome advanceJob(int id, Cycles quantum, double service,
-                              double dram_budget, double l2_budget);
+                              double dram_budget, double l2_budget,
+                              double m_cap);
+
+    /** Memory time of the job's current layer at its private DMA
+     *  caps. */
+    double memCapTime(const JobHot &hot) const;
 
     /**
-     * Remaining time of the current layer when the memory pipeline
-     * runs at `service` x the job's private cap rates.
+     * Remaining time of a layer with `compute` cycles and memory time
+     * `m_cap` left when the memory pipeline runs at `service` x the
+     * job's private cap rates.
      */
-    double layerRemainingTime(const JobHot &hot, double service) const;
+    double remainingTime(double compute, double m_cap,
+                         double service) const;
 
     void completeJob(int id);
     void invokePolicy(SchedEvent event);
@@ -497,8 +535,9 @@ class Soc
 
     /** Register the instrument set and arm the sampler. */
     void setupTelemetry();
-    /** Refresh gauges and emit rows for all crossed grid points. */
-    void sampleTelemetry();
+    /** Refresh gauges and emit rows for every grid point up to
+     *  `upto`. */
+    void sampleTelemetry(Cycles upto);
 
     // --- Per-step scratch ---------------------------------------------
     //
@@ -507,9 +546,9 @@ class Soc
     // once in beginRun() (running jobs are bounded by numTiles) so
     // the hot loop never allocates.  Debug builds verify that no
     // buffer reallocated during the run (debugCheckNoRealloc).
-    std::vector<DemandEntry> probe_scratch_;   ///< Quantum probe.
-    std::vector<DemandEntry> entries_scratch_; ///< Longer-step demands.
-    std::vector<mem::MemRequest> requests_scratch_;
+    std::vector<mem::MemRequest> probe_requests_; ///< Quantum probe.
+    std::vector<mem::MemRequest> step_requests_;  ///< Off-quantum steps.
+    std::vector<DemandTerms> terms_; ///< Parallel to the requests.
     std::vector<BoundaryEvent> boundary_scratch_;
 
 #ifndef NDEBUG
@@ -524,6 +563,9 @@ class Soc
     std::vector<std::size_t> runStateCapacities() const;
     void debugCaptureCapacities();
     void debugCheckNoRealloc() const;
+    /** Debug-only: panic unless the rescaled step_requests_ equal a
+     *  full demand pass at `step` cycles bit for bit. */
+    void debugCheckStepPass(Cycles step) const;
 };
 
 } // namespace moca::sim

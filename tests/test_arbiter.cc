@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "common/rng.h"
+#include "mem/memory_model.h"
 #include "sim/arbiter.h"
 
 namespace moca::sim {
@@ -64,6 +66,75 @@ TEST(Arbiter, EmptyAndZeroCapacity)
     EXPECT_TRUE(allocateBandwidth({}, 100).empty());
     const auto g = allocateBandwidth({{100, 1}}, 0);
     EXPECT_DOUBLE_EQ(g[0], 0);
+}
+
+/** Property: the field-projected fill the flat memory model runs
+ *  (straight from MemRequests into MemGrants, one scratch reused
+ *  across calls of any size) grants bit-identically to the BwDemand
+ *  form, for both allocation rules. */
+TEST(Arbiter, PropertyProjectedFormMatchesBwDemandForm)
+{
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    Rng rng(43);
+    std::vector<char> done;
+    std::vector<mem::MemGrant> grants;
+    for (int trial = 0; trial < 600; ++trial) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(0, 10));
+        // Capacity <= 0 on some trials; equal demands and weights on
+        // others, so shares tie with wants exactly.
+        const int shape = static_cast<int>(rng.uniformInt(0, 3));
+        double cap = rng.uniform(1.0, 4000.0);
+        if (shape == 0)
+            cap = trial % 2 == 0 ? 0.0 : -cap;
+        std::vector<mem::MemRequest> reqs(n);
+        std::vector<BwDemand> bw(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            mem::MemRequest &r = reqs[i];
+            if (shape == 1) {
+                r.dramBytes = cap / static_cast<double>(n);
+                r.weight = 2.0;
+            } else {
+                // A quarter of the requesters want nothing.
+                r.dramBytes =
+                    rng.uniformInt(0, 3) == 0 ? 0.0
+                                              : rng.uniform(0.0, 900.0);
+                r.weight = static_cast<double>(rng.uniformInt(1, 8));
+            }
+            bw[i] = {r.dramBytes, r.weight};
+        }
+
+        for (bool proportional : {false, true}) {
+            grants.assign(n, mem::MemGrant{});
+            const auto bytes = [&](std::size_t i) {
+                return reqs[i].dramBytes;
+            };
+            const auto weight = [&](std::size_t i) {
+                return reqs[i].weight;
+            };
+            const auto grant = [&](std::size_t i) -> double & {
+                return grants[i].dramBytes;
+            };
+            if (proportional)
+                proportionalFill(n, cap, bytes, weight, grant, done);
+            else
+                maxMinFill(n, cap, bytes, weight, grant, done);
+            const std::vector<double> want =
+                proportional ? allocateBandwidthProportional(bw, cap)
+                             : allocateBandwidth(bw, cap);
+            ASSERT_EQ(want.size(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(same(grants[i].dramBytes, want[i]))
+                    << "trial " << trial << " requester " << i
+                    << (proportional ? " proportional: " : " max-min: ")
+                    << grants[i].dramBytes << " vs " << want[i];
+            if (cap <= 0.0) {
+                for (double g : want)
+                    EXPECT_EQ(g, 0.0);
+            }
+        }
+    }
 }
 
 /** Property: grants are feasible, demand-bounded and work-conserving. */

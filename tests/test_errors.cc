@@ -138,6 +138,28 @@ TEST(Errors, ArgMapRejectsMalformedValues)
     EXPECT_DEATH(args3.getBool("flag", false), "not a boolean");
 }
 
+TEST(Errors, ArgMapRejectsUnreadArguments)
+{
+    // A misspelled key (fail-rate for fail-rates) must not run the
+    // defaults silently.
+    const char *argv[] = {"prog", "tasks=3", "fail-rate=400"};
+    ArgMap args(3, const_cast<char **>(argv));
+    EXPECT_EQ(args.getInt("tasks", 0), 3);
+    EXPECT_EQ(args.getString("fail-rates", "0"), "0");
+    EXPECT_DEATH(args.requireAllRead(), "unknown argument.*fail-rate");
+
+    // Nor may a dashed flag the program does not have.
+    const char *argv2[] = {"prog", "--jobs", "2", "--verbos"};
+    ArgMap args2(4, const_cast<char **>(argv2));
+    EXPECT_EQ(args2.getInt("jobs", 1), 2);
+    EXPECT_FALSE(args2.getBool("verbose", false));
+    EXPECT_DEATH(args2.requireAllRead(), "unknown argument.*verbos");
+
+    // Looking a key up counts as reading it, given or not.
+    EXPECT_TRUE(args2.has("verbos"));
+    args2.requireAllRead();
+}
+
 TEST(Errors, UnknownModelNameIsFatal)
 {
     EXPECT_DEATH(dnn::modelIdFromName("resnet51"), "unknown model");

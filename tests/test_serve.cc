@@ -432,6 +432,55 @@ TEST(Serve, RetiredIncarnationsKeepTheirSampledSeries)
     EXPECT_TRUE(spans_reboot);
 }
 
+TEST(Serve, SampledSeriesCoverEveryGridPointOfUpTime)
+{
+    // A SoC that fails after its last step froze idle: its series
+    // must still run up to the failure.  So each slot has exactly one
+    // row per grid point of up time — every point up to the slot's
+    // last activity (its last failure or its last completion) that
+    // does not fall strictly inside a down interval.
+    ServeConfig sc = testServe(2, 4, 4);
+    const Cycles every = 100'000;
+    sc.soc.sampleEvery = every;
+    sc.failures.rate = 400.0;
+    obs::Capture capture;
+    sc.capture = &capture;
+    const ServeResult r = serve::runServe(sc);
+    ASSERT_GT(r.failEvents, 0u);
+    ASSERT_EQ(capture.socSeries.size(), 2u);
+
+    for (std::size_t i = 0; i < capture.socSeries.size(); ++i) {
+        const auto no_recovery = ~Cycles{0};
+        std::vector<std::pair<Cycles, Cycles>> down;
+        for (const auto &e : capture.frontend.events()) {
+            if (e.jobId != static_cast<int>(i))
+                continue;
+            if (e.kind == sim::TraceEventKind::SocFail)
+                down.emplace_back(e.cycle, no_recovery);
+            else if (e.kind == sim::TraceEventKind::SocRecover)
+                down.back().second = e.cycle;
+        }
+        ASSERT_FALSE(down.empty()) << "slot " << i << " never failed";
+        const Cycles end =
+            std::max(down.back().first, r.cluster.perSoc[i].makespan);
+
+        std::vector<Cycles> want;
+        for (Cycles g = every; g <= end; g += every) {
+            bool up = true;
+            for (const auto &[fail, recover] : down)
+                up = up && !(g > fail && g < recover);
+            if (up)
+                want.push_back(g);
+        }
+        std::vector<Cycles> got;
+        for (const auto &row : capture.socSeries[i].rows)
+            got.push_back(row.at);
+        EXPECT_EQ(got, want) << "slot " << i << ": " << got.size()
+                             << " rows for " << want.size()
+                             << " grid points of up time";
+    }
+}
+
 TEST(Serve, GoodputWiredThroughRunCluster)
 {
     const sim::SocConfig soc = testSoc();
@@ -475,3 +524,4 @@ TEST(ServeDeath, InvalidConfiguration)
     sc.admission = "nope";
     EXPECT_DEATH((void)serve::runServe(sc), "admission");
 }
+

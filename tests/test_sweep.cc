@@ -227,7 +227,9 @@ TEST(SweepFiles, UnwritableFileIsFatal)
         GTEST_SKIP() << "/dev/full not available";
     auto write = [](const char *flag) {
         const char *argv[] = {"prog", flag, "/dev/full"};
-        writeSweepFiles(ArgMap(3, const_cast<char **>(argv)), {}, {});
+        writeSweepFiles(
+            outputFilesFromArgs(ArgMap(3, const_cast<char **>(argv))), {},
+            {});
     };
     EXPECT_DEATH(write("--csv"), "cannot write /dev/full");
     EXPECT_DEATH(write("--json"), "cannot write /dev/full");
