@@ -215,7 +215,8 @@ main(int argc, char **argv)
     }
     t.print("cluster fleet sweep (p50n/p99n: end-to-end latency "
             "normalized to isolated full-SoC latency; epochs/stalls: "
-            "PDES barrier epochs and skipped no-activity windows)");
+            "PDES arrival horizons some SoC was behind / none was, "
+            "barriered or replayed alike)");
     std::printf("\ntotal wall: %.2f s\n", total_wall);
 
     if (fleet.recordWall) {

@@ -13,8 +13,12 @@
  * coordinator snapshots every SoC's load, asks the dispatcher for a
  * placement, and injects the task into the chosen SoC at its exact
  * dispatch cycle; after the last arrival the fleet drains to
- * completion.  SoCs are sharded across `ClusterConfig::jobs` workers
- * and the run is bit-identical for every jobs value, so a cluster run
+ * completion.  A dispatcher that reads no SoC state (rr, random)
+ * needs no fleet advanced to place a task, so the whole stream is
+ * placed first and one engine epoch replays it — each SoC sees the
+ * same advances and injections, without a barrier per arrival.  SoCs
+ * are sharded across `ClusterConfig::jobs` workers and the run is
+ * bit-identical for every jobs value, so a cluster run
  * is a pure function of (configs, dispatcher spec, task stream, seed)
  * — and a 1-SoC cluster replays the single-SoC scenario path
  * bit-identically.
@@ -92,16 +96,20 @@ struct ClusterConfig
 };
 
 /**
- * Wall-clock breakdown of one fleet run's execution phases (zeros
- * unless ClusterConfig::profile): where the run actually spent its
- * time — workers advancing SoC shards, workers parked at the epoch
- * barrier, and the coordinator placing/injecting tasks.
+ * Execution profile of one fleet run (zeros unless
+ * ClusterConfig::profile): where the run actually spent its time —
+ * workers advancing SoC shards, workers parked at the epoch barrier,
+ * and the coordinator placing/injecting tasks — and how many worker
+ * releases it took.
  */
 struct PhaseBreakdown
 {
     double shardAdvanceSec = 0.0; ///< Workers advancing their SoCs.
     double barrierWaitSec = 0.0;  ///< Workers waiting at the barrier.
     double dispatchSec = 0.0;     ///< Coordinator placement+injection.
+    /** Worker releases (EpochStats::barriers): one per epoch, or one
+     *  per stream when the stream was replayed. */
+    std::uint64_t barriers = 0;
 
     /** Sum another run's phases into this one (bench reports). */
     PhaseBreakdown &operator+=(const PhaseBreakdown &o)
@@ -109,6 +117,7 @@ struct PhaseBreakdown
         shardAdvanceSec += o.shardAdvanceSec;
         barrierWaitSec += o.barrierWaitSec;
         dispatchSec += o.dispatchSec;
+        barriers += o.barriers;
         return *this;
     }
 };
@@ -173,11 +182,13 @@ struct ClusterResult
 
     /**
      * Lookahead quality of the conservative-PDES fleet loop
-     * (cluster/parallel.h): barrier epochs executed, mean SoCs
-     * advanced per epoch, and horizon stalls (would-be epochs in
-     * which no active SoC was unfinished and behind the horizon —
-     * simultaneous arrivals or a drained fleet).  Identical across
-     * ClusterConfig::jobs values, like everything else here.
+     * (cluster/parallel.h): logical epochs (fleet horizons at which
+     * some SoC was behind), mean SoCs advanced per epoch, and horizon
+     * stalls (horizons at which no active SoC was unfinished and
+     * behind — simultaneous arrivals or a drained fleet).  Identical
+     * across ClusterConfig::jobs values, like everything else here,
+     * and whether or not the stream was replayed; the worker releases
+     * are PhaseBreakdown::barriers.
      */
     std::uint64_t epochs = 0;
     std::uint64_t horizonStalls = 0;

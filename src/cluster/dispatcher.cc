@@ -33,6 +33,7 @@ class RoundRobinDispatcher : public Dispatcher
 {
   public:
     const char *name() const override { return "rr"; }
+    bool readsLoad() const override { return false; }
 
     int
     place(const ClusterTask &, const std::vector<SocLoad> &socs) override
@@ -50,6 +51,7 @@ class RandomDispatcher : public Dispatcher
     explicit RandomDispatcher(std::uint64_t seed) : rng_(seed) {}
 
     const char *name() const override { return "random"; }
+    bool readsLoad() const override { return false; }
 
     int
     place(const ClusterTask &, const std::vector<SocLoad> &socs) override

@@ -18,6 +18,8 @@
  *
  *  - `rr`           round-robin (the placement-oblivious baseline)
  *  - `random`       seeded uniform choice
+ *  (the two read no SoC state — Dispatcher::readsLoad is false — so
+ *  a runCluster stream under them runs without per-arrival barriers)
  *  - `least-loaded` minimum queue depth (or outstanding work)
  *  - `p2c`          power-of-two-choices: the classic
  *                   O(1)-information balancer
@@ -71,6 +73,18 @@ class Dispatcher
      *  Called once per task, in arrival order. */
     virtual int place(const ClusterTask &task,
                       const std::vector<SocLoad> &socs) = 0;
+
+    /**
+     * Whether place() reads SoC state.  A dispatcher that returns
+     * false may use only `socs.size()` and each entry's `socIdx` (and
+     * the task and its own state); every other SocLoad field may then
+     * be stale, because a fixed-arrival stream is placed before any
+     * SoC advances to the task's arrival (cluster/parallel.h, stream
+     * replay).  The conservative default keeps a dispatcher — a
+     * wrapper included — on the per-arrival barrier path unless it
+     * opts out.
+     */
+    virtual bool readsLoad() const { return true; }
 };
 
 /** Dispatcher specs use the shared registry grammar. */

@@ -82,6 +82,10 @@ ParallelEngine::runShard(Shard &shard)
     WallTimer timer;
     shard.stepped = 0;
     for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        if (stream_ != nullptr) {
+            replaySoc(i, shard);
+            continue;
+        }
         if (active_[i] == 0)
             continue;
         // Recording the predicate (not a step count) keeps the stat
@@ -91,6 +95,34 @@ ParallelEngine::runShard(Shard &shard)
         socs_[i]->advanceTo(horizon_);
     }
     shard.advanceSec += timer.seconds();
+}
+
+void
+ParallelEngine::replaySoc(std::size_t i, Shard &shard)
+{
+    sim::Soc &soc = *socs_[i];
+    const std::vector<int> &mine = stream_->placements(i);
+    const std::size_t drain = stream_->arrivals();
+    std::size_t k = 0; // Next horizon to replay.
+    for (std::size_t n = 0; n <= mine.size(); ++n) {
+        // Horizons up to the next placement's arrival (inclusive: the
+        // barrier path advances to an arrival before injecting it),
+        // or up to the drain.  A done SoC is behind none of them.
+        const std::size_t stop = n < mine.size()
+            ? static_cast<std::size_t>(mine[n])
+            : drain;
+        for (; k <= stop && !soc.done(); ++k) {
+            const Cycles h =
+                k < drain ? stream_->arrival(k) : sim::kNoHorizon;
+            if (behind(i, h)) {
+                ++shard.behindAt[k];
+                soc.advanceTo(h);
+            }
+        }
+        k = stop + 1;
+        if (n < mine.size())
+            stream_->inject(i, n);
+    }
 }
 
 void
@@ -135,25 +167,62 @@ ParallelEngine::advanceFleet(Cycles horizon)
 
     stats_.epochs++;
     horizon_ = horizon;
-    if (workers_.empty()) {
-        runShard(shards_[0]);
-    } else {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            done_count_ = 0;
-            ++generation_;
-        }
-        cv_work_.notify_all();
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_done_.wait(lock, [&]() {
-            return done_count_ == workers_.size();
-        });
-    }
+    runEpoch();
 
     // Index-order reduction: no stat depends on worker completion
     // order.
     for (const Shard &shard : shards_)
         stats_.socsStepped += shard.stepped;
+}
+
+const std::vector<std::uint32_t> &
+ParallelEngine::replay(StreamReplay &stream)
+{
+    for (std::size_t i = 0; i < socs_.size(); ++i)
+        if (active_[i] == 0)
+            panic("replay: slot %zu is inactive", i);
+    // Sized here, so the workers allocate nothing for the counts.
+    const std::size_t horizons = stream.arrivals() + 1;
+    for (Shard &shard : shards_)
+        shard.behindAt.assign(horizons, 0);
+    stream_ = &stream;
+    runEpoch();
+    stream_ = nullptr;
+
+    // Index-order reduction into shard 0's counts; each horizon is
+    // then one logical epoch or one stall, as on the barrier path.
+    std::vector<std::uint32_t> &behind = shards_[0].behindAt;
+    for (std::size_t s = 1; s < shards_.size(); ++s)
+        for (std::size_t k = 0; k < horizons; ++k)
+            behind[k] += shards_[s].behindAt[k];
+    for (const std::uint32_t n : behind) {
+        if (n == 0) {
+            stats_.horizonStalls++;
+        } else {
+            stats_.epochs++;
+            stats_.socsStepped += n;
+        }
+    }
+    return behind;
+}
+
+void
+ParallelEngine::runEpoch()
+{
+    stats_.barriers++;
+    if (workers_.empty()) {
+        runShard(shards_[0]);
+        return;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        done_count_ = 0;
+        ++generation_;
+    }
+    cv_work_.notify_all();
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_done_.wait(lock,
+                  [&]() { return done_count_ == workers_.size(); });
 }
 
 void

@@ -16,6 +16,21 @@
  * regardless of which worker produced the state), and injects the
  * placed tasks before releasing the next epoch.
  *
+ * Stream replay.  When the front end is a fixed-arrival stream whose
+ * placements read no SoC state (cluster::Dispatcher::readsLoad is
+ * false: `rr`, `random`), the coordinator needs no barrier per
+ * arrival: it places the whole stream first, and one epoch
+ * (replay()) lets each worker walk each of its SoCs through the
+ * sequence the per-arrival barriers would have produced —
+ * `advanceTo(arrival_k)` for every arrival k in order, the inject of
+ * the SoC's own task right after its arrival's advance, and finally
+ * `advanceTo(kNoHorizon)`.  Every SoC thus sees the same horizon
+ * clamps and injections at the same cycles, so the run is
+ * bit-identical to the barrier path by construction.  A done() SoC
+ * is behind no horizon, so the walk skips straight to its next
+ * placement: the replay costs O(busy horizons), not O(arrivals) per
+ * SoC.
+ *
  * Determinism contract (the whole point): a sharded run is
  * bit-identical to the serial run — same `ClusterResult`, same
  * per-task latencies, `jobs=1 == jobs=N` for every N.  It holds
@@ -24,7 +39,8 @@
  *  1. each SoC is advanced by exactly one worker, through exactly the
  *     per-SoC step sequence the serial loop produces (the horizon
  *     sequence a SoC observes is the arrival sequence, independent of
- *     sharding);
+ *     sharding, and of whether the arrivals are barriered or
+ *     replayed);
  *  2. every cross-shard aggregate (stepped counts) is reduced on the
  *     coordinator in shard-index order, so no result depends on
  *     worker completion order;
@@ -34,18 +50,20 @@
  *     coordinator read (and vice versa), so the dispatcher sees a
  *     quiescent fleet, never a torn one.
  *
- * No-op epochs are decided from the SoCs themselves: an epoch at
- * horizon H runs a kernel iteration on some SoC exactly when an
- * active SoC is unfinished and behind H (`now() < H`).  Before
- * releasing the workers the coordinator checks that predicate
- * (wouldStep), stopping at the first SoC that is behind; when none
- * is — simultaneous arrivals, or a burst arriving into a drained
- * fleet — the epoch is skipped as a *horizon stall*.  Such an epoch
- * is provably a no-op for every SoC, so skipping it is bit-identical
- * and saves the barrier round-trip.  Nothing is cached, so a caller
- * that injects work between epochs owes the engine no notice.
- * EpochStats exposes epochs / stepped-SoC counts / stall counts so
- * lookahead quality is observable in ClusterResult.
+ * Epochs are *logical*: a fleet horizon counts as an epoch when some
+ * active SoC is unfinished and behind it (`now() < H`), and as a
+ * *horizon stall* when none is — simultaneous arrivals, or a burst
+ * arriving into a drained fleet.  On the barrier path the coordinator
+ * checks that predicate (wouldStep) before releasing the workers and
+ * skips a stall's round-trip outright (a provable no-op for every
+ * SoC); on the replay path each worker records, per horizon, how
+ * many of its SoCs were behind, and the coordinator reduces those
+ * counts in shard-index order.  Both paths therefore report the same
+ * EpochStats::epochs, horizonStalls and socsStepped; only
+ * EpochStats::barriers, the worker releases that actually happened,
+ * tells them apart (one per epoch vs one per stream).  Nothing is
+ * cached, so a caller that injects work between epochs owes the
+ * engine no notice.
  *
  * The TSan CI lane runs the engine at jobs=4 to check the barrier
  * discipline; the determinism contract holds for every jobs value.
@@ -65,24 +83,32 @@
 
 namespace moca::cluster {
 
-/** Epoch-granularity observability of one fleet run. */
+/** Epoch-granularity observability of one fleet run.  epochs,
+ *  socsStepped and horizonStalls count logical epochs (see the file
+ *  comment), identical on the barrier and the replay path. */
 struct EpochStats
 {
-    /** Barrier epochs executed (workers released + joined). */
+    /** Fleet horizons at which some active SoC was behind. */
     std::uint64_t epochs = 0;
 
-    /** Sum over executed epochs of SoCs that stepped at least once;
-     *  meanSocsStepped() is the per-epoch mean. */
+    /** Sum over epochs of SoCs that were behind the horizon (and so
+     *  stepped at least once); meanSocsStepped() is the per-epoch
+     *  mean. */
     std::uint64_t socsStepped = 0;
 
     /**
-     * Epochs skipped because no active SoC was unfinished and behind
-     * the horizon (ParallelEngine::wouldStep was false).  High stall
-     * counts mean the arrival stream is denser than the fleet's event
-     * stream — the lookahead window is empty and the run is
-     * dispatcher-bound, not simulation-bound.
+     * Horizons at which no active SoC was unfinished and behind
+     * (ParallelEngine::wouldStep was false).  High stall counts mean
+     * the arrival stream is denser than the fleet's event stream —
+     * the lookahead window is empty and the run is dispatcher-bound,
+     * not simulation-bound.
      */
     std::uint64_t horizonStalls = 0;
+
+    /** Worker releases that actually ran (an inline run counts when
+     *  there is one shard): equal to epochs on the barrier path, one
+     *  per replayed stream. */
+    std::uint64_t barriers = 0;
 
     /** Mean SoCs stepped per executed epoch (0 when no epochs ran). */
     double meanSocsStepped() const
@@ -91,6 +117,33 @@ struct EpochStats
                            : static_cast<double>(socsStepped) /
                 static_cast<double>(epochs);
     }
+};
+
+/**
+ * A fixed-arrival stream whose placements read no SoC state, as
+ * ParallelEngine::replay walks it.  The fleet driver implements it
+ * over state it already keeps: the stream's arrival cycles and each
+ * slot's placement list.  Workers call every method concurrently, so
+ * arrival() and placements() must not change during the epoch, and
+ * inject(soc, n) may touch SoC `soc` alone.
+ */
+class StreamReplay
+{
+  public:
+    virtual ~StreamReplay() = default;
+
+    /** Number of arrivals in the stream. */
+    virtual std::size_t arrivals() const = 0;
+
+    /** Cycle of arrival `k`; non-decreasing in k. */
+    virtual Cycles arrival(std::size_t k) const = 0;
+
+    /** Arrival indices placed on slot `soc`, ascending. */
+    virtual const std::vector<int> &placements(std::size_t soc) const = 0;
+
+    /** Inject slot `soc`'s `n`-th placement into its SoC, at the
+     *  cycle of its arrival. */
+    virtual void inject(std::size_t soc, std::size_t n) = 0;
 };
 
 /**
@@ -125,6 +178,23 @@ class ParallelEngine
      * !wouldStep(horizon).
      */
     void advanceFleet(Cycles horizon);
+
+    /**
+     * One epoch replaying a whole placed stream (see the file
+     * comment): each worker walks each of its SoCs through every
+     * arrival horizon, injecting the SoC's placements as it passes
+     * them, then drains it.  Equivalent, SoC by SoC and in EpochStats,
+     * to advanceFleet(arrival(k)) then the inject of arrival k for
+     * every k, then advanceFleet(kNoHorizon) — with one worker release
+     * instead of one per arrival.  Every slot must be active.  The
+     * caller sizes each SoC's job storage beforehand, so workers only
+     * allocate what stepping itself allocates.
+     *
+     * @return the SoCs behind each logical horizon, arrivals first and
+     *         the drain last (arrivals() + 1 entries); valid until the
+     *         next replay.
+     */
+    const std::vector<std::uint32_t> &replay(StreamReplay &stream);
 
     /**
      * True when an epoch at `horizon` would step some SoC: an active
@@ -174,6 +244,8 @@ class ParallelEngine
         std::size_t begin = 0;
         std::size_t end = 0;
         std::uint64_t stepped = 0;
+        /** Replay only: this shard's SoCs behind each horizon. */
+        std::vector<std::uint32_t> behindAt;
         /** Wall-clock accumulators (see phaseTotals()). */
         double advanceSec = 0.0;
         double waitSec = 0.0;
@@ -183,6 +255,11 @@ class ParallelEngine
      *  when advancing it to `horizon` runs a kernel iteration. */
     bool behind(std::size_t i, Cycles horizon) const;
     void runShard(Shard &shard);
+    /** Walk SoC `i` through the replayed stream (see replay()). */
+    void replaySoc(std::size_t i, Shard &shard);
+    /** Release the workers on the published epoch and wait for them
+     *  (inline with one shard). */
+    void runEpoch();
     void workerLoop(std::size_t shard_idx);
 
     std::vector<sim::Soc *> socs_;
@@ -204,6 +281,8 @@ class ParallelEngine
     std::size_t done_count_ = 0;
     bool shutdown_ = false;
     Cycles horizon_ = 0;
+    /** The stream a replay epoch walks; null on barrier epochs. */
+    StreamReplay *stream_ = nullptr;
 
     EpochStats stats_;
 };

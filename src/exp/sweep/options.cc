@@ -198,6 +198,8 @@ phaseReport(const std::string &title, const cluster::PhaseBreakdown &p,
     row("shard-advance", p.shardAdvanceSec);
     row("barrier-wait", p.barrierWaitSec);
     row(dispatch_label, p.dispatchSec);
+    out += strprintf("  %-16s %9llu worker releases\n", "barriers",
+                     static_cast<unsigned long long>(p.barriers));
     return out;
 }
 

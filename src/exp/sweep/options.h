@@ -156,8 +156,9 @@ void writeFleetTelemetry(const std::string &trace_out,
                          const std::string &sample_out,
                          const obs::Capture &capture);
 
-/** The phase report: `title`, then each phase's seconds and share;
- *  `dispatch_label` names the coordinator's phase. */
+/** The phase report: `title`, then each phase's seconds and share
+ *  (`dispatch_label` names the coordinator's phase), then the worker
+ *  releases. */
 std::string phaseReport(const std::string &title,
                         const cluster::PhaseBreakdown &phases,
                         const char *dispatch_label);

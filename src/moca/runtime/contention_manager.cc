@@ -73,18 +73,17 @@ ContentionManager::onBlockBoundary(const JobSnapshot &snap)
         // fixed point of the listing's sequential overflow shaving:
         // every job computing it from the same scoreboard arrives at
         // the same allocation, so co-runner sweeps cannot oscillate.
-        std::vector<sim::BwDemand> req;
-        std::size_t self_idx = 0, i = 0;
+        demands_.clear();
+        std::size_t self_idx = 0;
         for (const auto &[id, e] : scoreboard_.entries()) {
             if (id == snap.appId)
-                self_idx = i;
-            req.push_back({e.bwRate, e.score + 1.0});
-            ++i;
+                self_idx = demands_.size();
+            demands_.push_back({e.bwRate, e.score + 1.0});
         }
-        const auto grants = sim::allocateBandwidthProportional(
-            req, cfg_.dramBytesPerCycle);
+        sim::allocateBandwidthProportional(
+            demands_, cfg_.dramBytesPerCycle, grants_, done_);
         d.contention = true;
-        d.bwRate = std::max(grants[self_idx],
+        d.bwRate = std::max(grants_[self_idx],
                             0.05 * cfg_.dramBytesPerCycle);
         if (tuning_.fixedThreshold) {
             // Score-oblivious ablation: every throttled job gets the

@@ -28,9 +28,12 @@
 #ifndef MOCA_RUNTIME_CONTENTION_MANAGER_H
 #define MOCA_RUNTIME_CONTENTION_MANAGER_H
 
+#include <vector>
+
 #include "moca/hw/throttle_engine.h"
 #include "moca/runtime/latency_model.h"
 #include "moca/runtime/scoreboard.h"
+#include "sim/arbiter.h"
 
 namespace moca::runtime {
 
@@ -118,6 +121,11 @@ class ContentionManager
     ContentionTuning tuning_;
     LatencyModel model_;
     Scoreboard scoreboard_;
+    /** Proportional-allocation scratch, reused across boundaries so a
+     *  contended boundary allocates nothing once they have grown. */
+    std::vector<sim::BwDemand> demands_;
+    std::vector<double> grants_;
+    std::vector<char> done_;
 };
 
 } // namespace moca::runtime

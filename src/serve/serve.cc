@@ -148,9 +148,10 @@ struct ReqProgress
  * cluster::runCluster (a fixed-arrival task stream).  It owns the only
  * code that builds the fleet, snapshots SocLoad, harvests
  * completions, records PDES epoch spans, and aggregates the
- * ClusterResult.
+ * ClusterResult.  For a stream whose dispatcher reads no SoC it is
+ * also the StreamReplay the engine walks (cluster/parallel.h).
  */
-class ServeDriver
+class ServeDriver : private cluster::StreamReplay
 {
   public:
     /**
@@ -181,6 +182,9 @@ class ServeDriver
 
     std::vector<Slot> slots_;
     std::unique_ptr<cluster::ParallelEngine> engine_;
+    /** A fixed-arrival stream whose dispatcher reads no SoC: arrivals
+     *  are placed without a barrier and the drain replays them. */
+    bool replay_ = false;
 
     std::priority_queue<Event, std::vector<Event>, EventLater>
         queue_;
@@ -250,6 +254,30 @@ class ServeDriver
     void advanceTo(Cycles target);
     void harvest();
 
+    /** Request `req` as job `id` of a SoC, arriving at `dispatch`. */
+    sim::JobSpec jobSpec(int req, int id, Cycles dispatch) const;
+
+    // StreamReplay, over the stream's arrival cycles and each slot's
+    // jobReq (request ids are stream indices).
+    std::size_t arrivals() const override { return reqTasks_.size(); }
+    Cycles arrival(std::size_t k) const override
+    {
+        return reqTasks_[k].arrival;
+    }
+    const std::vector<int> &placements(std::size_t soc) const override
+    {
+        return slots_[soc].jobReq;
+    }
+    void inject(std::size_t soc, std::size_t n) override;
+
+    /** Record one logical PDES epoch (a stall when nothing stepped)
+     *  into the capture bag. */
+    void captureEpoch(Cycles begin, Cycles end, std::uint64_t stepped)
+    {
+        cfg_.capture->epochs.push_back(
+            {begin, end, stepped, stepped == 0});
+    }
+
     std::vector<cluster::SocLoad> upLoads() const;
     void handleIssue(int req);
     void placeRequest(int req, const std::vector<cluster::SocLoad> &up);
@@ -275,6 +303,10 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
     admission_ = AdmissionRegistry::instance().make(cfg_.admission);
     dispatcher_ = cluster::DispatcherRegistry::instance().make(
         cfg_.dispatcher, n, cfg_.dispatcherSeed);
+    // A stream always admits and never fails or times out (runCluster),
+    // so with a dispatcher that reads no SoC no decision needs the
+    // fleet advanced to an arrival.
+    replay_ = stream != nullptr && !dispatcher_->readsLoad();
 
     // The request population: pre-generated, policy-independent.
     if (stream != nullptr) {
@@ -375,7 +407,19 @@ ServeDriver::advanceTo(Cycles target)
 {
     const Cycles begin = now_;
     const cluster::EpochStats before = engine_->stats();
-    engine_->advanceFleet(target);
+    const std::vector<std::uint32_t> *replayed = nullptr;
+    if (replay_) {
+        // Only the drain (target kNoHorizon) advances a replayed
+        // stream: every SoC walks the arrivals it skipped, then
+        // drains.  Its jobs are sized here, so the workers allocate no
+        // job storage.
+        for (Slot &slot : slots_)
+            slot.live().reserveJobs(slot.jobReq.size());
+        replayed = &engine_->replay(*this);
+        replay_ = false;
+    } else {
+        engine_->advanceFleet(target);
+    }
     if (target == sim::kNoHorizon) {
         // Unbounded drain: the front-end clock lands on the latest
         // live-SoC clock, so post-drain reactions get sane cycles.
@@ -387,18 +431,47 @@ ServeDriver::advanceTo(Cycles target)
         now_ = target;
     }
     if (cfg_.capture) {
-        // Epoch/stall spans on the front-end clock, delta'd from the
-        // engine's counters so the exporter can draw the PDES
-        // timeline.
-        const cluster::EpochStats &after = engine_->stats();
-        if (after.epochs > before.epochs)
-            cfg_.capture->epochs.push_back(
-                {begin, now_,
-                 after.socsStepped - before.socsStepped, false});
-        else if (after.horizonStalls > before.horizonStalls)
-            cfg_.capture->epochs.push_back({begin, now_, 0, true});
+        // Epoch/stall spans on the front-end clock, so the exporter
+        // can draw the PDES timeline: a replay's logical epochs span
+        // arrival to arrival (the barrier path's clock starts at 0),
+        // then the drain.
+        if (replayed != nullptr) {
+            Cycles from = 0;
+            for (std::size_t k = 0; k < reqTasks_.size(); ++k) {
+                captureEpoch(from, reqTasks_[k].arrival, (*replayed)[k]);
+                from = reqTasks_[k].arrival;
+            }
+            captureEpoch(from, now_, replayed->back());
+        } else {
+            captureEpoch(begin, now_,
+                         engine_->stats().socsStepped -
+                             before.socsStepped);
+        }
     }
     harvest();
+}
+
+sim::JobSpec
+ServeDriver::jobSpec(int req, int id, Cycles dispatch) const
+{
+    const cluster::ClusterTask &task =
+        reqTasks_[static_cast<std::size_t>(req)];
+    sim::JobSpec spec;
+    spec.id = id;
+    spec.model = &dnn::getModel(task.model);
+    spec.dispatch = dispatch;
+    spec.priority = task.priority;
+    spec.slaLatency = task.slaLatency;
+    return spec;
+}
+
+void
+ServeDriver::inject(std::size_t soc, std::size_t n)
+{
+    Slot &slot = slots_[soc];
+    const int req = slot.jobReq[n];
+    slot.live().injectJob(jobSpec(req, static_cast<int>(n),
+                                  arrival(static_cast<std::size_t>(req))));
 }
 
 void
@@ -541,15 +614,13 @@ ServeDriver::placeRequest(int req,
     const auto slot_idx = static_cast<std::size_t>(
         up[static_cast<std::size_t>(k)].socIdx);
     Slot &slot = slots_[slot_idx];
-    sim::Soc &soc = slot.live();
 
-    sim::JobSpec spec;
-    spec.id = static_cast<int>(soc.jobs().size());
-    spec.model = &dnn::getModel(task.model);
-    spec.dispatch = now_;
-    spec.priority = task.priority;
-    spec.slaLatency = task.slaLatency;
-    soc.injectJob(spec);
+    // A live SoC holds exactly its slot's placements.  A replayed
+    // stream injects them in the drain epoch instead.
+    const sim::JobSpec spec =
+        jobSpec(req, static_cast<int>(slot.jobReq.size()), now_);
+    if (!replay_)
+        slot.live().injectJob(spec);
     slot.placed++;
     slot.outstandingMacs +=
         static_cast<double>(spec.model->totalMacs());
@@ -741,8 +812,14 @@ ServeDriver::run()
         queue_.pop();
         // A fixed-arrival stream reacts to nothing, so every arrival
         // is one epoch barrier; a tied arrival is a horizon stall.
-        if (!pool_)
-            advanceTo(ev.at);
+        // When no decision reads a SoC, the barrier waits for the
+        // drain, which replays every arrival in one epoch.
+        if (!pool_) {
+            if (replay_)
+                now_ = ev.at;
+            else
+                advanceTo(ev.at);
+        }
         if (cfg_.profile)
             coordTimer_.restart();
         switch (ev.kind) {
@@ -778,6 +855,7 @@ ServeDriver::finalize()
         engine_->phaseTotals(out.phases.shardAdvanceSec,
                              out.phases.barrierWaitSec);
         out.phases.dispatchSec = dispatchSec_;
+        out.phases.barriers = engine_->stats().barriers;
     }
     out.perSoc.resize(slots_.size());
 

@@ -33,7 +33,12 @@
  * retries, always-admit, no failures, and an unbounded control
  * quantum.  Every arrival is then one epoch barrier (a tied arrival
  * counts a horizon stall), and after the last arrival the fleet
- * drains.
+ * drains.  When the dispatcher reads no SoC state
+ * (cluster::Dispatcher::readsLoad), the coordinator skips those
+ * barriers: it places every arrival first, and the drain is one
+ * engine epoch that replays each SoC through the arrival horizons
+ * (cluster::ParallelEngine::replay) — same results, same logical
+ * epoch counts, one worker release.
  */
 
 #ifndef MOCA_SERVE_SERVE_H

@@ -556,11 +556,11 @@ Soc::schedulingPoints(Cycles horizon)
             // in closed form.  The grid stays 0-based, so the first
             // real tick fires where it would had every tick fired.
             skipIdleTicks(limit);
-            now_ = std::max(now_, limit);
+            jumpIdle(limit);
             return false;
         }
         // Waiting jobs: a tick may start one, so stop at each tick.
-        now_ = std::max(now_, std::min(limit, next_sched_tick_));
+        jumpIdle(std::min(limit, next_sched_tick_));
         return false;
     }
     // No arrivals left and nothing running: the policy must start a
@@ -756,6 +756,19 @@ Soc::accountStep(Cycles step, double dram_used)
     dram_busy_cycles_ += dram_used / cfg_.dramBytesPerCycle;
     if (tele_sampler_ && now_ >= tele_sampler_->pending())
         sampleTelemetry(now_);
+}
+
+void
+Soc::jumpIdle(Cycles to)
+{
+    if (to <= now_)
+        return;
+    // The state holds until `to`, where the next step starts: sample
+    // the grid points before it now, or that step would stamp them
+    // with its own post-step state.
+    if (tele_sampler_ && to - 1 >= tele_sampler_->pending())
+        sampleTelemetry(to - 1);
+    now_ = to;
 }
 
 void
@@ -1066,6 +1079,19 @@ Soc::injectJob(const JobSpec &spec)
     // The job count grew: re-derive the arena bounds.  They grow
     // geometrically, so most injections find room already.
     reserveRunState();
+    debugCaptureCapacities();
+}
+
+void
+Soc::reserveJobs(std::size_t n)
+{
+    jobs_.reserve(n);
+    hot_.reserve(n);
+    arrival_order_.reserve(n);
+    waiting_ids_.reserve(n);
+    waiting_pos_.reserve(n);
+    running_ids_.reserve(n);
+    results_.reserve(n);
     debugCaptureCapacities();
 }
 

@@ -144,6 +144,14 @@ class Soc
      */
     void injectJob(const JobSpec &spec);
 
+    /**
+     * Size the job-count buffers for `n` jobs in all, so injections up
+     * to that count allocate nothing.  A co-simulator that knows a
+     * SoC's whole placement list calls it before a worker thread steps
+     * and injects, keeping those allocations on the calling thread.
+     */
+    void reserveJobs(std::size_t n);
+
     /** True once every added/injected job has completed. */
     bool done() const { return allDone(); }
 
@@ -402,6 +410,11 @@ class Soc
      * O(1) unless tracing, which still logs each skipped tick.
      */
     void skipIdleTicks(Cycles limit);
+
+    /** Move the clock forward to `to` over a stretch with nothing
+     *  running, sampling the grid points before `to` with that idle
+     *  state. */
+    void jumpIdle(Cycles to);
 
     /** Layer terms of one non-stalled job with valid exec state. */
     DemandTerms demandTerms(const JobHot &j) const;

@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/workload.h"
+#include "dnn/model_zoo.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "exp/scenario.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
@@ -258,6 +261,48 @@ TEST(Sampler, SocCadenceIsKernelIndependent)
     }
 }
 
+TEST(Sampler, IdleStretchBeforeAnArrivalReadsIdle)
+{
+    // Nothing arrives before cycle 1,000,000, so every grid point the
+    // clock idle-jumps over must read an empty SoC — not the state of
+    // the first step after the jump.
+    sim::SocConfig cfg = testSoc();
+    cfg.sampleEvery = 100'000;
+    const auto policy = exp::PolicyRegistry::instance().make("moca", cfg);
+    sim::Soc soc(cfg, *policy);
+    sim::JobSpec spec;
+    spec.id = 0;
+    spec.model = &dnn::getModel(dnn::ModelId::AlexNet);
+    spec.dispatch = 1'000'000;
+    spec.slaLatency = 1'000'000'000;
+    soc.addJob(spec);
+    soc.run();
+
+    ASSERT_NE(soc.sampler(), nullptr);
+    const obs::Timeseries &ts = soc.sampler()->series();
+    const auto column = [&](const std::string &name) {
+        const auto it =
+            std::find(ts.columns.begin(), ts.columns.end(), name);
+        EXPECT_NE(it, ts.columns.end()) << name;
+        return static_cast<std::size_t>(it - ts.columns.begin());
+    };
+    const std::size_t running = column("running_jobs");
+    const std::size_t free_tiles = column("free_tiles");
+    const std::size_t dram_mb = column("dram_mb");
+    ASSERT_GT(ts.rows.size(), 10u);
+    for (std::size_t i = 0; i < 9; ++i) {
+        SCOPED_TRACE("row " + std::to_string(i));
+        EXPECT_EQ(ts.rows[i].at, static_cast<Cycles>(i + 1) * 100'000);
+        EXPECT_EQ(ts.rows[i].values[running], 0.0);
+        EXPECT_EQ(ts.rows[i].values[free_tiles],
+                  static_cast<double>(cfg.numTiles));
+        EXPECT_EQ(ts.rows[i].values[dram_mb], 0.0);
+    }
+    // The job runs past the arrival, so the rows after it do not read
+    // idle.
+    EXPECT_EQ(ts.rows[10].values[running], 1.0);
+}
+
 TEST(Sampler, DisabledByDefaultAndResultOmitsTelemetry)
 {
     const auto res =
@@ -440,20 +485,22 @@ TEST(ChromeTrace, ServeCaptureRecordsFrontendEvents)
 TEST(PhaseReport, SumsBreakdownsAndRendersFixedLayout)
 {
     cluster::PhaseBreakdown phases;
-    phases += {1.5, 0.5, 0.0};
-    phases += {0.5, 0.0, 2.0};
+    phases += {1.5, 0.5, 0.0, 3};
+    phases += {0.5, 0.0, 2.0, 4};
     EXPECT_EQ(exp::phaseReport("serving phase profile (all cells)",
                                phases, "coordinator"),
               "serving phase profile (all cells)\n"
               "  shard-advance        2.000 s   44.4%\n"
               "  barrier-wait         0.500 s   11.1%\n"
-              "  coordinator          2.000 s   44.4%\n");
+              "  coordinator          2.000 s   44.4%\n"
+              "  barriers                 7 worker releases\n");
     // Nothing recorded (profiling off): zero shares, not NaN.
     EXPECT_EQ(exp::phaseReport("t", cluster::PhaseBreakdown{}, "dispatch"),
               "t\n"
               "  shard-advance        0.000 s    0.0%\n"
               "  barrier-wait         0.000 s    0.0%\n"
-              "  dispatch             0.000 s    0.0%\n");
+              "  dispatch             0.000 s    0.0%\n"
+              "  barriers                 0 worker releases\n");
 }
 
 TEST(PhaseReport, ClusterProfileFillsPhaseBreakdown)
@@ -476,6 +523,7 @@ TEST(PhaseReport, ClusterProfileFillsPhaseBreakdown)
     EXPECT_EQ(plain.phases.shardAdvanceSec, 0.0);
     EXPECT_EQ(plain.phases.barrierWaitSec, 0.0);
     EXPECT_EQ(plain.phases.dispatchSec, 0.0);
+    EXPECT_EQ(plain.phases.barriers, 0u);
 }
 
 // --- The observability contract ---------------------------------------

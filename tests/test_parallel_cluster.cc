@@ -6,16 +6,22 @@
  * time-advance kernels; shard-count invariance; mid-run injection and
  * simultaneous-arrival (horizon-stall) ordering; the engine's no-op
  * check reading injected work without notice; epoch-statistic
- * consistency; and the jobs<1 misuse death paths.
+ * consistency; the replayed stream of a dispatcher that reads no SoC
+ * against the same stream barriered per arrival; and the jobs<1
+ * misuse death paths.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "cluster/cluster.h"
 #include "cluster/parallel.h"
 #include "cluster/workload.h"
 #include "dnn/model_zoo.h"
 #include "exp/oracle.h"
+#include "obs/capture.h"
 #include "sim/soc.h"
 
 using namespace moca;
@@ -62,15 +68,23 @@ synthTasks(const SynthConfig &synth, const sim::SocConfig &cfg)
 void
 expectIdentical(const ClusterResult &a, const ClusterResult &b)
 {
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.numSocs, b.numSocs);
     EXPECT_EQ(a.numTasks, b.numTasks);
     EXPECT_EQ(a.slaRate, b.slaRate);
     EXPECT_EQ(a.slaRateHigh, b.slaRateHigh);
     EXPECT_EQ(a.latency.p50, b.latency.p50);
     EXPECT_EQ(a.latency.p95, b.latency.p95);
     EXPECT_EQ(a.latency.p99, b.latency.p99);
+    EXPECT_EQ(a.normLatency.p50, b.normLatency.p50);
+    EXPECT_EQ(a.normLatency.p95, b.normLatency.p95);
     EXPECT_EQ(a.normLatency.p99, b.normLatency.p99);
     EXPECT_EQ(a.stp, b.stp);
     EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.goodput, b.goodput);
+    EXPECT_EQ(a.shedRate, b.shedRate);
+    EXPECT_EQ(a.retryRate, b.retryRate);
+    EXPECT_EQ(a.timeoutRate, b.timeoutRate);
     EXPECT_EQ(a.balanceCv, b.balanceCv);
     EXPECT_EQ(a.simSteps, b.simSteps);
     EXPECT_EQ(a.epochs, b.epochs);
@@ -80,12 +94,112 @@ expectIdentical(const ClusterResult &a, const ClusterResult &b)
     for (std::size_t i = 0; i < a.perSoc.size(); ++i) {
         EXPECT_EQ(a.perSoc[i].tasks, b.perSoc[i].tasks);
         EXPECT_EQ(a.perSoc[i].makespan, b.perSoc[i].makespan);
-        EXPECT_EQ(a.perSoc[i].metrics.slaRate,
-                  b.perSoc[i].metrics.slaRate);
-        EXPECT_EQ(a.perSoc[i].metrics.stp, b.perSoc[i].metrics.stp);
-        EXPECT_EQ(a.perSoc[i].metrics.fairness,
-                  b.perSoc[i].metrics.fairness);
+        const metrics::RunMetrics &ma = a.perSoc[i].metrics;
+        const metrics::RunMetrics &mb = b.perSoc[i].metrics;
+        EXPECT_EQ(ma.slaRate, mb.slaRate);
+        EXPECT_EQ(ma.slaRateLow, mb.slaRateLow);
+        EXPECT_EQ(ma.slaRateMid, mb.slaRateMid);
+        EXPECT_EQ(ma.slaRateHigh, mb.slaRateHigh);
+        EXPECT_EQ(ma.stp, mb.stp);
+        EXPECT_EQ(ma.fairness, mb.fairness);
+        EXPECT_EQ(ma.meanNormLatency, mb.meanNormLatency);
+        EXPECT_EQ(ma.worstNormLatency, mb.worstNormLatency);
+        EXPECT_EQ(ma.numJobs, mb.numJobs);
+        EXPECT_EQ(a.perSoc[i].dramBusyFraction,
+                  b.perSoc[i].dramBusyFraction);
         EXPECT_EQ(a.perSoc[i].simSteps, b.perSoc[i].simSteps);
+    }
+}
+
+/** A test-only wrapper, like a timing or logging wrapper: it forwards
+ *  place() but keeps the default readsLoad(), so a stream under it
+ *  barriers once per arrival even when the inner dispatcher reads no
+ *  SoC. */
+class BarrieredDispatcher : public cluster::Dispatcher
+{
+  public:
+    explicit BarrieredDispatcher(std::unique_ptr<cluster::Dispatcher> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    const char *name() const override { return "barriered"; }
+
+    int
+    place(const ClusterTask &task,
+          const std::vector<cluster::SocLoad> &socs) override
+    {
+        return inner_->place(task, socs);
+    }
+
+  private:
+    std::unique_ptr<cluster::Dispatcher> inner_;
+};
+
+const cluster::DispatcherRegistrar kBarriered({
+    "barriered",
+    "test-only: another dispatcher, barriered once per arrival",
+    {{"of", "spec", "rr", "the wrapped dispatcher"}},
+    [](int socs, std::uint64_t seed, const cluster::DispatcherSpec &spec) {
+        return std::make_unique<BarrieredDispatcher>(
+            cluster::DispatcherRegistry::instance().make(
+                spec.param("of", "rr"), socs, seed));
+    },
+});
+
+/** One profiled cluster run and everything its capture recorded. */
+struct Captured
+{
+    ClusterResult result;
+    obs::Capture capture;
+};
+
+Captured
+runCaptured(const sim::SocConfig &cfg, int socs, int jobs,
+            const std::string &dispatcher,
+            const std::vector<ClusterTask> &tasks)
+{
+    Captured out;
+    ClusterConfig cc = ClusterConfig::homogeneous(socs, cfg);
+    cc.policy = "moca";
+    cc.dispatcher = dispatcher;
+    cc.dispatcherSeed = 9;
+    cc.jobs = jobs;
+    cc.profile = true;
+    cc.capture = &out.capture;
+    out.result = cluster::runCluster(cc, tasks);
+    return out;
+}
+
+/** Epoch spans, SoC trace events and sampled series, exactly. */
+void
+expectSameCapture(const obs::Capture &a, const obs::Capture &b)
+{
+    EXPECT_TRUE(std::equal(
+        a.epochs.begin(), a.epochs.end(), b.epochs.begin(),
+        b.epochs.end(), [](const obs::EpochSpan &x, const obs::EpochSpan &y) {
+            return x.begin == y.begin && x.end == y.end &&
+                x.socsStepped == y.socsStepped && x.stall == y.stall;
+        }));
+    EXPECT_TRUE(std::equal(
+        a.socEvents.begin(), a.socEvents.end(), b.socEvents.begin(),
+        b.socEvents.end(),
+        [](const sim::TraceEvent &x, const sim::TraceEvent &y) {
+            return x.cycle == y.cycle && x.kind == y.kind &&
+                x.jobId == y.jobId && x.value == y.value &&
+                x.socId == y.socId;
+        }));
+    EXPECT_FALSE(a.socEvents.empty());
+    ASSERT_EQ(a.socSeries.size(), b.socSeries.size());
+    for (std::size_t i = 0; i < a.socSeries.size(); ++i) {
+        EXPECT_EQ(a.socSeries[i].columns, b.socSeries[i].columns);
+        EXPECT_TRUE(std::equal(
+            a.socSeries[i].rows.begin(), a.socSeries[i].rows.end(),
+            b.socSeries[i].rows.begin(), b.socSeries[i].rows.end(),
+            [](const obs::Timeseries::Row &x,
+               const obs::Timeseries::Row &y) {
+                return x.at == y.at && x.values == y.values;
+            }));
     }
 }
 
@@ -149,6 +263,59 @@ TEST(ParallelCluster, ShardCountInvariance)
         expectIdentical(
             serial, runWith(cfg, 8, jobs, "least-loaded", "moca",
                             tasks));
+    }
+}
+
+// --- Stream replay vs per-arrival barriers -----------------------------
+
+TEST(ParallelCluster, ReplayedStreamMatchesBarrieredStream)
+{
+    // rr and random read no SoC, so their stream is placed up front
+    // and replayed in one epoch; behind the wrapper the same placements
+    // barrier once per arrival.  Results, logical epoch counts, trace,
+    // sampled series and epoch spans must all match, at every worker
+    // count, on a Poisson stream and on one of tied arrivals (stalls).
+    sim::SocConfig cfg = testSoc();
+    cfg.sampleEvery = 100'000;
+    const auto poisson =
+        synthTasks(testSynth(160, 8 * cfg.numTiles, 23), cfg);
+    const auto tied = [&] {
+        auto t = poisson;
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i].arrival = static_cast<Cycles>(i / 3) * 40'000;
+        return t;
+    }();
+    for (const auto *tasks : {&poisson, &tied}) {
+        for (const std::string inner : {"rr", "random"}) {
+            for (const int jobs : {1, 2, 4}) {
+                SCOPED_TRACE(inner + " jobs=" + std::to_string(jobs) +
+                             (tasks == &tied ? " tied" : " poisson"));
+                const Captured barriered = runCaptured(
+                    cfg, 8, jobs, "barriered:of=" + inner, *tasks);
+                const Captured replayed =
+                    runCaptured(cfg, 8, jobs, inner, *tasks);
+                expectIdentical(barriered.result, replayed.result);
+                expectSameCapture(barriered.capture, replayed.capture);
+                EXPECT_GT(replayed.result.epochs, 1u);
+                EXPECT_EQ(barriered.result.phases.barriers,
+                          barriered.result.epochs);
+                EXPECT_EQ(replayed.result.phases.barriers, 1u);
+            }
+        }
+    }
+}
+
+TEST(ParallelCluster, LoadReadingDispatchersBarrierPerEpoch)
+{
+    const sim::SocConfig cfg = testSoc();
+    const auto tasks =
+        synthTasks(testSynth(80, 4 * cfg.numTiles, 29), cfg);
+    for (const std::string dispatcher : {"p2c", "least-loaded"}) {
+        SCOPED_TRACE(dispatcher);
+        const ClusterResult res =
+            runCaptured(cfg, 4, 2, dispatcher, tasks).result;
+        EXPECT_GT(res.epochs, 1u);
+        EXPECT_EQ(res.phases.barriers, res.epochs);
     }
 }
 
