@@ -47,7 +47,6 @@ namespace moca::cluster {
 struct SocLoad
 {
     int socIdx = 0;
-    Cycles now = 0;       ///< The SoC's local simulated time.
     int waiting = 0;      ///< Queued (waiting/paused) jobs.
     int running = 0;      ///< Jobs currently on tiles.
     int freeTiles = 0;

@@ -61,10 +61,10 @@ ParallelEngine::~ParallelEngine()
 bool
 ParallelEngine::behind(std::size_t i, Cycles horizon) const
 {
-    // advanceTo runs >= 1 kernel iteration exactly when the SoC is
-    // unfinished and behind the horizon.
-    return active_[i] != 0 && !socs_[i]->done() &&
-        socs_[i]->now() < horizon;
+    // advanceTo runs the kernel exactly when the SoC is unfinished and
+    // behind the horizon; a parked SoC only once the horizon reaches
+    // its planned step end.
+    return active_[i] != 0 && socs_[i]->behind(horizon);
 }
 
 bool
@@ -86,12 +86,11 @@ ParallelEngine::runShard(Shard &shard)
             replaySoc(i, shard);
             continue;
         }
-        if (active_[i] == 0)
-            continue;
         // Recording the predicate (not a step count) keeps the stat
         // O(1).
-        if (behind(i, horizon_))
-            ++shard.stepped;
+        if (!behind(i, horizon_))
+            continue;
+        ++shard.stepped;
         socs_[i]->advanceTo(horizon_);
     }
     shard.advanceSec += timer.seconds();

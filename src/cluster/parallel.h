@@ -4,13 +4,15 @@
  * event-simulation (PDES) kernel for the fleet driver (serve/serve.cc).
  *
  * SoCs share nothing between fleet-level events (task arrivals), so
- * the fleet parallelizes with *zero fidelity loss*: the engine
- * partitions the SoCs into per-worker shards, and each *epoch* every
- * worker advances its shard's SoCs up to the shared conservative
- * horizon — the next front-end event (an arrival, a timeout, a
- * control tick), which is exactly the lookahead a conservative PDES
- * needs, and exactly the clamp `sim::Soc::advanceTo(horizon)`
- * provides.  A barrier then returns
+ * the fleet parallelizes without changing any SoC's simulation: the
+ * engine partitions the SoCs into per-worker shards, and each *epoch*
+ * every worker advances its shard's SoCs up to the shared
+ * conservative horizon — the next front-end event (an arrival, a
+ * timeout, a control tick), which is exactly the lookahead a
+ * conservative PDES needs.  `sim::Soc::advanceTo(horizon)` commits
+ * every step that ends by the horizon and parks the one that would
+ * cross it, so a horizon never cuts a step: each SoC simulates
+ * exactly what its own jobs would alone.  A barrier then returns
  * control to the single-threaded coordinator, which harvests
  * completions and polls load snapshots (both in SoC-index order
  * regardless of which worker produced the state), and injects the
@@ -24,12 +26,12 @@
  * sequence the per-arrival barriers would have produced —
  * `advanceTo(arrival_k)` for every arrival k in order, the inject of
  * the SoC's own task right after its arrival's advance, and finally
- * `advanceTo(kNoHorizon)`.  Every SoC thus sees the same horizon
- * clamps and injections at the same cycles, so the run is
- * bit-identical to the barrier path by construction.  A done() SoC
- * is behind no horizon, so the walk skips straight to its next
- * placement: the replay costs O(busy horizons), not O(arrivals) per
- * SoC.
+ * `advanceTo(kNoHorizon)`.  Every SoC thus sees the same horizons
+ * and injections at the same cycles, so the run is bit-identical to
+ * the barrier path by construction.  A done() SoC, or one parked past
+ * a horizon, is not behind it, so the walk passes it in O(1): the
+ * replay costs O(horizons a SoC steps at) plus one check per
+ * arrival.
  *
  * Determinism contract (the whole point): a sharded run is
  * bit-identical to the serial run — same `ClusterResult`, same
@@ -51,14 +53,16 @@
  *     quiescent fleet, never a torn one.
  *
  * Epochs are *logical*: a fleet horizon counts as an epoch when some
- * active SoC is unfinished and behind it (`now() < H`), and as a
- * *horizon stall* when none is — simultaneous arrivals, or a burst
- * arriving into a drained fleet.  On the barrier path the coordinator
- * checks that predicate (wouldStep) before releasing the workers and
- * skips a stall's round-trip outright (a provable no-op for every
- * SoC); on the replay path each worker records, per horizon, how
- * many of its SoCs were behind, and the coordinator reduces those
- * counts in shard-index order.  Both paths therefore report the same
+ * active SoC is behind it (sim::Soc::behind: unfinished, and either
+ * its clock is below H with no step parked, or its parked step ends
+ * at or before H), and as a *horizon stall* when none is —
+ * simultaneous arrivals, a burst arriving into a drained fleet, or a
+ * fleet whose busy SoCs are all parked past H.  On the barrier path
+ * the coordinator checks that predicate (wouldStep) before releasing
+ * the workers and skips a stall's round-trip outright (a provable
+ * no-op for every SoC); on the replay path each worker records, per
+ * horizon, how many of its SoCs were behind, and the coordinator
+ * reduces those counts in shard-index order.  Both paths therefore report the same
  * EpochStats::epochs, horizonStalls and socsStepped; only
  * EpochStats::barriers, the worker releases that actually happened,
  * tells them apart (one per epoch vs one per stream).  Nothing is
@@ -92,16 +96,16 @@ struct EpochStats
     std::uint64_t epochs = 0;
 
     /** Sum over epochs of SoCs that were behind the horizon (and so
-     *  stepped at least once); meanSocsStepped() is the per-epoch
-     *  mean. */
+     *  ran the kernel); meanSocsStepped() is the per-epoch mean. */
     std::uint64_t socsStepped = 0;
 
     /**
-     * Horizons at which no active SoC was unfinished and behind
+     * Horizons at which no active SoC was behind
      * (ParallelEngine::wouldStep was false).  High stall counts mean
      * the arrival stream is denser than the fleet's event stream —
-     * the lookahead window is empty and the run is dispatcher-bound,
-     * not simulation-bound.
+     * every SoC is done or parked on a step that ends past the
+     * horizon — so the run is dispatcher-bound, not
+     * simulation-bound.
      */
     std::uint64_t horizonStalls = 0;
 
@@ -198,7 +202,7 @@ class ParallelEngine
 
     /**
      * True when an epoch at `horizon` would step some SoC: an active
-     * SoC is unfinished and behind the horizon.  Read straight from
+     * SoC is behind the horizon (sim::Soc::behind).  Read straight from
      * the SoCs, so it holds whatever the coordinator injected since
      * the last epoch.  Coordinator-only, between epochs.
      */
@@ -251,8 +255,8 @@ class ParallelEngine
         double waitSec = 0.0;
     };
 
-    /** Slot `i` is active, unfinished and behind `horizon`: exactly
-     *  when advancing it to `horizon` runs a kernel iteration. */
+    /** Slot `i` is active and behind `horizon`: exactly when
+     *  advancing it to `horizon` runs the kernel. */
     bool behind(std::size_t i, Cycles horizon) const;
     void runShard(Shard &shard);
     /** Walk SoC `i` through the replayed stream (see replay()). */

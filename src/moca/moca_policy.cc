@@ -55,8 +55,7 @@ MocaPolicy::MocaPolicy(const sim::SocConfig &soc_cfg,
                                     cfg.fixedThreshold}),
       scheduler_(sched::SchedulerConfig{
           cfg.scoreThreshold, cfg.enableMemAwarePairing},
-          soc_cfg.dramBytesPerCycle),
-      estimator_(soc_cfg, cfg.sparsityAwarePredictor)
+          soc_cfg.dramBytesPerCycle)
 {
     if (cfg_.slots < 1 || cfg_.slots > soc_cfg.numTiles)
         fatal("moca: slots must be in [1, numTiles]");
@@ -77,8 +76,8 @@ MocaPolicy::modelEstimate(const dnn::Model &model, int num_tiles)
     auto it = estimate_memo_.find(key);
     if (it == estimate_memo_.end()) {
         ModelEstimate e;
-        e.time = estimator_.estimateModel(model, num_tiles);
-        e.bw = estimator_.estimateAvgBw(model, num_tiles);
+        e.time = cm_.model().estimateModel(model, num_tiles);
+        e.bw = cm_.model().estimateAvgBw(model, num_tiles);
         it = estimate_memo_.emplace(key, e).first;
     }
     return it->second;
@@ -273,7 +272,7 @@ MocaPolicy::maybeRepartition(sim::Soc &soc, sim::SchedEvent event)
         const int id = running.front();
         if (soc.jobStallUntil(id) > soc.now())
             return;
-        const double remain = estimator_
+        const double remain = cm_.model()
             .estimateRemaining(*soc.job(id).spec.model,
                                soc.jobLayer(id), soc.jobTiles(id))
             .prediction;
@@ -293,7 +292,7 @@ MocaPolicy::maybeRepartition(sim::Soc &soc, sim::SchedEvent event)
         for (int id : running) {
             if (soc.jobTiles(id) <= per_slot)
                 continue;
-            const double remain = estimator_
+            const double remain = cm_.model()
                 .estimateRemaining(*soc.job(id).spec.model,
                                    soc.jobLayer(id), soc.jobTiles(id))
                 .prediction;

@@ -113,9 +113,10 @@ class MocaPolicy : public sim::Policy
 
   private:
     MocaPolicyConfig cfg_;
+    /** Also the policy's Algorithm 1 estimator (cm_.model()): one
+     *  memoized LatencyModel serves Algorithms 2 and 3. */
     runtime::ContentionManager cm_;
     sched::MocaScheduler scheduler_;
-    runtime::LatencyModel estimator_;
     PolicyStats stats_;
 
     /** Whole-model Algorithm 1 aggregates for one tile count. */

@@ -104,6 +104,10 @@ class ContentionManager
 
     const Scoreboard &scoreboard() const { return scoreboard_; }
 
+    /** The Algorithm 1 model the manager predicts blocks with; its
+     *  owner may share it (MocaPolicy scores tasks with it). */
+    const LatencyModel &model() const { return model_; }
+
     /** Minimum slack used in the urgency ratio. */
     static constexpr double kMinSlack = 1000.0;
 

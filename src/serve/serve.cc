@@ -58,6 +58,21 @@ struct EventLater
     }
 };
 
+/** exp::isolatedLatency through a per-model-id table (0: not asked
+ *  yet), for callers that ask once per request: the oracle's own memo
+ *  hashes the whole configuration and locks on every lookup. */
+Cycles
+memoIsolated(std::vector<Cycles> &memo, dnn::ModelId id, int num_tiles,
+             const sim::SocConfig &cfg)
+{
+    const auto m = static_cast<std::size_t>(id);
+    if (m >= memo.size())
+        memo.resize(m + 1, 0);
+    if (memo[m] == 0)
+        memo[m] = exp::isolatedLatency(id, num_tiles, cfg);
+    return memo[m];
+}
+
 /** What a slot's SoC incarnations add up to, folded in boot order. */
 struct SlotTotals
 {
@@ -69,8 +84,8 @@ struct SlotTotals
     Cycles cycles = 0;
 
     /** Finish `soc`'s run, booted at front-end cycle `booted`, and
-     *  add what it produced. */
-    void fold(sim::Soc &soc, bool capture, Cycles booted)
+     *  add what it produced over a span ending at `end`. */
+    void fold(sim::Soc &soc, bool capture, Cycles booted, Cycles end)
     {
         soc.finishRun();
         results.insert(results.end(), soc.results().begin(),
@@ -78,7 +93,7 @@ struct SlotTotals
         steps += soc.stats().quanta;
         busyCycles += soc.stats().dramBusyFraction *
             static_cast<double>(soc.stats().cyclesSimulated);
-        cycles += soc.stats().cyclesSimulated;
+        cycles += end;
         if (capture) {
             // Every incarnation's events carry the slot's socId; the
             // exporter merges them onto one slot track.
@@ -111,6 +126,7 @@ struct Slot
     std::unique_ptr<sim::Soc> soc;
     int boots = 0;
     Cycles bootedAt = 0; ///< Front-end cycle the live SoC booted at.
+    Cycles failedAt = 0; ///< Front-end cycle of the latest failure.
     SlotTotals retired;
     /** Live incarnation: dense job id -> request id. */
     std::vector<int> jobReq;
@@ -122,6 +138,14 @@ struct Slot
     sim::Soc &live() { return *soc; }
     const sim::Soc &live() const { return *soc; }
     int incarnation() const { return boots - 1; }
+
+    /** Where the live incarnation's span ends: its clock, or the
+     *  failure cycle when it failed with jobs unfinished (its clock
+     *  then stops at its last step boundary, short of the failure). */
+    Cycles spanEnd() const
+    {
+        return failed && !soc->done() ? failedAt : soc->now();
+    }
 };
 
 /** Front-end progress of one request. */
@@ -181,6 +205,8 @@ class ServeDriver : private cluster::StreamReplay
     std::vector<ReqProgress> progress_;
 
     std::vector<Slot> slots_;
+    /** isoLatency per slot and model id; 0 until first asked. */
+    std::vector<std::vector<Cycles>> isoMemo_;
     std::unique_ptr<cluster::ParallelEngine> engine_;
     /** A fixed-arrival stream whose dispatcher reads no SoC: arrivals
      *  are placed without a barrier and the drain replays them. */
@@ -235,11 +261,13 @@ class ServeDriver : private cluster::StreamReplay
     void bootSoc(std::size_t slot_idx);
 
     /** Full-SoC isolated latency of `id` on slot `slot_idx`'s
-     *  hardware: the normalization of every latency metric. */
-    Cycles isoLatency(std::size_t slot_idx, dnn::ModelId id) const
+     *  hardware: the normalization of every latency metric.  Asked
+     *  once per response and per job, so the driver keeps its own
+     *  table in front of the oracle's shared memo. */
+    Cycles isoLatency(std::size_t slot_idx, dnn::ModelId id)
     {
         const sim::SocConfig &c = slotCfgs_[slot_idx];
-        return exp::isolatedLatency(id, c.numTiles, c);
+        return memoIsolated(isoMemo_[slot_idx], id, c.numTiles, c);
     }
 
     Cycles chunkTarget(Cycles limit) const;
@@ -321,9 +349,10 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
         // *single-tile* isolated latency, while metric normalization
         // uses the full-SoC one (isoLatency).
         const sim::SocConfig &cal = slotCfgs_.front();
+        std::vector<Cycles> single_tile;
         pool_ = std::make_unique<ClientPool>(
-            cfg_.clients, [&cal](dnn::ModelId id) {
-                return exp::isolatedLatency(id, 1, cal);
+            cfg_.clients, [&](dnn::ModelId id) {
+                return memoIsolated(single_tile, id, 1, cal);
             });
         reqTasks_.reserve(
             static_cast<std::size_t>(pool_->totalRequests()));
@@ -333,6 +362,7 @@ ServeDriver::ServeDriver(const ServeConfig &cfg,
             reqTimeout_.push_back(pool_->request(i).timeout);
         }
     }
+    isoMemo_.resize(slotCfgs_.size());
     progress_.resize(reqTasks_.size());
     respLatency_.reserve(reqTasks_.size());
     respNormLatency_.reserve(reqTasks_.size());
@@ -374,7 +404,7 @@ ServeDriver::bootSoc(std::size_t slot_idx)
         // Retire the previous incarnation: keep what it produced,
         // free the simulator (before the policy it references).
         slot.retired.fold(*slot.soc, cfg_.capture != nullptr,
-                          slot.bootedAt);
+                          slot.bootedAt, slot.spanEnd());
         slot.soc.reset();
     }
     sim::SocConfig soc_cfg = slotCfgs_[slot_idx];
@@ -540,7 +570,6 @@ ServeDriver::upLoads() const
         const sim::Soc &soc = slot.live();
         cluster::SocLoad l;
         l.socIdx = static_cast<int>(i);
-        l.now = soc.now();
         l.waiting = static_cast<int>(soc.waitingCount());
         l.running = static_cast<int>(soc.runningCount());
         l.freeTiles = soc.freeTiles();
@@ -707,9 +736,11 @@ ServeDriver::handleFail()
     const auto idx = static_cast<std::size_t>(
         candidates[static_cast<std::size_t>(plan.victim)]);
     Slot &slot = slots_[idx];
-    // The SoC stepped no further than its last completion; its series
-    // runs on, idle, up to the failure.
+    // The SoC stepped no further than its last step boundary (its last
+    // completion, or the start of a step parked across the failure);
+    // its series runs on in that state up to the failure.
     slot.soc->sampleIdleUntil(now_);
+    slot.failedAt = now_;
     res_.failEvents++;
     captureEvent(sim::TraceEventKind::SocFail,
                  static_cast<int>(idx));
@@ -869,7 +900,8 @@ ServeDriver::finalize()
         // Aggregate the slot across its incarnations: every
         // completion ran on real fleet capacity, orphan or not.
         SlotTotals &all = slot.retired;
-        all.fold(slot.live(), cfg_.capture != nullptr, slot.bootedAt);
+        all.fold(slot.live(), cfg_.capture != nullptr, slot.bootedAt,
+                 slot.spanEnd());
         if (cfg_.capture)
             cfg_.capture->socEvents.insert(
                 cfg_.capture->socEvents.end(), all.events.begin(),

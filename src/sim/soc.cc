@@ -283,6 +283,7 @@ Soc::startJob(int id, int num_tiles, Cycles resume_penalty)
         panic("startJob(%d): %d tiles requested, %d free",
               id, num_tiles, freeTiles());
 
+    planned_ = false;
     h.state = JobState::Running;
     h.numTiles = num_tiles;
     waitingRemove(id);
@@ -316,6 +317,7 @@ Soc::resizeJob(int id, int num_tiles, bool charge_migration)
         panic("resizeJob(%d): %d tiles requested, %d available",
               id, num_tiles, avail);
 
+    planned_ = false;
     used_tiles_ += num_tiles - h.numTiles;
     h.numTiles = num_tiles;
     // A tile-allocation change invalidates running-set-derived memos
@@ -339,6 +341,7 @@ Soc::pauseJob(int id)
     JobHot &h = hotRef(id);
     if (h.state != JobState::Running)
         panic("pauseJob(%d): job is not running", id);
+    planned_ = false;
     h.state = JobState::Paused;
     waitingAdd(id);
     dropRunning(id, h.numTiles);
@@ -352,6 +355,7 @@ void
 Soc::configureThrottle(int id, const hw::ThrottleConfig &tcfg)
 {
     Job &j = job(id);
+    planned_ = false;
     j.throttle.configure(tcfg);
     trace_.record(now_, TraceEventKind::ThrottleConfig, id,
                   static_cast<long long>(tcfg.windowCycles));
@@ -633,26 +637,33 @@ Soc::demandAt(const DemandTerms &t, Cycles horizon,
 }
 
 void
+Soc::probeJob(int id, mem::MemRequest &r, DemandTerms &t) const
+{
+    const JobHot &j = hot_[static_cast<std::size_t>(id)];
+    r = mem::MemRequest();
+    r.id = id;
+    r.weight = std::max(1, j.numTiles);
+    t = DemandTerms();
+    if (j.stallUntil > now_) {
+        t.stalled = true;
+    } else {
+        t = demandTerms(j);
+        t.throttleBound = demandAt(t, cfg_.quantum, r);
+    }
+}
+
+void
 Soc::probeDemands()
 {
     probe_requests_.clear();
     terms_.clear();
     for (int id : running_ids_) {
-        JobHot &j = hot_[static_cast<std::size_t>(id)];
-        mem::MemRequest r;
-        r.id = id;
-        r.weight = std::max(1, j.numTiles);
-        DemandTerms t;
-        if (j.stallUntil > now_) {
-            t.stalled = true;
-        } else {
-            if (!j.exec.valid)
-                beginLayer(id);
-            t = demandTerms(j);
-            t.throttleBound = demandAt(t, cfg_.quantum, r);
-        }
-        probe_requests_.push_back(r);
-        terms_.push_back(t);
+        const JobHot &j = hot_[static_cast<std::size_t>(id)];
+        if (j.stallUntil <= now_ && !j.exec.valid)
+            beginLayer(id);
+        probe_requests_.emplace_back();
+        terms_.emplace_back();
+        probeJob(id, probe_requests_.back(), terms_.back());
     }
 }
 
@@ -829,11 +840,11 @@ Soc::dispatchBoundaries()
 
 // --- The step ---------------------------------------------------------
 
-void
-Soc::step(Cycles horizon)
+bool
+Soc::planStep(Cycles horizon)
 {
     if (!schedulingPoints(horizon))
-        return;
+        return false;
 
     // Probe pass at quantum granularity: the demand-shape branch and
     // throttle binding of the next quantum, plus each job's layer
@@ -842,20 +853,40 @@ Soc::step(Cycles horizon)
     // remaining quantity shrinks by the same factor as the layer
     // advances).
     probeDemands();
+    plan_end_ = stepEnd();
+    planned_ = true;
+#ifndef NDEBUG
+    debug_plan_state_ = planState();
+    debug_parked_ = false;
+#endif
+    return true;
+}
 
+Cycles
+Soc::stepEnd() const
+{
     // The periodic tick and the next arrival bound every step, so the
     // tick fires at the exact schedPeriod cadence and arrivals are
-    // admitted at their exact dispatch cycle.  The horizon acts like
-    // one more pending arrival: a cluster front-end may place a task
-    // on this SoC at that cycle.  All three lie strictly after now_.
-    Cycles next =
-        std::min({next_sched_tick_, nextArrivalCycle(), horizon});
+    // admitted at their exact dispatch cycle.  Both lie strictly
+    // after now_.
+    const Cycles next = std::min(next_sched_tick_, nextArrivalCycle());
     // The kernel only picks how far the step may reach: one quantum,
     // or the next in-SoC state change (never short of a quantum).
-    next = std::min(next, cfg_.kernel == SimKernel::Event
+    return std::min(next, cfg_.kernel == SimKernel::Event
                               ? nextStateChange()
                               : now_ + cfg_.quantum);
-    const Cycles step = next - now_;
+}
+
+void
+Soc::commitStep()
+{
+#ifndef NDEBUG
+    if (debug_parked_)
+        debugCheckParkedPlan();
+    debug_parked_ = false;
+#endif
+    planned_ = false;
+    const Cycles step = plan_end_ - now_;
 
     // A full-quantum step (every quantum-kernel step, and the tail
     // step of each layer under the event kernel) reuses the probe;
@@ -1029,33 +1060,88 @@ Soc::debugCheckStepPass(Cycles step) const
 #endif
 }
 
-bool
-Soc::stepOnce(Cycles horizon)
+#ifndef NDEBUG
+Soc::PlanState
+Soc::planState() const
 {
-    if (!began_)
-        panic("stepOnce before beginRun");
-    if (allDone())
-        return false;
-    if (now_ >= horizon)
-        panic("stepOnce: now=%llu is at/past horizon %llu",
-              static_cast<unsigned long long>(now_),
-              static_cast<unsigned long long>(horizon));
-    if (now_ > cfg_.maxCycles)
-        fatal("simulation exceeded %llu cycles; policy deadlock?",
-              static_cast<unsigned long long>(cfg_.maxCycles));
+    return PlanState{next_sched_tick_, next_arrival_,
+                     waiting_ids_.size(), used_tiles_, running_epoch_,
+                     stats_.schedInvocations};
+}
+#endif
 
-    step(horizon);
-    return !allDone();
+void
+Soc::debugCheckParkedPlan() const
+{
+#ifndef NDEBUG
+    // Nothing a parked plan was derived from may move while it waits:
+    // its scheduling points are still spent (no arrival or tick due),
+    // and a fresh probe and step end equal the stored ones bit for
+    // bit.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    const auto at = static_cast<unsigned long long>(now_);
+    if (planState() != debug_plan_state_ ||
+        next_sched_tick_ <= now_ || nextArrivalCycle() <= now_)
+        panic("parked plan at %llu: scheduling state moved while it "
+              "was parked", at);
+    if (probe_requests_.size() != running_ids_.size())
+        panic("parked plan at %llu: %zu requests for %zu running jobs",
+              at, probe_requests_.size(), running_ids_.size());
+    for (std::size_t i = 0; i < running_ids_.size(); ++i) {
+        const int id = running_ids_[i];
+        const JobHot &j = hot_[static_cast<std::size_t>(id)];
+        if (j.stallUntil <= now_ && !j.exec.valid)
+            panic("parked plan at %llu: job %d lost its layer state",
+                  at, id);
+        mem::MemRequest want;
+        DemandTerms t;
+        probeJob(id, want, t);
+        const mem::MemRequest &got = probe_requests_[i];
+        const DemandTerms &e = terms_[i];
+        if (got.id != want.id || got.weight != want.weight ||
+            !same(got.l2Bytes, want.l2Bytes) ||
+            !same(got.dramBytes, want.dramBytes) ||
+            e.stalled != t.stalled ||
+            e.throttleBound != t.throttleBound ||
+            !same(e.tFull, t.tFull) || !same(e.mCap, t.mCap) ||
+            !same(e.l2Rate, t.l2Rate) ||
+            !same(e.dramRate, t.dramRate))
+            panic("parked plan at %llu diverged from a fresh probe: "
+                  "job %d: l2 %.17g vs %.17g, dram %.17g vs %.17g, "
+                  "tFull %.17g vs %.17g", at, id, got.l2Bytes,
+                  want.l2Bytes, got.dramBytes, want.dramBytes, e.tFull,
+                  t.tFull);
+    }
+    const Cycles end = stepEnd();
+    if (end != plan_end_)
+        panic("parked plan at %llu: step end %llu, re-derived %llu", at,
+              static_cast<unsigned long long>(plan_end_),
+              static_cast<unsigned long long>(end));
+#endif
 }
 
 void
 Soc::advanceTo(Cycles horizon)
 {
-    // kNoHorizon flows through every min() clamp without ever
-    // binding (now() is bounded by cfg.maxCycles ~ 1e12), so
+    if (!began_)
+        panic("advanceTo before beginRun");
+    // kNoHorizon never parks a step (every plan ends before it), so
     // draining to completion takes the bounded code path.
-    while (!allDone() && now_ < horizon)
-        stepOnce(horizon);
+    while (behind(horizon)) {
+        if (now_ > cfg_.maxCycles)
+            fatal("simulation exceeded %llu cycles; policy deadlock?",
+                  static_cast<unsigned long long>(cfg_.maxCycles));
+        stats_.advancePasses++;
+        // A step planned past the horizon parks: behind() turns
+        // false on its end.
+        if ((planned_ || planStep(horizon)) && plan_end_ <= horizon)
+            commitStep();
+    }
+#ifndef NDEBUG
+    debug_parked_ = planned_;
+#endif
 }
 
 void
@@ -1071,6 +1157,18 @@ Soc::injectJob(const JobSpec &spec)
     if (pending != kNoArrival &&
         spec.dispatch < jobs_[arrival_order_.back()].spec.dispatch)
         fatal("injectJob(%d): dispatch order violated", spec.id);
+
+    if (planned_) {
+        // The parked step's scheduling points ran at now_, so the job
+        // must arrive after it; like any pending arrival, it bounds
+        // the step.
+        if (spec.dispatch <= now_)
+            panic("injectJob(%d): dispatch %llu is not after the "
+                  "parked SoC's clock %llu", spec.id,
+                  static_cast<unsigned long long>(spec.dispatch),
+                  static_cast<unsigned long long>(now_));
+        plan_end_ = std::min(plan_end_, spec.dispatch);
+    }
 
     appendJob(spec);
     // Injections arrive in nondecreasing dispatch order, so the

@@ -14,24 +14,25 @@
  * combining compute and memory progress with the overlap factor
  * (latency = max(C, M) + f * min(C, M), Algorithm 1 semantics).
  *
- * Every step ends at or before the next periodic scheduler tick, the
- * next arrival and the caller's horizon, so both kernels fire the
- * tick at the exact schedPeriod cadence and admit arrivals at their
- * exact dispatch cycle.  The *quantum* kernel further caps a step at
- * one cfg.quantum, so cost scales with simulated cycles.  The *event*
+ * Every step ends at or before the next periodic scheduler tick and
+ * the next arrival, so both kernels fire the tick at the exact
+ * schedPeriod cadence and admit arrivals at their exact dispatch
+ * cycle.  The *quantum* kernel further caps a step at one
+ * cfg.quantum, so cost scales with simulated cycles.  The *event*
  * kernel caps it at the earliest in-SoC state change
  * (nextStateChange: memory-model change, stall expiry, layer
  * completion, binding throttle-window rollover) rounded up to the
  * quantum grid; demands, grants, and per-layer rates are
  * piecewise-constant between those events, so cost scales with
- * scheduling activity instead.
+ * scheduling activity instead.  A co-simulator's horizon never
+ * shapes a step (see advanceTo).
  *
  * Idle gaps cost O(1) kernel iterations under both kernels: a SoC
  * with no running and no waiting job jumps straight to its next
- * arrival (or the caller's horizon), skipping the periodic ticks in
- * between in closed form.  No policy acts on such a tick (see
- * Policy), and the next tick still lands on the same schedPeriod
- * grid, so results are identical to firing every tick.
+ * arrival (stopping at the caller's horizon on the way), skipping the
+ * periodic ticks in between in closed form.  No policy acts on such a
+ * tick (see Policy), and the next tick still lands on the same
+ * schedPeriod grid, so results are identical to firing every tick.
  *
  * Layer DRAM traffic is determined at layer start from the job's
  * *effective* L2 share (capacity divided among co-runners), which
@@ -44,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "mem/memory_model.h"
@@ -56,9 +58,9 @@
 namespace moca::sim {
 
 /**
- * The only horizon value meaning "no bound": stepOnce/advanceTo with
- * kNoHorizon drain to completion through the very same code the
- * bounded mode uses (the clamp arithmetic never binds at 2^64-1).
+ * The only horizon value meaning "no bound": advanceTo(kNoHorizon)
+ * drains to completion through the very same code the bounded mode
+ * uses (every planned step ends before 2^64-1).
  */
 inline constexpr Cycles kNoHorizon = ~Cycles{0};
 
@@ -76,6 +78,10 @@ struct SocStats
      *  the quantum kernel, variable-length steps under the event
      *  kernel (the kernel-speedup ratio is quanta_q / quanta_e). */
     std::uint64_t quanta = 0;
+    /** Passes of advanceTo's stepping loop: committed steps, idle
+     *  jumps, and the pass that parks a step.  An idle gap adds O(1)
+     *  however many scheduler periods it spans. */
+    std::uint64_t advancePasses = 0;
     /** Policy::schedule() calls actually made.  Periodic ticks skipped
      *  on an empty SoC (see Policy) invoke nothing and are not
      *  counted, so an idle gap adds nothing here. */
@@ -106,41 +112,56 @@ class Soc
 
     // --- Resumable stepping (cluster co-simulation) -------------------
     //
-    // run() is beginRun(); advanceTo(kNoHorizon); finishRun().  A co-simulator (the fleet driver) instead steps
-    // each SoC up to a *horizon* — the next cluster-level event, e.g.
-    // the arrival of a task the front-end dispatcher has not placed
-    // yet — injects the task into the chosen SoC at its exact
-    // dispatch cycle, and resumes stepping.  Because stepOnce(h)
-    // clamps exactly like a step clamps to the next in-SoC arrival,
-    // a 1-SoC cluster replays the single-SoC simulation
-    // bit-identically.
+    // run() is beginRun(); advanceTo(kNoHorizon); finishRun().  A
+    // co-simulator (the fleet driver) instead advances each SoC up to
+    // a *horizon* — the next cluster-level event, e.g. the arrival of
+    // a task the front-end dispatcher has not placed yet — injects
+    // the task into the chosen SoC at its exact dispatch cycle, and
+    // advances again.  The horizon never shapes a step.  Each step is
+    // *planned* from the SoC's own state alone (scheduling points,
+    // demand probe, end = min(next tick, next arrival, kernel bound))
+    // and *committed* only when it ends at or before the horizon;
+    // otherwise the SoC *parks* — now() stays at its last step
+    // boundary and the plan is kept — until a later horizon reaches
+    // the plan's end.  An injection only pulls the parked end in to
+    // its dispatch cycle, exactly as the same arrival known from the
+    // start would have bounded the step.  So a fleet SoC runs the step
+    // sequence its jobs would run alone.  Only idle time (nothing
+    // running) stops at the horizon: an idle jump changes no state,
+    // so splitting it changes no result.
 
     /** Prepare for stepping: sort arrivals, arm the scheduler tick. */
     void beginRun();
 
     /**
-     * Execute one step (one demand/arbitrate/advance round, or one
-     * idle/scheduling advance), never moving now() past `horizon`.
-     * Requires now() < horizon.
-     * @return true while unfinished jobs remain.
-     */
-    bool stepOnce(Cycles horizon = kNoHorizon);
-
-    /**
-     * Step until done() or now() >= horizon — the hoisted body of the
-     * cluster loop's per-SoC advance, shared by the serial and
-     * sharded (cluster::ParallelEngine) fleet paths.  One loop serves
-     * both modes: kNoHorizon never clamps a step, so draining to
-     * completion takes exactly the bounded code path.  A horizon of 0
-     * is a no-op (now() starts at 0), matching "advance to an arrival
-     * at cycle 0".
+     * Step while behind(horizon): commit every step that ends at or
+     * before `horizon`, stop idle time at it, and park on the first
+     * step that would end past it.  On return now() <= horizon, and
+     * the SoC is done(), at the horizon, or parked.  kNoHorizon drains
+     * to completion; a horizon of 0 is a no-op (now() starts at 0),
+     * matching "advance to an arrival at cycle 0".  Fatal once
+     * simulated time exceeds cfg.maxCycles (deadlock in a policy).
      */
     void advanceTo(Cycles horizon);
 
     /**
-     * Append a job mid-run (between stepOnce calls).  Dispatch cycles
+     * True when advanceTo(horizon) would run the kernel: the SoC is
+     * unfinished and behind the horizon, where a parked SoC is behind
+     * only a horizon at or past its planned step end.
+     */
+    bool behind(Cycles horizon) const
+    {
+        return !allDone() &&
+            (planned_ ? plan_end_ <= horizon : now_ < horizon);
+    }
+
+    /**
+     * Append a job mid-run (between advanceTo calls).  Dispatch cycles
      * must be injected in nondecreasing order and must not precede
-     * now(); the id must be dense like addJob's.
+     * now() (nor reach back to it on a parked SoC, whose scheduling
+     * points at now() already ran); the id must be dense like
+     * addJob's.  A parked step is cut to end at the dispatch cycle at
+     * the latest.
      */
     void injectJob(const JobSpec &spec);
 
@@ -276,9 +297,10 @@ class Soc
 
     /**
      * Emit the sampled rows of every grid point up to `t` from the
-     * current state.  For a SoC that stays idle from now() to `t` (a
-     * fleet SoC that fails after its last step) the rows are exact;
-     * stepping emits rows only up to now().  No-op without sampling.
+     * state at now().  For a SoC that stays idle from now() to `t` the
+     * rows are exact; a parked SoC (a fleet SoC that fails mid-step)
+     * has not yet counted its step's traffic.  Stepping emits rows
+     * only up to now().  No-op without sampling.
      */
     void sampleIdleUntil(Cycles t);
 
@@ -396,10 +418,10 @@ class Soc
      * Handle the scheduling points at `now_`: admit due arrivals,
      * fire the periodic tick, and — when nothing is running — advance
      * idle time to the next tick (jobs waiting) or straight to the
-     * next arrival (nothing waiting either: skipIdleTicks), or invoke
-     * the policy one last time before declaring deadlock, clamped to
-     * `horizon`.  Returns true when jobs are running
-     * (the caller may step); false re-enters the caller's loop.
+     * next arrival (nothing waiting either: skipIdleTicks), clamped
+     * to `horizon`, or invoke the policy one last time before
+     * declaring deadlock.  Returns true when jobs are running (the
+     * caller may plan a step); false re-enters the caller's loop.
      */
     bool schedulingPoints(Cycles horizon);
 
@@ -426,6 +448,10 @@ class Soc
      */
     bool demandAt(const DemandTerms &t, Cycles horizon,
                   mem::MemRequest &r) const;
+
+    /** One running job's probe request and terms over one quantum
+     *  (its layer state must be valid unless it is stalled). */
+    void probeJob(int id, mem::MemRequest &r, DemandTerms &t) const;
 
     /**
      * Demand phase, quantum probe: every running job's terms and
@@ -473,12 +499,32 @@ class Soc
     // --- The step -----------------------------------------------------
 
     /**
-     * One step bounded by `horizon`: scheduling points, the
-     * quantum-granular demand probe, then demand/arbitrate/advance
-     * over min(next tick, next arrival, horizon), capped at one
-     * quantum (quantum kernel) or at nextStateChange() (event kernel).
+     * The stored step plan: the step from now_ to plan_end_ over
+     * probe_requests_/terms_, valid while planned_.  Every
+     * policy-facing control call drops it (the scheduling state it was
+     * planned from moved); injectJob only cuts plan_end_.
      */
-    void step(Cycles horizon);
+    bool planned_ = false;
+    Cycles plan_end_ = 0;
+
+    /**
+     * Plan the step at now_: scheduling points, then, with jobs
+     * running, the quantum-granular demand probe and stepEnd().
+     * Returns false when the scheduling points moved idle time
+     * instead (never past `horizon`) and nothing was planned.
+     */
+    bool planStep(Cycles horizon);
+
+    /**
+     * End of the step planned at now_: min(next tick, next arrival),
+     * capped at one quantum (quantum kernel) or at nextStateChange()
+     * (event kernel).  No horizon term.
+     */
+    Cycles stepEnd() const;
+
+    /** Run the stored plan: demand/arbitrate/advance to plan_end_,
+     *  then the boundary hooks. */
+    void commitStep();
 
     /**
      * Event-kernel step bound: the earliest in-SoC state change after
@@ -579,6 +625,21 @@ class Soc
     /** Debug-only: panic unless the rescaled step_requests_ equal a
      *  full demand pass at `step` cycles bit for bit. */
     void debugCheckStepPass(Cycles step) const;
+
+#ifndef NDEBUG
+    /** What a plan's scheduling points leave behind (next tick,
+     *  arrivals admitted, waiting jobs, used tiles, running epoch,
+     *  policy calls); none of it may move while the plan is parked. */
+    using PlanState = std::tuple<Cycles, std::size_t, std::size_t, int,
+                                 std::uint64_t, std::uint64_t>;
+    PlanState debug_plan_state_;
+    bool debug_parked_ = false; ///< The plan outlived an advanceTo.
+    PlanState planState() const;
+#endif
+    /** Debug-only: panic unless a parked plan, re-derived at commit
+     *  (scheduling state, probe requests and terms, step end), equals
+     *  the stored one bit for bit. */
+    void debugCheckParkedPlan() const;
 };
 
 } // namespace moca::sim

@@ -337,16 +337,21 @@ TEST(SocStepping, HorizonBoundsTimeAndInjectionResumes)
 
     soc.beginRun();
     const Cycles horizon = 10'000;
-    while (!soc.done() && soc.now() < horizon)
-        soc.stepOnce(horizon);
+    soc.advanceTo(horizon);
+    // The SoC stops at its last step boundary at or before the
+    // horizon, and parks the step that would cross it.
     EXPECT_LE(soc.now(), horizon);
+    ASSERT_FALSE(soc.done());
+    EXPECT_FALSE(soc.behind(horizon));
 
-    // Inject a second job mid-run at the exact horizon cycle.
+    // Inject a second job mid-run at the exact horizon cycle: the
+    // parked step now ends there.
     spec.id = 1;
     spec.dispatch = horizon;
     soc.injectJob(spec);
-    while (!soc.done())
-        soc.stepOnce();
+    EXPECT_FALSE(soc.behind(horizon - 1));
+    EXPECT_TRUE(soc.behind(horizon));
+    soc.advanceTo(sim::kNoHorizon);
     soc.finishRun();
 
     ASSERT_EQ(soc.results().size(), 2u);
@@ -361,7 +366,7 @@ TEST(SocStepping, MisuseDies)
     sim::JobSpec spec;
     spec.id = 0;
     spec.model = &dnn::getModel(dnn::ModelId::Kws);
-    EXPECT_DEATH(soc.stepOnce(), "before beginRun");
+    EXPECT_DEATH(soc.advanceTo(sim::kNoHorizon), "before beginRun");
     EXPECT_DEATH(soc.injectJob(spec), "before beginRun");
 }
 
@@ -517,10 +522,10 @@ TEST(Cluster, HeterogeneousFleetRuns)
     // the isolated latency of, its *own* config — normalizing the
     // 4-tile SoC by the 8-tile oracle would move every metric below.
     EXPECT_EQ(res.slaRate, 107.0 / 120.0);
-    EXPECT_DOUBLE_EQ(res.stp, 58.661226511797523);
-    EXPECT_DOUBLE_EQ(res.normLatency.p99, 10.053129605501811);
-    EXPECT_EQ(res.perSoc[0].makespan, 27'068'096u);
-    EXPECT_EQ(res.perSoc[1].makespan, 31'073'728u);
+    EXPECT_DOUBLE_EQ(res.stp, 58.686864843764852);
+    EXPECT_DOUBLE_EQ(res.normLatency.p99, 10.048028095502932);
+    EXPECT_EQ(res.perSoc[0].makespan, 27'069'120u);
+    EXPECT_EQ(res.perSoc[1].makespan, 31'073'216u);
 }
 
 TEST(Cluster, UnsortedTasksDie)

@@ -3,7 +3,8 @@
  * Conservative-PDES fleet engine tests (cluster/parallel.h): the
  * bit-identity contract between serial (jobs=1) and sharded (jobs=N)
  * cluster runs across fleet sizes, dispatchers, policies, and both
- * time-advance kernels; shard-count invariance; mid-run injection and
+ * time-advance kernels; every fleet SoC against its jobs run alone;
+ * shard-count invariance; mid-run injection and
  * simultaneous-arrival (horizon-stall) ordering; the engine's no-op
  * check reading injected work without notice; epoch-statistic
  * consistency; the replayed stream of a dispatcher that reads no SoC
@@ -14,13 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <mutex>
 
 #include "cluster/cluster.h"
 #include "cluster/parallel.h"
 #include "cluster/workload.h"
 #include "dnn/model_zoo.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "obs/capture.h"
 #include "sim/soc.h"
 
@@ -147,6 +151,54 @@ const cluster::DispatcherRegistrar kBarriered({
     },
 });
 
+/** Completed jobs per fleet slot (socId), in completion order, as the
+ *  test-only `recorded` policy saw them.  Each slot's SoC runs on one
+ *  worker; the mutex orders the table across workers. */
+std::mutex g_recorded_mu;
+std::map<int, std::vector<sim::JobResult>> g_recorded;
+
+/** A transparent wrapper around MoCA that records every JobResult
+ *  (spec included) its SoC completes. */
+class RecordedPolicy : public sim::Policy
+{
+  public:
+    explicit RecordedPolicy(std::unique_ptr<sim::Policy> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    const char *name() const override { return "recorded"; }
+
+    void schedule(sim::Soc &soc, sim::SchedEvent event) override
+    {
+        inner_->schedule(soc, event);
+    }
+
+    void onBlockBoundary(sim::Soc &soc, int id) override
+    {
+        inner_->onBlockBoundary(soc, id);
+    }
+
+    void onJobComplete(sim::Soc &soc, int id) override
+    {
+        inner_->onJobComplete(soc, id);
+        // The SoC appends a job's result just before this hook.
+        ASSERT_EQ(soc.results().back().spec.id, id);
+        std::lock_guard<std::mutex> lock(g_recorded_mu);
+        g_recorded[soc.config().socId].push_back(soc.results().back());
+    }
+
+  private:
+    std::unique_ptr<sim::Policy> inner_;
+};
+
+const exp::PolicyRegistrar kRecorded({
+    "recorded", "test-only: moca, recording every completed job", {},
+    [](const sim::SocConfig &cfg, const exp::PolicySpec &) {
+        return std::unique_ptr<sim::Policy>(new RecordedPolicy(
+            exp::PolicyRegistry::instance().make("moca", cfg)));
+    }});
+
 /** One profiled cluster run and everything its capture recorded. */
 struct Captured
 {
@@ -248,6 +300,73 @@ TEST(ParallelCluster, ShardedMatchesSerialEverywhere)
     }
 }
 
+TEST(ParallelCluster, FleetSocMatchesItsStandaloneRun)
+{
+    // A fleet SoC simulates exactly what its own jobs simulate alone:
+    // the fleet's horizons (every other SoC's arrivals) never cut its
+    // steps.  Each SoC's jobs, recorded with their specs as the fleet
+    // completes them, are run alone with addJob + run(); the results
+    // and the step count must match bit for bit.  Load-blind (rr,
+    // replayed) and load-reading (p2c, least-loaded: one barrier per
+    // arrival) dispatchers, both kernels, 1 and 4 PDES workers.
+    constexpr int kSocs = 4;
+    for (const auto kernel :
+         {sim::SimKernel::Quantum, sim::SimKernel::Event}) {
+        const sim::SocConfig cfg = testSoc(kernel);
+        SynthConfig synth = testSynth(8 * kSocs, kSocs * cfg.numTiles, 41);
+        synth.set = workload::WorkloadSet::C;
+        const auto tasks = synthTasks(synth, cfg);
+        for (const std::string dispatcher : {"rr", "p2c", "least-loaded"}) {
+            for (const int jobs : {1, 4}) {
+                SCOPED_TRACE(simKernelName(kernel) + std::string(" ") +
+                             dispatcher + " jobs=" + std::to_string(jobs));
+                g_recorded.clear();
+                const ClusterResult fleet = runWith(
+                    cfg, kSocs, jobs, dispatcher, "recorded", tasks);
+                ASSERT_EQ(g_recorded.size(), std::size_t{kSocs});
+                for (int s = 0; s < kSocs; ++s) {
+                    SCOPED_TRACE("soc " + std::to_string(s));
+                    const std::vector<sim::JobResult> &got = g_recorded[s];
+                    std::vector<sim::JobSpec> specs;
+                    for (const sim::JobResult &r : got)
+                        specs.push_back(r.spec);
+                    std::sort(specs.begin(), specs.end(),
+                              [](const sim::JobSpec &a,
+                                 const sim::JobSpec &b) {
+                                  return a.id < b.id;
+                              });
+                    const auto policy =
+                        exp::PolicyRegistry::instance().make("moca", cfg);
+                    sim::Soc solo(cfg, *policy);
+                    for (const sim::JobSpec &spec : specs)
+                        solo.addJob(spec);
+                    solo.run();
+
+                    ASSERT_EQ(solo.results().size(), got.size());
+                    for (std::size_t i = 0; i < got.size(); ++i) {
+                        const sim::JobResult &a = got[i];
+                        const sim::JobResult &b = solo.results()[i];
+                        EXPECT_EQ(a.spec.id, b.spec.id);
+                        EXPECT_EQ(a.spec.dispatch, b.spec.dispatch);
+                        EXPECT_EQ(a.firstStart, b.firstStart);
+                        EXPECT_EQ(a.finish, b.finish);
+                        EXPECT_EQ(a.dramBytesMoved, b.dramBytesMoved);
+                        EXPECT_EQ(a.l2BytesMoved, b.l2BytesMoved);
+                        EXPECT_EQ(a.stallCycles, b.stallCycles);
+                        EXPECT_EQ(a.migrations, b.migrations);
+                        EXPECT_EQ(a.preemptions, b.preemptions);
+                        EXPECT_EQ(a.throttleReconfigs,
+                                  b.throttleReconfigs);
+                    }
+                    EXPECT_EQ(fleet.perSoc[static_cast<std::size_t>(s)]
+                                  .simSteps,
+                              solo.stats().quanta);
+                }
+            }
+        }
+    }
+}
+
 TEST(ParallelCluster, ShardCountInvariance)
 {
     // Uneven shard splits (3 workers over 8 SoCs), more workers than
@@ -324,31 +443,48 @@ TEST(ParallelCluster, LoadReadingDispatchersBarrierPerEpoch)
 TEST(ParallelCluster, SimultaneousArrivalsStallNotStep)
 {
     // Groups of tasks sharing one arrival cycle exercise the
-    // horizon-stall path: only the group's first task opens an epoch;
-    // the rest see the fleet already at the horizon and must skip the
-    // barrier outright (a provable no-op).  Ordering of the
+    // horizon-stall path.  After the group's first arrival no SoC is
+    // behind the horizon, and a placement makes at most its own SoC
+    // behind again (an injection cuts a parked step to end at the
+    // arrival), so each trailing arrival steps at most the one SoC
+    // its predecessor landed on, or stalls.  The group at cycle 0
+    // stalls all 3 (nothing is behind cycle 0).  Ordering of the
     // injections within a group must still be preserved exactly.
     const sim::SocConfig cfg = testSoc();
     auto tasks = synthTasks(testSynth(90, 4 * cfg.numTiles, 7), cfg);
     for (std::size_t i = 0; i < tasks.size(); ++i)
         tasks[i].arrival = static_cast<Cycles>(i / 3) * 50'000;
 
-    const auto serial = runWith(cfg, 4, 1, "rr", "moca", tasks);
-    const auto sharded = runWith(cfg, 4, 3, "rr", "moca", tasks);
-    expectIdentical(serial, sharded);
+    const Captured serial = runCaptured(cfg, 4, 1, "rr", tasks);
+    const Captured sharded = runCaptured(cfg, 4, 3, "rr", tasks);
+    expectIdentical(serial.result, sharded.result);
+    expectSameCapture(serial.capture, sharded.capture);
 
-    // Each 3-task group stalls at least its 2 trailing arrivals (the
-    // group at cycle 0 stalls all 3: no SoC is behind cycle 0).
-    EXPECT_GE(serial.horizonStalls, 2 * (tasks.size() / 3));
-    EXPECT_GT(serial.epochs, 0u);
+    // One span per arrival, then the drain.
+    const std::vector<obs::EpochSpan> &spans = serial.capture.epochs;
+    ASSERT_EQ(spans.size(), tasks.size() + 1);
+    std::uint64_t stalls = 0;
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+        SCOPED_TRACE("arrival " + std::to_string(k));
+        if (k < 3) {
+            EXPECT_TRUE(spans[k].stall);
+        } else if (k % 3 != 0) {
+            EXPECT_LE(spans[k].socsStepped, 1u);
+        }
+        EXPECT_EQ(spans[k].stall, spans[k].socsStepped == 0);
+        stalls += spans[k].stall ? 1 : 0;
+    }
+    EXPECT_EQ(serial.result.horizonStalls, stalls);
+    EXPECT_GT(serial.result.epochs, 0u);
 
     // Injection order within a group is the stream order: round-robin
     // placement of 90 tasks over 4 SoCs.
     int placed = 0;
-    for (const auto &share : serial.perSoc)
+    for (const auto &share : serial.result.perSoc)
         placed += share.tasks;
     EXPECT_EQ(placed, 90);
-    EXPECT_GE(serial.perSoc[0].tasks, serial.perSoc[3].tasks);
+    EXPECT_GE(serial.result.perSoc[0].tasks,
+              serial.result.perSoc[3].tasks);
 }
 
 TEST(ParallelCluster, MidRunInjectionKeepsDispatchCycles)
@@ -401,14 +537,39 @@ TEST(ParallelEngine, InjectionNeedsNoNotice)
     engine.advanceFleet(20'000);
     EXPECT_EQ(engine.stats().epochs, 1u);
     EXPECT_EQ(engine.stats().horizonStalls, 1u);
-    EXPECT_EQ(soc1.now(), 20'000u);
+    // soc1 jumped idle to the arrival, started the job there and
+    // parked the step that crosses 20,000: its clock stays at the
+    // step's start.
+    EXPECT_EQ(soc1.now(), 10'000u);
+    ASSERT_FALSE(soc1.behind(20'000));
+    ASSERT_TRUE(soc1.behind(sim::kNoHorizon));
+    // The parked step's end: the first horizon soc1 is behind.
+    Cycles lo = 20'000, end = sim::kNoHorizon;
+    while (end - lo > 1) {
+        const Cycles mid = lo + (end - lo) / 2;
+        (soc1.behind(mid) ? end : lo) = mid;
+    }
     EXPECT_EQ(soc0.now(), 0u);
 
-    engine.setActive(1, false);
-    engine.advanceFleet(30'000);
+    // A horizon short of the parked step's end steps nothing: a
+    // stall.
+    engine.advanceFleet(end - 1);
     EXPECT_EQ(engine.stats().epochs, 1u);
     EXPECT_EQ(engine.stats().horizonStalls, 2u);
-    EXPECT_EQ(soc1.now(), 20'000u);
+    EXPECT_EQ(soc1.now(), 10'000u);
+
+    // Deactivated, soc1 makes no epoch even at its step's end...
+    engine.setActive(1, false);
+    engine.advanceFleet(end);
+    EXPECT_EQ(engine.stats().epochs, 1u);
+    EXPECT_EQ(engine.stats().horizonStalls, 3u);
+    EXPECT_EQ(soc1.now(), 10'000u);
+
+    // ... and active again, that horizon commits the step.
+    engine.setActive(1, true);
+    engine.advanceFleet(end);
+    EXPECT_EQ(engine.stats().epochs, 2u);
+    EXPECT_EQ(soc1.now(), end);
 }
 
 // --- Epoch statistics -------------------------------------------------

@@ -225,51 +225,66 @@ TEST(Soc, DramUtilizationBounded)
     EXPECT_LE(soc.stats().dramBusyFraction, 1.0 + 1e-9);
 }
 
-TEST(Soc, AdvanceToMatchesManualSteppingAndRun)
+TEST(Soc, AdvanceToAnySplitMatchesRun)
 {
-    // advanceTo(h) is the hoisted bounded-stepping loop the cluster
-    // fleet engine runs per SoC; it must replay the manual
-    // while-stepOnce loop exactly.  run() is advanceTo(kNoHorizon)
-    // itself, so a run split at a horizon must match it too.
-    SocConfig cfg;
-    const auto load = [&](Soc &soc) {
-        soc.addJob(spec(0, dnn::ModelId::AlexNet));
-        soc.addJob(spec(1, dnn::ModelId::Kws, 20'000));
-    };
+    // advanceTo(h) is the per-SoC advance the cluster fleet engine
+    // runs.  A horizon never shapes a step: however a run is split
+    // into horizons, it commits exactly the steps run() commits, and
+    // run() is advanceTo(kNoHorizon) itself.  Both kernels, a dense
+    // split (every 7,919 cycles, off every grid) and a sparse one.
+    for (SimKernel k : {SimKernel::Quantum, SimKernel::Event}) {
+        SocConfig cfg;
+        cfg.kernel = k;
+        const auto load = [&](Soc &soc) {
+            soc.addJob(spec(0, dnn::ModelId::AlexNet));
+            soc.addJob(spec(1, dnn::ModelId::Kws, 20'000));
+            soc.addJob(spec(2, dnn::ModelId::YoloLite, 20'000));
+        };
+        exp::SoloPolicy pr(cfg.numTiles);
+        Soc reference(cfg, pr);
+        load(reference);
+        reference.run();
 
-    exp::SoloPolicy pa(cfg.numTiles), pb(cfg.numTiles),
-        pc(cfg.numTiles);
-    Soc manual(cfg, pa), hoisted(cfg, pb), reference(cfg, pc);
-    load(manual);
-    load(hoisted);
-    load(reference);
+        for (const Cycles every : {Cycles{7'919}, Cycles{50'000}}) {
+            SCOPED_TRACE(std::string(simKernelName(k)) + " every " +
+                         std::to_string(every));
+            exp::SoloPolicy ps(cfg.numTiles);
+            Soc split(cfg, ps);
+            load(split);
+            split.beginRun();
+            for (Cycles h = every; !split.done(); h += every) {
+                split.advanceTo(h);
+                // At or before the horizon, and a second advance to
+                // it is a no-op.
+                ASSERT_LE(split.now(), h);
+                const Cycles at = split.now();
+                const std::uint64_t steps = split.stats().quanta;
+                split.advanceTo(h);
+                EXPECT_EQ(split.now(), at);
+                EXPECT_EQ(split.stats().quanta, steps);
+                EXPECT_FALSE(split.behind(h));
+            }
+            split.advanceTo(kNoHorizon);
+            split.finishRun();
 
-    manual.beginRun();
-    hoisted.beginRun();
-    const Cycles horizon = 50'000;
-    while (!manual.done() && manual.now() < horizon)
-        manual.stepOnce(horizon);
-    hoisted.advanceTo(horizon);
-    EXPECT_EQ(hoisted.now(), manual.now());
-    EXPECT_EQ(hoisted.done(), manual.done());
-
-    manual.advanceTo(kNoHorizon);
-    hoisted.advanceTo(kNoHorizon);
-    manual.finishRun();
-    hoisted.finishRun();
-    reference.run();
-
-    ASSERT_EQ(hoisted.results().size(), reference.results().size());
-    for (std::size_t i = 0; i < hoisted.results().size(); ++i) {
-        EXPECT_EQ(hoisted.results()[i].finish,
-                  reference.results()[i].finish);
-        EXPECT_EQ(hoisted.results()[i].firstStart,
-                  reference.results()[i].firstStart);
-        EXPECT_EQ(manual.results()[i].finish,
-                  reference.results()[i].finish);
+            ASSERT_EQ(split.results().size(),
+                      reference.results().size());
+            for (std::size_t i = 0; i < split.results().size(); ++i) {
+                const JobResult &a = split.results()[i];
+                const JobResult &b = reference.results()[i];
+                EXPECT_EQ(a.spec.id, b.spec.id);
+                EXPECT_EQ(a.finish, b.finish);
+                EXPECT_EQ(a.firstStart, b.firstStart);
+                EXPECT_EQ(a.dramBytesMoved, b.dramBytesMoved);
+                EXPECT_EQ(a.l2BytesMoved, b.l2BytesMoved);
+                EXPECT_EQ(a.stallCycles, b.stallCycles);
+            }
+            EXPECT_EQ(split.stats().quanta, reference.stats().quanta);
+            EXPECT_EQ(split.stats().dramBytes,
+                      reference.stats().dramBytes);
+            EXPECT_EQ(split.now(), reference.now());
+        }
     }
-    EXPECT_EQ(hoisted.stats().quanta, reference.stats().quanta);
-    EXPECT_EQ(manual.stats().quanta, reference.stats().quanta);
 }
 
 TEST(Soc, AdvanceToHorizonZeroIsNoOp)
@@ -280,21 +295,31 @@ TEST(Soc, AdvanceToHorizonZeroIsNoOp)
     soc.addJob(spec(0, dnn::ModelId::Kws));
     soc.beginRun();
 
-    // Horizon 0 means "an arrival at cycle 0": nothing may advance,
-    // and a single step there is a caller error, not "unbounded".
-    EXPECT_DEATH(soc.stepOnce(0), "at/past horizon");
+    // Horizon 0 means "an arrival at cycle 0": nothing may advance.
+    EXPECT_FALSE(soc.behind(0));
     soc.advanceTo(0);
     EXPECT_EQ(soc.now(), 0u);
+    EXPECT_EQ(soc.stats().quanta, 0u);
+    // No step was planned: the SoC is behind any later horizon.
+    EXPECT_TRUE(soc.behind(1));
 
-    // A bounded advance leaves a busy SoC exactly at the horizon...
+    // A bounded advance leaves a busy SoC at its last step boundary
+    // before the horizon, parked on the one quantum step that would
+    // cross it (5,000 is off the 512-cycle grid)...
     soc.advanceTo(5'000);
-    EXPECT_EQ(soc.now(), 5'000u);
+    const Cycles parked_end = soc.now() + cfg.quantum;
+    EXPECT_EQ(soc.now(), 5'000u / cfg.quantum * cfg.quantum);
     EXPECT_FALSE(soc.done());
+    // Behind exactly the horizons at or past the parked step's end.
+    EXPECT_FALSE(soc.behind(5'000));
+    EXPECT_FALSE(soc.behind(parked_end - 1));
+    EXPECT_TRUE(soc.behind(parked_end));
 
     // ... and an unbounded one drains it.
     soc.advanceTo(kNoHorizon);
     soc.finishRun();
     EXPECT_TRUE(soc.done());
+    EXPECT_FALSE(soc.behind(kNoHorizon));
 }
 
 // --- Idle gaps cost O(1) kernel iterations ------------------------------
@@ -330,15 +355,18 @@ TEST(Soc, IdleGapCostsConstantIterations)
         soc.beginRun();
         soc.injectJob(spec(0, dnn::ModelId::Kws, kGap));
 
-        std::size_t iterations = 0;
-        while (soc.stepOnce())
-            ++iterations;
+        soc.advanceTo(kNoHorizon);
         soc.finishRun();
 
         ASSERT_EQ(soc.results().size(), 1u) << simKernelName(k);
         EXPECT_EQ(soc.results()[0].firstStart, kGap)
             << simKernelName(k);
-        EXPECT_LT(iterations, 1'000u) << simKernelName(k);
+        // Every pass of the stepping loop counts, idle jumps
+        // included.
+        EXPECT_LT(soc.stats().advancePasses, 1'000u)
+            << simKernelName(k);
+        EXPECT_GE(soc.stats().advancePasses, soc.stats().quanta)
+            << simKernelName(k);
         EXPECT_LT(soc.stats().schedInvocations, 1'000u)
             << simKernelName(k);
         // The trace still logs every tick on the grid, as if each had
@@ -371,7 +399,7 @@ TEST(Soc, IdleGapStopsAtHorizonAndKeepsTickGrid)
         EXPECT_EQ(soc.trace().count(TraceEventKind::SchedTick),
                   on_grid / cfg.schedPeriod)
             << simKernelName(k);
-        soc.stepOnce(on_grid + 1);
+        soc.advanceTo(on_grid + 1);
         EXPECT_EQ(soc.trace().events().back().kind,
                   TraceEventKind::SchedTick)
             << simKernelName(k);
