@@ -120,7 +120,11 @@ main(int argc, char **argv)
     }
 
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(out, grid, results);
+    exp::writeSweepFiles(
+        out,
+        exp::runMeta("_sweep", runner.options().jobs,
+                     {{"kernel", sim::simKernelName(cfg.kernel)}}),
+        grid, results);
 
     for (std::size_t i = 0; i < results.size();) {
         std::printf("%s :", grid[i].label.c_str());

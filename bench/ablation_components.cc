@@ -111,7 +111,11 @@ main(int argc, char **argv)
     }
 
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(out, grid, results);
+    exp::writeSweepFiles(
+        out,
+        exp::runMeta("ablation_components", runner.options().jobs,
+                     {{"kernel", sim::simKernelName(cfg.kernel)}}),
+        grid, results);
 
     Table t({"Variant", "SLA", "SLA p-High", "STP", "Fairness",
              "Thrash (MB)"});

@@ -6,8 +6,8 @@
  * size x dispatcher x per-SoC policy over synthesized open-loop
  * traces (cluster/workload.h), reporting fleet SLA, tail latency
  * (p50/p95/p99), STP, and load balance, and — with `--json PATH` —
- * emits the machine-readable perf baseline (BENCH_cluster.json) that
- * CI uploads.
+ * writes one `cell` record per grid cell and a `total` record
+ * (BENCH_cluster.json, exp/sweep/records.h).
  *
  * The default grid is {1,4,16,64} SoCs x {rr, p2c, least-loaded,
  * qos-aware} x {prema, planaria, moca} with tasks scaling with fleet
@@ -18,8 +18,8 @@
  *
  * `--cluster-jobs N` shards each fleet across N conservative-PDES
  * workers (cluster/parallel.h); every emitted number is bit-identical
- * for every N, which CI gates by byte-diffing the `timing=0` JSON of
- * `--cluster-jobs 1` vs `--cluster-jobs 4`.  (`--jobs` parallelizes
+ * for every N, which CI gates by comparing every field of the
+ * `timing=0` JSON of `--cluster-jobs 1` vs `--cluster-jobs 4`.  (`--jobs` parallelizes
  * across grid cells as everywhere else; the two compose.)  These
  * fleet flags, the cell loop, the telemetry export and the `timing=1`
  * phase report are the bench harness's (exp::FleetOptions).
@@ -232,50 +232,43 @@ main(int argc, char **argv)
     }
     exp::writeFleetTelemetry(fleet.traceOut, sample_out, capture);
 
-    exp::writeJsonDocument(json, [&] {
-        std::vector<JsonValue> rows;
-        for (const auto &cell : cells) {
-            const auto &r = cell.result;
-            rows.push_back(jsonObject(
-                {{{"socs", cell.socs},
-                  {"tasks", cell.tasks},
-                  {"dispatcher", cell.dispatcher},
-                  {"policy", cell.policy}},
-                 {{"sla_rate", jsonFixed(r.slaRate, 6)},
-                  {"sla_rate_high", jsonFixed(r.slaRateHigh, 6)},
-                  {"stp", jsonFixed(r.stp, 6)}},
-                 {{"goodput", jsonFixed(r.goodput, 4)},
-                  {"shed_rate", jsonFixed(r.shedRate, 6)},
-                  {"retry_rate", jsonFixed(r.retryRate, 6)},
-                  {"timeout_rate", jsonFixed(r.timeoutRate, 6)}},
-                 {{"latency_p50", jsonFixed(r.latency.p50, 1)},
-                  {"latency_p95", jsonFixed(r.latency.p95, 1)},
-                  {"latency_p99", jsonFixed(r.latency.p99, 1)}},
-                 {{"norm_p50", jsonFixed(r.normLatency.p50, 4)},
-                  {"norm_p95", jsonFixed(r.normLatency.p95, 4)},
-                  {"norm_p99", jsonFixed(r.normLatency.p99, 4)}},
-                 {{"makespan", r.makespan},
-                  {"balance_cv", jsonFixed(r.balanceCv, 4)},
-                  {"sim_steps", r.simSteps}},
-                 {{"epochs", r.epochs},
-                  {"horizon_stalls", r.horizonStalls},
-                  {"mean_socs_stepped", jsonFixed(r.meanSocsStepped, 4)},
-                  {"wall_s", jsonFixed(cell.wall, 6)}}},
-                5));
-        }
-        return jsonDocument(
-            {{{"bench", "cluster_scale"}},
-             {{"process", cluster::arrivalProcessName(process)}},
-             {{"load_factor", jsonFixed(load, 3)}},
-             {{"seed", seed}},
-             {{"kernel", sim::simKernelName(base.kernel)}},
-             {{"jobs", exp::resolveJobs(fleet.sweep.jobs)}},
-             {{"cells", jsonArray(rows, 4, 2)}},
-             {{"total", jsonObject({{{"wall_s",
-                                      jsonFixed(fleet.timing
-                                                    ? total_wall
-                                                    : 0.0,
-                                                6)}}})}}});
-    });
+    std::vector<exp::Record> records;
+    for (const auto &cell : cells) {
+        const auto &r = cell.result;
+        records.push_back(
+            {{"kind", "cell"}, {"socs", cell.socs}, {"tasks", cell.tasks},
+             {"dispatcher", cell.dispatcher}, {"policy", cell.policy},
+             {"sla_rate", jsonFixed(r.slaRate, 6)},
+             {"sla_rate_high", jsonFixed(r.slaRateHigh, 6)},
+             {"stp", jsonFixed(r.stp, 6)},
+             {"goodput", jsonFixed(r.goodput, 4)},
+             {"shed_rate", jsonFixed(r.shedRate, 6)},
+             {"retry_rate", jsonFixed(r.retryRate, 6)},
+             {"timeout_rate", jsonFixed(r.timeoutRate, 6)},
+             {"latency_p50", jsonFixed(r.latency.p50, 1)},
+             {"latency_p95", jsonFixed(r.latency.p95, 1)},
+             {"latency_p99", jsonFixed(r.latency.p99, 1)},
+             {"norm_p50", jsonFixed(r.normLatency.p50, 4)},
+             {"norm_p95", jsonFixed(r.normLatency.p95, 4)},
+             {"norm_p99", jsonFixed(r.normLatency.p99, 4)},
+             {"makespan", r.makespan},
+             {"balance_cv", jsonFixed(r.balanceCv, 4)},
+             {"sim_steps", r.simSteps}, {"epochs", r.epochs},
+             {"horizon_stalls", r.horizonStalls},
+             {"mean_socs_stepped", jsonFixed(r.meanSocsStepped, 4)},
+             {"wall_s", jsonFixed(cell.wall, 6)}});
+    }
+    records.push_back(
+        {{"kind", "total"},
+         {"wall_s", jsonFixed(fleet.timing ? total_wall : 0.0, 6)}});
+    exp::writeRecords(
+        json,
+        exp::runMeta("cluster_scale", fleet.sweep.jobs,
+                     {{"process", cluster::arrivalProcessName(process)},
+                      {"load_factor", jsonFixed(load, 3)},
+                      {"seed", seed},
+                      {"kernel", sim::simKernelName(base.kernel)},
+                      {"cluster_jobs", fleet.clusterJobs}}),
+        records);
     return 0;
 }

@@ -13,11 +13,11 @@
  * destruction and bank conflicts are modeled explicitly instead of
  * through the global thrash heuristic.
  *
- * With `--json PATH` the bench emits the machine-readable baseline
- * (bench/baselines/BENCH_mem.json) that CI uploads: per-cell SLA/STP
- * plus memory-behavior counters (row-hit rate, per-bank imbalance,
- * L2 conflict loss), and a per-model summary of MoCA's margin over
- * each baseline.
+ * With `--json PATH` the bench writes its baseline
+ * (bench/baselines/BENCH_mem.json, exp/sweep/records.h): a `cell`
+ * record per cell with SLA/STP plus memory-behavior counters (row-hit
+ * rate, per-bank imbalance, L2 conflict loss), a `margin` record per
+ * memory model and baseline (MoCA's margin over it), and a `total`.
  *
  * Usage: mem_interference [tasks=150] [load=F] [seed=S]
  *                         [mems=flat,banked:banks=4,...]
@@ -203,52 +203,47 @@ main(int argc, char **argv)
     }
     std::printf("total wall: %.2f s\n", wall);
 
-    exp::writeJsonDocument(out.json, [&] {
-        std::vector<JsonValue> rows;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            const auto &r = results[i];
-            rows.push_back(jsonObject(
-                {{{"mix", workload::workloadSetName(keys[i].set)},
-                  {"mem", keys[i].mem},
-                  {"policy", keys[i].policy},
-                  {"sla", jsonFixed(r.metrics.slaRate, 6)},
-                  {"sla_high", jsonFixed(r.metrics.slaRateHigh, 6)},
-                  {"stp", jsonFixed(r.metrics.stp, 6)},
-                  {"row_hit_rate", jsonFixed(r.memTraffic.rowHitRate(), 6)},
-                  {"bank_cv", jsonFixed(r.memTraffic.bankBytesCv(), 6)},
-                  {"l2_conflict_bytes",
-                   jsonFixed(r.memTraffic.l2ConflictLostBytes, 0)},
-                  {"makespan", r.makespan}}}));
+    std::vector<exp::Record> records;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto &r = results[i];
+        records.push_back(
+            {{"kind", "cell"},
+             {"mix", workload::workloadSetName(keys[i].set)},
+             {"mem", keys[i].mem}, {"policy", keys[i].policy},
+             {"sla", jsonFixed(r.metrics.slaRate, 6)},
+             {"sla_high", jsonFixed(r.metrics.slaRateHigh, 6)},
+             {"stp", jsonFixed(r.metrics.stp, 6)},
+             {"row_hit_rate", jsonFixed(r.memTraffic.rowHitRate(), 6)},
+             {"bank_cv", jsonFixed(r.memTraffic.bankBytesCv(), 6)},
+             {"l2_conflict_bytes",
+              jsonFixed(r.memTraffic.l2ConflictLostBytes, 0)},
+             {"makespan", r.makespan}});
+    }
+    for (const auto &mem_spec : mems) {
+        if (!have_moca)
+            break;
+        const auto &per_policy = by_mem[mem_spec];
+        const Acc &moca = per_policy.at("moca");
+        for (const auto &policy : policies) {
+            if (policy == "moca")
+                continue;
+            const Acc &a = per_policy.at(policy);
+            records.push_back(
+                {{"kind", "margin"}, {"mem", mem_spec}, {"vs", policy},
+                 {"moca_sla_x",
+                  jsonFixed(a.sla > 0.0 ? moca.sla / a.sla : 0.0, 4)},
+                 {"moca_stp_x",
+                  jsonFixed(a.stp > 0.0 ? moca.stp / a.stp : 0.0, 4)}});
         }
-        std::vector<JsonValue> margin_rows;
-        for (const auto &mem_spec : mems) {
-            if (!have_moca)
-                break;
-            const auto &per_policy = by_mem[mem_spec];
-            const Acc &moca = per_policy.at("moca");
-            for (const auto &policy : policies) {
-                if (policy == "moca")
-                    continue;
-                const Acc &a = per_policy.at(policy);
-                margin_rows.push_back(jsonObject(
-                    {{{"mem", mem_spec},
-                      {"vs", policy},
-                      {"moca_sla_x",
-                       jsonFixed(a.sla > 0.0 ? moca.sla / a.sla : 0.0, 4)},
-                      {"moca_stp_x",
-                       jsonFixed(a.stp > 0.0 ? moca.stp / a.stp : 0.0,
-                                 4)}}}));
-            }
-        }
-        return jsonDocument(
-            {{{"bench", "mem_interference"}},
-             {{"tasks", tasks}},
-             {{"load_factor", jsonFixed(load, 3)}},
-             {{"seed", seed}},
-             {{"kernel", sim::simKernelName(base.kernel)}},
-             {{"cells", jsonArray(rows, 4, 2)}},
-             {{"margins", jsonArray(margin_rows, 4, 2)}},
-             {{"total", jsonObject({{{"wall_s", jsonFixed(wall, 6)}}})}}});
-    });
+    }
+    records.push_back({{"kind", "total"}, {"wall_s", jsonFixed(wall, 6)}});
+    exp::writeRecords(
+        out.json,
+        exp::runMeta("mem_interference", opts.jobs,
+                     {{"tasks", tasks},
+                      {"load_factor", jsonFixed(load, 3)},
+                      {"seed", seed},
+                      {"kernel", sim::simKernelName(base.kernel)}}),
+        records);
     return 0;
 }

@@ -152,7 +152,11 @@ main(int argc, char **argv)
 
     const auto grid = exp::matrixGrid(mcfg, cfg);
     auto results = exp::SweepRunner(opts).run(grid);
-    exp::writeSweepFiles(out, grid, results);
+    exp::writeSweepFiles(
+        out,
+        exp::runMeta("paper_figs", opts.jobs,
+                     {{"kernel", sim::simKernelName(cfg.kernel)}}),
+        grid, results);
     const auto matrix = exp::pivotMatrix(mcfg, std::move(results));
 
     std::vector<std::string> header = {"Scenario"};

@@ -140,7 +140,11 @@ main(int argc, char **argv)
     }
 
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(out, grid, results);
+    exp::writeSweepFiles(
+        out,
+        exp::runMeta("robustness", opts.jobs,
+                     {{"kernel", sim::simKernelName(cfg.kernel)}}),
+        grid, results);
     // Trace scenario k is results[k * per_scenario ...], policy order.
     auto scenarioRatios = [&](std::size_t k) {
         std::vector<double> sla;

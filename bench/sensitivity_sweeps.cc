@@ -132,7 +132,11 @@ main(int argc, char **argv)
     }
 
     const auto results = runner.run(grid);
-    exp::writeSweepFiles(out, grid, results);
+    exp::writeSweepFiles(
+        out,
+        exp::runMeta("sensitivity_sweeps", runner.options().jobs,
+                     {{"kernel", sim::simKernelName(sim::SocConfig{}.kernel)}}),
+        grid, results);
 
     printSweepTable("DRAM bandwidth sweep", "DRAM (GB/s)", policies,
                     grid, results, 0, 8);

@@ -21,8 +21,8 @@
  *
  * `--cluster-jobs N` shards the fleet across N conservative-PDES
  * workers; every emitted number is bit-identical for every N — CI
- * gates this by byte-diffing the `timing=0` JSON of `--cluster-jobs
- * 1` vs `4`, failure injection included.  The fleet flags, cell loop,
+ * gates this by comparing every field of the `timing=0` JSON of
+ * `--cluster-jobs 1` vs `4`, failure injection included.  The fleet flags, cell loop,
  * telemetry export and phase report are cluster_scale's too (the
  * bench harness, exp::FleetOptions).
  *
@@ -333,97 +333,74 @@ main(int argc, char **argv)
         exp::writeFleetTelemetry(fleet.traceOut, "", capture);
     }
 
-    exp::writeJsonDocument(json, [&] {
-        std::vector<JsonValue> rows;
-        for (const auto &cell : cells) {
-            const auto &r = cell.result;
-            const auto &c = r.cluster;
-            rows.push_back(jsonObject(
-                {{{"family", cell.family},
-                  {"scenario", cell.scenario},
-                  {"dispatcher", cell.dispatcher},
-                  {"policy", cell.policy}},
-                 {{"requests", r.requests},
-                  {"attempts", r.attempts},
-                  {"responses", r.responses},
-                  {"give_ups", r.giveUps}},
-                 {{"timeouts", r.timeouts},
-                  {"retries", r.retries},
-                  {"shed", r.shed},
-                  {"deferrals", r.deferrals},
-                  {"orphans", r.orphans}},
-                 {{"requeued", r.requeued},
-                  {"lost_jobs", r.lostJobs},
-                  {"fail_events", r.failEvents},
-                  {"recover_events", r.recoverEvents}},
-                 {{"success_rate", jsonFixed(r.successRate, 6)},
-                  {"sla_rate", jsonFixed(c.slaRate, 6)},
-                  {"sla_rate_high", jsonFixed(c.slaRateHigh, 6)},
-                  {"goodput", jsonFixed(c.goodput, 4)}},
-                 {{"shed_rate", jsonFixed(c.shedRate, 6)},
-                  {"retry_rate", jsonFixed(c.retryRate, 6)},
-                  {"timeout_rate", jsonFixed(c.timeoutRate, 6)}},
-                 {{"norm_p50", jsonFixed(c.normLatency.p50, 4)},
-                  {"norm_p99", jsonFixed(c.normLatency.p99, 4)},
-                  {"client_p50", jsonFixed(r.clientLatency.p50, 1)},
-                  {"client_p99", jsonFixed(r.clientLatency.p99, 1)}},
-                 {{"stp", jsonFixed(c.stp, 6)},
-                  {"makespan", c.makespan},
-                  {"balance_cv", jsonFixed(c.balanceCv, 4)},
-                  {"epochs", c.epochs}},
-                 {{"mean_up_socs", jsonFixed(r.meanUpSocs, 4)},
-                  {"end_cycle", r.endCycle},
-                  {"wall_s", jsonFixed(cell.wall, 6)}}},
-                5));
+    std::vector<exp::Record> records;
+    for (const auto &cell : cells) {
+        const auto &r = cell.result;
+        const auto &c = r.cluster;
+        records.push_back(
+            {{"kind", "cell"}, {"family", cell.family},
+             {"scenario", cell.scenario}, {"dispatcher", cell.dispatcher},
+             {"policy", cell.policy}, {"requests", r.requests},
+             {"attempts", r.attempts}, {"responses", r.responses},
+             {"give_ups", r.giveUps}, {"timeouts", r.timeouts},
+             {"retries", r.retries}, {"shed", r.shed},
+             {"deferrals", r.deferrals}, {"orphans", r.orphans},
+             {"requeued", r.requeued}, {"lost_jobs", r.lostJobs},
+             {"fail_events", r.failEvents},
+             {"recover_events", r.recoverEvents},
+             {"success_rate", jsonFixed(r.successRate, 6)},
+             {"sla_rate", jsonFixed(c.slaRate, 6)},
+             {"sla_rate_high", jsonFixed(c.slaRateHigh, 6)},
+             {"goodput", jsonFixed(c.goodput, 4)},
+             {"shed_rate", jsonFixed(c.shedRate, 6)},
+             {"retry_rate", jsonFixed(c.retryRate, 6)},
+             {"timeout_rate", jsonFixed(c.timeoutRate, 6)},
+             {"norm_p50", jsonFixed(c.normLatency.p50, 4)},
+             {"norm_p99", jsonFixed(c.normLatency.p99, 4)},
+             {"client_p50", jsonFixed(r.clientLatency.p50, 1)},
+             {"client_p99", jsonFixed(r.clientLatency.p99, 1)},
+             {"stp", jsonFixed(c.stp, 6)}, {"makespan", c.makespan},
+             {"balance_cv", jsonFixed(c.balanceCv, 4)},
+             {"epochs", c.epochs},
+             {"mean_up_socs", jsonFixed(r.meanUpSocs, 4)},
+             {"end_cycle", r.endCycle},
+             {"wall_s", jsonFixed(cell.wall, 6)}});
+    }
+    // One `margin` record per (scenario, dispatcher, baseline policy).
+    for (const Margin &mg : margins) {
+        const auto &rr = mg.refCell->result.cluster;
+        for (const Cell *other : mg.others) {
+            const auto &oc = other->result.cluster;
+            records.push_back(
+                {{"kind", "margin"}, {"family", mg.refCell->family},
+                 {"scenario", mg.refCell->scenario},
+                 {"dispatcher", mg.refCell->dispatcher}, {"ref", ref},
+                 {"vs", other->policy},
+                 {"ref_sla", jsonFixed(rr.slaRate, 6)},
+                 {"ref_goodput", jsonFixed(rr.goodput, 4)},
+                 {"vs_sla", jsonFixed(oc.slaRate, 6)},
+                 {"vs_goodput", jsonFixed(oc.goodput, 4)},
+                 {"sla_ratio", jsonFixed(exp::marginRatio(
+                                   rr.slaRate, oc.slaRate, 1e-3), 4)},
+                 {"goodput_ratio", jsonFixed(exp::marginRatio(
+                                       rr.goodput, oc.goodput, 1e-3), 4)}});
         }
-        std::vector<JsonValue> margin_rows;
-        for (const Margin &mg : margins) {
-            const auto &rr = mg.refCell->result.cluster;
-            std::vector<JsonValue> baselines;
-            for (const Cell *other : mg.others) {
-                const auto &oc = other->result.cluster;
-                baselines.push_back(jsonObject(
-                    {{{"policy", other->policy},
-                      {"sla_rate", jsonFixed(oc.slaRate, 6)},
-                      {"goodput", jsonFixed(oc.goodput, 4)},
-                      {"sla_ratio",
-                       jsonFixed(exp::marginRatio(rr.slaRate, oc.slaRate,
-                                                  1e-3),
-                                 4)},
-                      {"goodput_ratio",
-                       jsonFixed(exp::marginRatio(rr.goodput, oc.goodput,
-                                                  1e-3),
-                                 4)}}}));
-            }
-            margin_rows.push_back(jsonObject(
-                {{{"family", mg.refCell->family},
-                  {"scenario", mg.refCell->scenario},
-                  {"dispatcher", mg.refCell->dispatcher},
-                  {"ref", ref}},
-                 {{"ref_sla", jsonFixed(rr.slaRate, 6)},
-                  {"ref_goodput", jsonFixed(rr.goodput, 4)},
-                  {"baselines", jsonArray(baselines, 6, -1)}}},
-                5));
-        }
-        return jsonDocument(
-            {{{"bench", "serve_loop"}},
-             {{"socs", socs}, {"rpc", rpc}},
-             {{"think_factor", jsonFixed(think, 3)},
-              {"timeout_scale", jsonFixed(timeout_scale, 3)},
-              {"retries", retries}},
-             {{"downtime", jsonFixed(downtime, 1)},
-              {"inflight", serve::inflightPolicyName(inflight)}},
-             {{"control_quantum", quantum},
-              {"seed", seed},
-              {"kernel", sim::simKernelName(base.kernel)}},
-             {{"jobs", exp::resolveJobs(fleet.sweep.jobs)}},
-             {{"cells", jsonArray(rows, 4, 2)}},
-             {{"margins", jsonArray(margin_rows, 4, 2)}},
-             {{"total", jsonObject({{{"wall_s",
-                                      jsonFixed(fleet.timing
-                                                    ? total_wall
-                                                    : 0.0,
-                                                6)}}})}}});
-    });
+    }
+    records.push_back(
+        {{"kind", "total"},
+         {"wall_s", jsonFixed(fleet.timing ? total_wall : 0.0, 6)}});
+    exp::writeRecords(
+        json,
+        exp::runMeta("serve_loop", fleet.sweep.jobs,
+                     {{"socs", socs}, {"rpc", rpc},
+                      {"think_factor", jsonFixed(think, 3)},
+                      {"timeout_scale", jsonFixed(timeout_scale, 3)},
+                      {"retries", retries},
+                      {"downtime", jsonFixed(downtime, 1)},
+                      {"inflight", serve::inflightPolicyName(inflight)},
+                      {"control_quantum", quantum}, {"seed", seed},
+                      {"kernel", sim::simKernelName(base.kernel)},
+                      {"cluster_jobs", fleet.clusterJobs}}),
+        records);
     return 0;
 }

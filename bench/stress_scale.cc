@@ -5,12 +5,10 @@
  * patterns (Poisson, uniform, bursty), each stream replayed
  * identically under the quantum and event kernels through
  * `exp::SweepRunner`.  Reports per-cell wall clock, kernel-step
- * counts, and metric deltas, and — with `--json PATH` — emits the
- * machine-readable perf baseline (BENCH_kernel.json) that CI uploads
- * so the bench trajectory accumulates.
- *
- * Note: unlike the figure benches, `--json` here writes the kernel
- * perf baseline, not per-scenario result rows.
+ * counts, and metric deltas, and — with `--json PATH` — writes the
+ * kernel perf baseline (BENCH_kernel.json, exp/sweep/records.h): a
+ * `cell` record per measured (cell, kernel), `extrapolated`,
+ * `compare`, `tier` and `total` records, walls in `*wall*` fields.
  *
  * Usage: stress_scale [tasks=2500,10000,25000] [load=F] [seed=S]
  *                     [kernels=both|quantum|event] [quantum-cap=N]
@@ -28,7 +26,7 @@
  * than N tasks skip the (hours-long at 100k) quantum run, and their
  * quantum wall is linearly extrapolated from the largest measured
  * tier of the same pattern+policy.  Extrapolated cells are explicit:
- * `~` in the table, `quantum_extrapolated` in the JSON.  Metrics
+ * `~` in the table, `extrapolated` records in the JSON.  Metrics
  * (steps, SLA) are never extrapolated — only wall clock is.
  */
 
@@ -66,16 +64,6 @@ struct Tier
 
     double speedup() const { return esum > 0.0 ? qsum / esum : 0.0; }
 };
-
-JsonValue
-jsonSide(const exp::ScenarioResult &r, double wall)
-{
-    return jsonObject({{{"wall_s", jsonFixed(wall, 6)},
-                        {"steps", r.simSteps},
-                        {"sla_rate", jsonFixed(r.metrics.slaRate, 6)},
-                        {"stp", jsonFixed(r.metrics.stp, 6)},
-                        {"makespan", r.makespan}}});
-}
 
 } // namespace
 
@@ -336,86 +324,88 @@ main(int argc, char **argv)
             obs::writeTimeseries(*sampled->telemetry, sample_out);
     }
 
-    exp::writeJsonDocument(json, [&] {
-        std::vector<JsonValue> rows;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            std::vector<JsonLine> lines = {
-                {{"pattern",
-                  workload::arrivalPatternName(keys[i].pattern)},
-                 {"tasks", keys[i].tasks},
-                 {"policy", keys[i].policy}}};
-            bool extrap = false;
-            const double qw = run_quantum ? quantumWall(i, extrap) : 0.0;
-            const double ew = run_event ? eventWall(i) : 0.0;
-            if (run_quantum && !extrap)
-                lines.push_back(
-                    {{"quantum",
-                      jsonSide(qres[static_cast<std::size_t>(qindex[i])],
-                               qw)}});
-            else if (run_quantum)
-                lines.push_back({{"quantum_extrapolated",
-                                  jsonObject({{{"wall_s", jsonFixed(qw, 6)},
-                                               {"cap", qcap}}})}});
-            if (run_event) {
-                lines.push_back({{"event", jsonSide(eres[i], ew)}});
-                if (eres[i].simSteps > 0)
-                    lines.push_back(
-                        {{"event_ns_per_step",
-                          jsonFixed(ew * 1e9 / static_cast<double>(
-                                                   eres[i].simSteps),
-                                    3)}});
-            }
-            const auto speedup = jsonFixed(ew > 0.0 ? qw / ew : 0.0, 3);
-            if (both && !extrap) {
-                const auto &qr =
-                    qres[static_cast<std::size_t>(qindex[i])];
-                lines.push_back(
-                    {{"speedup", speedup},
-                     {"step_ratio",
-                      jsonFixed(static_cast<double>(qr.simSteps) /
-                                    static_cast<double>(eres[i].simSteps),
-                                3)},
-                     {"sla_delta",
-                      jsonFixed(eres[i].metrics.slaRate -
-                                    qr.metrics.slaRate,
-                                6)}});
-            } else if (both) {
-                lines.push_back({{"speedup_extrapolated", speedup}});
-            }
-            rows.push_back(jsonObject(lines, 6));
-        }
-        std::vector<JsonLine> doc = {
-            {{"bench", "stress_scale"}},
-            {{"workload_set", "Workload-C"}},
-            {{"qos", "QoS-M"}},
-            {{"load_factor", jsonFixed(load, 3)}},
-            {{"seed", seed}},
-            {{"jobs", exp::resolveJobs(opts.jobs)}}};
-        if (qcap > 0)
-            doc.push_back({{"quantum_cap", qcap}});
-        doc.push_back({{"cells", jsonArray(rows, 4, 2)}});
-        if (both) {
-            std::vector<JsonValue> tier_rows;
-            for (const Tier &tier : tiers)
-                tier_rows.push_back(jsonObject(
-                    {{{"tasks", tier.tasks},
-                      {"quantum_wall_s", jsonFixed(tier.qsum, 6)},
-                      {"event_wall_s", jsonFixed(tier.esum, 6)},
-                      {"speedup", jsonFixed(tier.speedup(), 3)},
-                      {"extrapolated", tier.extrapolated}}}));
-            doc.push_back(
-                {{"speedup_vs_scale", jsonArray(tier_rows, 4, 2)}});
-        }
-        JsonLine total;
-        if (run_quantum)
-            total.emplace_back("quantum_wall_s", jsonFixed(qwall, 6));
+    // One `cell` record per measured (cell, kernel), an
+    // `extrapolated` one per quantum run quantum-cap skipped, a
+    // `compare` one per cell when both kernels ran, then the tiers and
+    // the total.
+    std::vector<exp::Record> records;
+    auto add = [&](const char *kind, std::size_t i,
+                   const exp::Record &fields) {
+        exp::Record &rec = records.emplace_back(exp::Record{
+            {"kind", kind},
+            {"pattern", workload::arrivalPatternName(keys[i].pattern)},
+            {"tasks", keys[i].tasks},
+            {"policy", keys[i].policy}});
+        rec.insert(rec.end(), fields.begin(), fields.end());
+    };
+    auto measured = [&](std::size_t i, const char *kernel,
+                        const exp::ScenarioResult &r, double wall) {
+        const double steps = static_cast<double>(r.simSteps);
+        add("cell", i,
+            {{"kernel", kernel},
+             {"steps", r.simSteps},
+             {"sla_rate", jsonFixed(r.metrics.slaRate, 6)},
+             {"stp", jsonFixed(r.metrics.stp, 6)},
+             {"makespan", r.makespan},
+             {"wall_s", jsonFixed(wall, 6)},
+             {"ns_per_step_wall",
+              jsonFixed(steps > 0 ? wall * 1e9 / steps : 0.0, 3)}});
+    };
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        bool extrap = false;
+        const double qw = run_quantum ? quantumWall(i, extrap) : 0.0;
+        const double ew = run_event ? eventWall(i) : 0.0;
+        const auto *qr = run_quantum && !extrap
+            ? &qres[static_cast<std::size_t>(qindex[i])]
+            : nullptr;
+        if (qr != nullptr)
+            measured(i, "quantum", *qr, qw);
+        else if (run_quantum)
+            add("extrapolated", i,
+                {{"kernel", "quantum"}, {"wall_s", jsonFixed(qw, 6)}});
         if (run_event)
-            total.emplace_back("event_wall_s", jsonFixed(ewall, 6));
-        if (both)
-            total.emplace_back(
-                "speedup", jsonFixed(ewall > 0.0 ? qwall / ewall : 0.0, 3));
-        doc.push_back({{"total", jsonObject({total})}});
-        return jsonDocument(doc);
-    });
+            measured(i, "event", eres[i], ew);
+        if (!both)
+            continue;
+        exp::Record cmp = {
+            {"extrapolated", extrap},
+            {"speedup_wall", jsonFixed(ew > 0.0 ? qw / ew : 0.0, 3)}};
+        if (qr != nullptr)
+            cmp.insert(
+                cmp.end(),
+                {{"step_ratio",
+                  jsonFixed(static_cast<double>(qr->simSteps) /
+                                static_cast<double>(eres[i].simSteps),
+                            3)},
+                 {"sla_delta", jsonFixed(eres[i].metrics.slaRate -
+                                             qr->metrics.slaRate,
+                                         6)}});
+        add("compare", i, cmp);
+    }
+    for (const Tier &tier : tiers)
+        records.push_back({{"kind", "tier"},
+                           {"tasks", tier.tasks},
+                           {"extrapolated", tier.extrapolated},
+                           {"quantum_wall_s", jsonFixed(tier.qsum, 6)},
+                           {"event_wall_s", jsonFixed(tier.esum, 6)},
+                           {"speedup_wall", jsonFixed(tier.speedup(), 3)}});
+    exp::Record &total = records.emplace_back(exp::Record{{"kind", "total"}});
+    if (run_quantum)
+        total.emplace_back("quantum_wall_s", jsonFixed(qwall, 6));
+    if (run_event)
+        total.emplace_back("event_wall_s", jsonFixed(ewall, 6));
+    if (both)
+        total.emplace_back("speedup_wall",
+                           jsonFixed(ewall > 0.0 ? qwall / ewall : 0.0, 3));
+    exp::writeRecords(
+        json,
+        exp::runMeta("stress_scale", opts.jobs,
+                     {{"kernels", kernels},
+                      {"workload_set", "Workload-C"},
+                      {"qos", "QoS-M"},
+                      {"load_factor", jsonFixed(load, 3)},
+                      {"seed", seed},
+                      {"quantum_cap", qcap}}),
+        records);
     return 0;
 }

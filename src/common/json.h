@@ -1,13 +1,10 @@
 /**
  * @file
- * The one JSON writer, shared by the stress_scale, cluster_scale,
- * serve_loop and mem_interference baselines, the sweep's per-cell
- * records (exp::sweepJson) and detlint's report, plus
- * writeTextFile(): the checked write behind every result file (JSON,
- * CSV, Chrome trace, timeseries).
+ * JSON rendering, shared by the results-file writer behind every
+ * bench's `--json` (exp/sweep/records.h, one flat object per line) and
+ * detlint's nested report, plus writeTextFile(): the checked write
+ * behind every result file (JSON, CSV, Chrome trace, timeseries).
  * Header-only so detlint, which does not link moca_core, can use it.
- * Each JsonLine is one output line, so callers keep a hand-chosen
- * layout byte for byte.
  */
 
 #ifndef MOCA_COMMON_JSON_H

@@ -53,6 +53,11 @@ configFingerprint(const sim::SocConfig &cfg)
     mix(cfg.dmaBeatBytes);
     mixd(cfg.overlapF);
     mix(cfg.quantum);
+    // The kernel stays in the key.  Solo runs agree across kernels on
+    // every zoo model at 1 and 8 tiles, but not everywhere (SqueezeNet
+    // on 2 tiles: 2,177,312 quantum vs 2,177,824 event cycles), and
+    // one shared entry per kernel pair moved fig1, latency-model
+    // validation and sensitivity-sweep results.
     mix(static_cast<std::uint64_t>(cfg.kernel));
     mix(cfg.schedPeriod);
     mix(cfg.maxCycles);

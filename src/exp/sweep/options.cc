@@ -6,7 +6,6 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/units.h"
-#include "exp/sweep/records.h"
 #include "mem/memory_model.h"
 #include "obs/capture.h"
 #include "obs/chrome_trace.h"
@@ -110,27 +109,14 @@ outputFilesFromArgs(const ArgMap &args)
 }
 
 void
-writeSweepFiles(const OutputFiles &out,
+writeSweepFiles(const OutputFiles &out, const Record &meta,
                 const std::vector<SweepCell> &cells,
                 const std::vector<ScenarioResult> &results)
 {
     if (!out.csv.empty() &&
         !writeTextFile(out.csv, sweepCsv(cells, results)))
         fatal("cannot write %s", out.csv.c_str());
-    if (!out.json.empty() &&
-        !writeTextFile(out.json, sweepJson(cells, results)))
-        fatal("cannot write %s", out.json.c_str());
-}
-
-void
-writeJsonDocument(const std::string &path,
-                  const std::function<std::string()> &doc)
-{
-    if (path.empty())
-        return;
-    if (!writeTextFile(path, doc()))
-        fatal("cannot write %s", path.c_str());
-    std::printf("wrote %s\n", path.c_str());
+    writeRecords(out.json, meta, sweepRecords(cells, results));
 }
 
 std::string

@@ -2,7 +2,8 @@
  * @file
  * The bench harness, shared by every bench and example binary:
  * SoC-configuration overrides, the Table II banner, sweep-engine
- * options (`--jobs N`), result files (`--csv PATH`, `--json PATH`),
+ * options (`--jobs N`), result files (`--csv PATH`, `--json PATH`,
+ * written through exp/sweep/records.h),
  * and for the fleet benches their flags, timed cell loop, telemetry
  * export and phase report.
  */
@@ -12,13 +13,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/argparse.h"
 #include "common/spec.h"
 #include "common/walltime.h"
+#include "exp/sweep/records.h"
 #include "exp/sweep/sweep.h"
 
 namespace moca::cluster {
@@ -88,19 +89,14 @@ struct OutputFiles
 OutputFiles outputFilesFromArgs(const ArgMap &args);
 
 /**
- * Write a finished sweep's per-cell records to the csv and json
- * files (sweepCsv / sweepJson); fatal when a file cannot be written.
- * Does nothing for a file that is not given.
+ * Write a finished sweep's per-cell records to the csv file
+ * (sweepCsv) and, after `meta`, to the json file (sweepRecords,
+ * writeRecords); fatal when a file cannot be written.  Does nothing
+ * for a file that is not given.
  */
-void writeSweepFiles(const OutputFiles &out,
+void writeSweepFiles(const OutputFiles &out, const Record &meta,
                      const std::vector<SweepCell> &cells,
                      const std::vector<ScenarioResult> &results);
-
-/** Unless `path` is empty, write the bench's own document `doc()`
- *  there: fatal when the file cannot be written, else print "wrote
- *  PATH". */
-void writeJsonDocument(const std::string &path,
-                       const std::function<std::string()> &doc);
 
 /** `--sample-out FILE` ("" if absent).  Without `--sample-every` it
  *  turns sampling on in `cfg` at every 100,000 cycles. */

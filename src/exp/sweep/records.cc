@@ -1,8 +1,25 @@
 #include "exp/sweep/records.h"
 
-#include "common/json.h"
+#include <thread>
+
 #include "common/log.h"
 #include "common/table.h"
+
+// The build's compiler, type, flags and commit, set on this file by
+// the build (CMakeLists.txt); a build that does not set them says
+// "unknown".
+#ifndef MOCA_COMPILER
+#define MOCA_COMPILER "unknown"
+#endif
+#ifndef MOCA_BUILD_TYPE
+#define MOCA_BUILD_TYPE "unknown"
+#endif
+#ifndef MOCA_FLAGS
+#define MOCA_FLAGS "unknown"
+#endif
+#ifndef MOCA_COMMIT
+#define MOCA_COMMIT "unknown"
+#endif
 
 namespace moca::exp {
 
@@ -122,22 +139,62 @@ sweepCsv(const std::vector<SweepCell> &cells,
     return table.csv();
 }
 
-std::string
-sweepJson(const std::vector<SweepCell> &cells,
-          const std::vector<ScenarioResult> &results)
+std::vector<Record>
+sweepRecords(const std::vector<SweepCell> &cells,
+             const std::vector<ScenarioResult> &results)
 {
-    std::vector<JsonValue> rows;
+    std::vector<Record> records;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto record = sweepRecordValues(i, cells[i], results[i]);
-        JsonLine line;
-        for (std::size_t f = 0; f < record.size(); ++f)
-            line.emplace_back(kSweepFields[f].name,
-                              kSweepFields[f].numeric
-                                  ? JsonValue::raw(record[f])
-                                  : JsonValue(record[f]));
-        rows.push_back(jsonObject({line}));
+        const auto values = sweepRecordValues(i, cells[i], results[i]);
+        Record &rec = records.emplace_back();
+        for (std::size_t f = 0; f < values.size(); ++f)
+            rec.emplace_back(kSweepFields[f].name,
+                             kSweepFields[f].numeric
+                                 ? JsonValue::raw(values[f])
+                                 : JsonValue(values[f]));
     }
-    return jsonArray(rows, 2, 0).text + "\n";
+    return records;
+}
+
+Record
+runMeta(const char *bench, int jobs, const Record &params)
+{
+    Record meta = {{"kind", "meta"}, {"bench", bench}};
+    meta.insert(meta.end(), params.begin(), params.end());
+    meta.insert(meta.end(),
+                {{"jobs", resolveJobs(jobs)},
+                 {"nproc", std::thread::hardware_concurrency()},
+                 {"compiler", MOCA_COMPILER},
+                 {"build_type", MOCA_BUILD_TYPE},
+                 {"flags", MOCA_FLAGS},
+                 {"commit", MOCA_COMMIT}});
+    return meta;
+}
+
+std::string
+recordsText(const Record &meta, const std::vector<Record> &records)
+{
+    std::string out;
+    auto line = [&](const Record &rec) {
+        for (const auto &[key, value] : rec)
+            if (!value.text.empty() &&
+                (value.text.front() == '{' || value.text.front() == '['))
+                panic("record field %s is not a scalar: %s", key,
+                      value.text.c_str());
+        out += "{" + jsonFields({rec}, 0) + "}\n";
+    };
+    line(meta);
+    for (const auto &rec : records)
+        line(rec);
+    return out;
+}
+
+void
+writeRecords(const std::string &path, const Record &meta,
+             const std::vector<Record> &records)
+{
+    if (!path.empty() && !writeTextFile(path, recordsText(meta, records)))
+        fatal("cannot write %s", path.c_str());
 }
 
 } // namespace moca::exp

@@ -863,8 +863,9 @@ ServeDriver::run()
             dispatchSec_ += coordTimer_.restart();
     }
 
-    // Drain the orphans; failed slots stay frozen.  Leftover control events are dead — every request is
-    // resolved.  An idle fleet needs no drain epoch.
+    // Drain the orphans; failed slots stay frozen.  Leftover control
+    // events are dead — every request is resolved.  An idle fleet
+    // needs no drain epoch.
     if (engine_->wouldStep(sim::kNoHorizon))
         advanceTo(sim::kNoHorizon);
     finalize();

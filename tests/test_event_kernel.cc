@@ -69,18 +69,21 @@ relDelta(double a, double b)
 TEST(EventKernel, IsolatedLatencyMatchesQuantumKernel)
 {
     // A lone job sees no contention: both kernels walk the same layer
-    // sequence on the same quantum grid, so the finish cycle may
-    // differ only by the grid rounding of layer tails.
-    for (dnn::ModelId id : {dnn::ModelId::Kws, dnn::ModelId::SqueezeNet,
-                            dnn::ModelId::ResNet50}) {
-        const Cycles q = exp::isolatedLatency(
-            id, 8, kernelCfg(SimKernel::Quantum));
-        const Cycles e = exp::isolatedLatency(
-            id, 8, kernelCfg(SimKernel::Event));
-        const auto diff = q > e ? q - e : e - q;
-        EXPECT_LE(diff, 2 * sim::SocConfig().quantum)
-            << dnn::modelIdName(id) << " quantum=" << q
-            << " event=" << e;
+    // sequence, and on every zoo model at 1 and 8 tiles (the isolated
+    // latencies behind SLA targets and normalization) they finish on
+    // the same cycle, so both kernels grade identical inputs.
+    std::vector<dnn::ModelId> zoo = dnn::allModelIds();
+    for (dnn::ModelId id : dnn::extensionModelIds())
+        zoo.push_back(id);
+    ASSERT_EQ(zoo.size(), 11u);
+    for (dnn::ModelId id : zoo) {
+        for (int tiles : {1, 8}) {
+            EXPECT_EQ(exp::isolatedLatency(id, tiles,
+                                           kernelCfg(SimKernel::Quantum)),
+                      exp::isolatedLatency(id, tiles,
+                                           kernelCfg(SimKernel::Event)))
+                << dnn::modelIdName(id) << " tiles=" << tiles;
+        }
     }
 }
 

@@ -3,7 +3,8 @@
  * Tests for the parallel experiment engine: determinism (parallel ==
  * serial, cell for cell), the low-level indexed pool, per-cell seed
  * derivation, `--jobs` parsing, the CSV/JSON records' round-trip
- * fidelity, and the fatal unwritable `--csv`/`--json` file.
+ * fidelity, the results-file writer's format, and the fatal
+ * unwritable `--csv`/`--json` file.
  */
 
 #include <gtest/gtest.h>
@@ -194,31 +195,81 @@ TEST(SweepRecords, JsonRoundTrip)
     SweepOptions opts;
     opts.jobs = 2;
     const auto results = SweepRunner(opts).run(grid);
-    const std::string text = sweepJson(grid, results);
+    const std::string text =
+        recordsText(runMeta("test", 2), sweepRecords(grid, results));
 
-    // Structural sanity: one object per cell, every field present in
-    // every record.
-    std::size_t objects = 0;
-    for (std::size_t pos = text.find('{'); pos != std::string::npos;
-         pos = text.find('{', pos + 1))
-        ++objects;
-    EXPECT_EQ(objects, grid.size());
-    for (const auto &f : sweepRecordFields()) {
-        std::size_t count = 0;
-        const std::string needle = "\"" + f + "\": ";
-        for (std::size_t pos = text.find(needle);
-             pos != std::string::npos;
-             pos = text.find(needle, pos + 1))
-            ++count;
-        EXPECT_EQ(count, grid.size()) << "field " << f;
-    }
+    // The meta line, then one line per cell with every field present.
+    std::istringstream in(text);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), grid.size() + 1);
+    EXPECT_EQ(lines[0].rfind("{\"kind\": \"meta\", \"bench\": \"test\"", 0),
+              0u);
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        for (const auto &f : sweepRecordFields())
+            EXPECT_NE(lines[i].find("\"" + f + "\": "), std::string::npos)
+                << "field " << f;
 
     // Spot-check values: numeric fields unquoted, strings quoted.
-    EXPECT_NE(text.find("\"index\": 0,"), std::string::npos);
+    EXPECT_EQ(lines[1].rfind("{\"index\": 0, ", 0), 0u);
     EXPECT_NE(text.find(strprintf("\"sla_rate\": %.6f",
                                   results[0].metrics.slaRate)),
               std::string::npos);
     EXPECT_NE(text.find("\"policy\": \"moca\""), std::string::npos);
+}
+
+TEST(SweepRecords, WriterEmitsMetaThenOneFlatObjectPerLine)
+{
+    const Record meta = runMeta("bench_x", 1, {{"seed", 7}});
+    const std::string text = recordsText(
+        meta, {{{"kind", "cell"},
+                {"label", "a \"b\"\n\\c"},
+                {"tasks", 250},
+                {"sla_rate", jsonFixed(0.5, 6)},
+                {"goodput", jsonFixed(133.85218, 4)},
+                {"latency_p99", jsonFixed(292361657.94, 1)},
+                {"wall_s", jsonFixed(0.0, 6)}},
+               {{"kind", "total"}, {"ok", true}}});
+
+    std::istringstream in(text);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(text.back(), '\n');
+
+    // meta first: kind, bench, the run parameters, then the host.
+    EXPECT_EQ(lines[0].rfind("{\"kind\": \"meta\", \"bench\": \"bench_x\", "
+                             "\"seed\": 7, \"jobs\": 1, \"nproc\": ",
+                             0),
+              0u);
+    for (const char *host : {"compiler", "build_type", "flags", "commit"})
+        EXPECT_NE(lines[0].find(strprintf("\"%s\": \"", host)),
+                  std::string::npos)
+            << host;
+
+    // Fields in the given order; strings through jsonEscape; the
+    // jsonFixed widths unchanged.
+    EXPECT_EQ(lines[1],
+              "{\"kind\": \"cell\", \"label\": \"" +
+                  jsonEscape("a \"b\"\n\\c") +
+                  "\", \"tasks\": 250, \"sla_rate\": 0.500000, "
+                  "\"goodput\": 133.8522, \"latency_p99\": 292361657.9, "
+                  "\"wall_s\": 0.000000}");
+    EXPECT_EQ(lines[2], "{\"kind\": \"total\", \"ok\": true}");
+
+    // Nothing nested: one '{' and one '}' per line, no arrays.
+    for (const auto &line : lines) {
+        EXPECT_EQ(std::count(line.begin(), line.end(), '{'), 1) << line;
+        EXPECT_EQ(std::count(line.begin(), line.end(), '}'), 1) << line;
+        EXPECT_EQ(line.find('['), std::string::npos) << line;
+    }
+    EXPECT_DEATH((void)recordsText(meta, {{{"cells", JsonValue::raw("[]")}}}),
+                 "record field cells is not a scalar");
+    EXPECT_DEATH(
+        (void)recordsText(meta, {{{"total", JsonValue::raw("{\"a\": 1}")}}}),
+        "record field total is not a scalar");
 }
 
 TEST(SweepFiles, UnwritableFileIsFatal)
@@ -228,8 +279,8 @@ TEST(SweepFiles, UnwritableFileIsFatal)
     auto write = [](const char *flag) {
         const char *argv[] = {"prog", flag, "/dev/full"};
         writeSweepFiles(
-            outputFilesFromArgs(ArgMap(3, const_cast<char **>(argv))), {},
-            {});
+            outputFilesFromArgs(ArgMap(3, const_cast<char **>(argv))),
+            runMeta("test", 1), {}, {});
     };
     EXPECT_DEATH(write("--csv"), "cannot write /dev/full");
     EXPECT_DEATH(write("--json"), "cannot write /dev/full");
