@@ -1,5 +1,6 @@
 #include "cluster/workload.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.h"
@@ -86,11 +87,19 @@ synthesizeTasks(const SynthConfig &cfg,
     Rng rng(cfg.seed);
 
     // Rate calibration mirrors workload::generateTrace, scaled to the
-    // whole fleet's tile capacity.
+    // whole fleet's tile capacity.  Each mix entry asks the oracle
+    // once; the tasks below read this memo.
+    std::vector<Cycles> iso(models.size());
     double mean_iso = 0.0;
-    for (dnn::ModelId id : models)
-        mean_iso += static_cast<double>(isolated_latency(id));
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        iso[m] = isolated_latency(models[m]);
+        mean_iso += static_cast<double>(iso[m]);
+    }
     mean_iso /= static_cast<double>(models.size());
+    const std::function<Cycles(dnn::ModelId)> memo = [&](dnn::ModelId id) {
+        return iso[static_cast<std::size_t>(
+            std::find(models.begin(), models.end(), id) - models.begin())];
+    };
     const double mean_gap =
         mean_iso / (cfg.loadFactor * cfg.fleetTiles);
 
@@ -149,8 +158,8 @@ synthesizeTasks(const SynthConfig &cfg,
           }
         }
 
-        ClusterTask task = drawTaskAttributes(
-            rng, models, qos_shares, cfg.qosScale, isolated_latency);
+        ClusterTask task = drawTaskAttributes(rng, models, qos_shares,
+                                              cfg.qosScale, memo);
         task.id = i;
         task.arrival = static_cast<Cycles>(t);
         tasks.push_back(task);

@@ -80,7 +80,7 @@ ThrottleEngine::step(bool wants_issue)
 }
 
 std::uint64_t
-ThrottleEngine::advance(Cycles cycles, std::uint64_t max_requests)
+ThrottleEngine::advanceGated(Cycles cycles, std::uint64_t max_requests)
 {
     std::uint64_t granted = 0;
 
@@ -136,7 +136,7 @@ ThrottleEngine::advance(Cycles cycles, std::uint64_t max_requests)
 }
 
 std::uint64_t
-ThrottleEngine::peekAllowance(Cycles cycles) const
+ThrottleEngine::peekGated(Cycles cycles) const
 {
     const Cycles dead = std::min<Cycles>(reconfig_stall_, cycles);
     Cycles left = cycles - dead;

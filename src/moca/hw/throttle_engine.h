@@ -21,6 +21,7 @@
 #ifndef MOCA_HW_THROTTLE_ENGINE_H
 #define MOCA_HW_THROTTLE_ENGINE_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/units.h"
@@ -89,7 +90,18 @@ class ThrottleEngine
      *
      * @return number of accesses granted during the span.
      */
-    std::uint64_t advance(Cycles cycles, std::uint64_t max_requests);
+    std::uint64_t advance(Cycles cycles, std::uint64_t max_requests)
+    {
+        // Inline fast path: a disabled engine past its reconfiguration
+        // stall grants one access per cycle up to demand.
+        if (!cfg_.enabled() && reconfig_stall_ == 0) {
+            const std::uint64_t granted =
+                std::min<std::uint64_t>(cycles, max_requests);
+            stats_.accessesGranted += granted;
+            return granted;
+        }
+        return advanceGated(cycles, max_requests);
+    }
 
     /**
      * Non-mutating version of advance(): how many accesses *could* be
@@ -97,7 +109,12 @@ class ThrottleEngine
      * state, assuming a request is pending every cycle.  Used by the
      * simulator's demand phase before bandwidth arbitration.
      */
-    std::uint64_t peekAllowance(Cycles cycles) const;
+    std::uint64_t peekAllowance(Cycles cycles) const
+    {
+        if (!cfg_.enabled() && reconfig_stall_ == 0)
+            return cycles;
+        return peekGated(cycles);
+    }
 
     /** Accesses already counted in the current window. */
     std::uint64_t windowCount() const { return window_count_; }
@@ -131,6 +148,9 @@ class ThrottleEngine
     ThrottleStats stats_;
 
     void rollWindowIfNeeded();
+    /** advance()/peekAllowance() of an enabled or stalled engine. */
+    std::uint64_t advanceGated(Cycles cycles, std::uint64_t max_requests);
+    std::uint64_t peekGated(Cycles cycles) const;
 };
 
 } // namespace moca::hw

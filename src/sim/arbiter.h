@@ -50,10 +50,28 @@ maxMinFill(std::size_t n, double capacity, Bytes bytes, Weight weight,
     if (n == 0 || capacity <= 0.0)
         return;
     done.resize(n);
+    double total_weight = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         if (bytes(i) < 0.0 || weight(i) <= 0.0)
             detail::badDemand(bytes(i), weight(i));
         done[i] = 0;
+        total_weight += weight(i);
+    }
+
+    // Everything fits: with bytes_i * W * (1 + 1e-12) <= C * w_i for
+    // every requester, bytes_i <= C * w_i / W holds in floating point
+    // too, so the water-fill below would grant every demand whole in
+    // round one.  Grant them directly (bit-identical).
+    if (capacity > 1e-9) {
+        bool fits = true;
+        for (std::size_t i = 0; i < n && fits; ++i)
+            fits = bytes(i) * total_weight * (1.0 + 1e-12) <=
+                capacity * weight(i);
+        if (fits) {
+            for (std::size_t i = 0; i < n; ++i)
+                grant(i) += bytes(i);
+            return;
+        }
     }
 
     // Water-filling: repeatedly hand every unsatisfied requester its
@@ -119,10 +137,29 @@ proportionalFill(std::size_t n, double capacity, Bytes bytes,
     if (n == 0 || capacity <= 0.0)
         return;
     done.resize(n);
+    double total_demand = 0.0; // D = sum of bytes x weight
     for (std::size_t i = 0; i < n; ++i) {
         if (bytes(i) < 0.0 || weight(i) <= 0.0)
             detail::badDemand(bytes(i), weight(i));
         done[i] = 0;
+        total_demand += bytes(i) * weight(i);
+    }
+
+    // Everything fits: with D * (1 + 1e-12) <= C * w_i for every
+    // requester with demand, its round-one share C * bytes_i * w_i / D
+    // is at least bytes_i in floating point too, so the water-fill
+    // below would grant every demand whole in round one.  Grant them
+    // directly (bit-identical).
+    if (capacity > 1e-9 && total_demand > 1e-12) {
+        bool fits = true;
+        for (std::size_t i = 0; i < n && fits; ++i)
+            fits = bytes(i) == 0.0 ||
+                total_demand * (1.0 + 1e-12) <= capacity * weight(i);
+        if (fits) {
+            for (std::size_t i = 0; i < n; ++i)
+                grant(i) += bytes(i);
+            return;
+        }
     }
 
     // Shares proportional to outstanding demand x weight; requesters

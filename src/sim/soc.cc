@@ -601,9 +601,12 @@ Soc::demandAt(const DemandTerms &t, Cycles horizon,
     double l2_des, dram_des;
     if (t.tFull >= kInf) {
         l2_des = dram_des = 0.0;
-    } else if (t.tFull <= q) {
-        // Layer (and possibly more) finishes within the
-        // step at private speed: ask for the full rate.
+    } else if (t.tFull <= std::min(q, static_cast<double>(cfg_.quantum))) {
+        // Layer (and possibly more) finishes within the step's first
+        // quantum at private speed: ask for the full rate.  A longer
+        // step never takes this branch, because the quantum kernel
+        // would spend every quantum before the layer tail in the
+        // balanced branch below.
         l2_des = std::min(j.exec.l2Rem + q * cap * 0.25, q * cap);
         dram_des = std::min(j.exec.dramRem + q * cap * 0.25, q * cap);
     } else {
@@ -634,6 +637,19 @@ Soc::demandAt(const DemandTerms &t, Cycles horizon,
     r.l2Bytes = l2_des;
     r.dramBytes = dram_des;
     return bound;
+}
+
+mem::MemRequest
+Soc::stepDemand(int id, Cycles step) const
+{
+    const JobHot &j = hot(id);
+    mem::MemRequest r;
+    r.id = id;
+    r.weight = std::max(1, j.numTiles);
+    if (j.state == JobState::Running && j.stallUntil <= now_ &&
+        j.exec.valid)
+        demandAt(demandTerms(j), step, r);
+    return r;
 }
 
 void
@@ -667,24 +683,29 @@ Soc::probeDemands()
     }
 }
 
-void
+Soc::StepBinds
 Soc::rescaleDemands(Cycles step)
 {
     // Below the layer end every demand term is linear in the step
     // except the throttle allowance, which demandAt re-reads.
+    StepBinds binds;
     step_requests_ = probe_requests_;
     for (std::size_t i = 0; i < step_requests_.size(); ++i) {
-        if (!terms_[i].stalled)
-            terms_[i].throttleBound =
-                demandAt(terms_[i], step, step_requests_[i]);
+        DemandTerms &t = terms_[i];
+        if (t.stalled)
+            continue;
+        const bool probe_bound = t.throttleBound;
+        t.throttleBound = demandAt(t, step, step_requests_[i]);
+        binds.probe = binds.probe || probe_bound;
+        binds.runOut = binds.runOut || (t.throttleBound && !probe_bound);
     }
+    return binds;
 }
 
 const std::vector<mem::MemGrant> &
 Soc::arbitrate(const std::vector<mem::MemRequest> &requests,
-               Cycles horizon)
+               Cycles horizon, mem::MemStepStats &step)
 {
-    mem::MemStepStats step;
     const std::vector<mem::MemGrant> &grants =
         mem_->arbitrate(requests, horizon, step);
     if (grants.size() != requests.size())
@@ -692,11 +713,38 @@ Soc::arbitrate(const std::vector<mem::MemRequest> &requests,
               "requests (zero-demand requesters must get zero "
               "grants, not be dropped)",
               mem_->name(), grants.size(), requests.size());
+    return grants;
+}
+
+void
+Soc::accountThrash(const mem::MemStepStats &step, double scale)
+{
     if (step.thrashed) {
         stats_.thrashQuanta++;
-        stats_.thrashLostBytes += step.thrashLostBytes;
+        stats_.thrashLostBytes += step.thrashLostBytes * scale;
     }
-    return grants;
+}
+
+const std::vector<mem::MemGrant> &
+Soc::scalePlanGrants(Cycles step)
+{
+    // Grants are linear in the step below every layer tail, so the
+    // step's grants are the quantum's, scaled.  The cap at the step
+    // request is the throttle run-out rule: a job whose window
+    // budget runs out inside the step gets at most its allowance,
+    // and the bandwidth it leaves is not handed to its co-runners.
+    const double s =
+        static_cast<double>(step) / static_cast<double>(cfg_.quantum);
+    step_grants_.resize(step_requests_.size());
+    for (std::size_t i = 0; i < step_requests_.size(); ++i) {
+        const mem::MemGrant &g = plan_grants_[i];
+        const mem::MemRequest &r = step_requests_[i];
+        step_grants_[i].dramBytes =
+            std::min(s * g.dramBytes, r.dramBytes);
+        step_grants_[i].l2Bytes = std::min(s * g.l2Bytes, r.l2Bytes);
+    }
+    accountThrash(plan_mem_stats_, s);
+    return step_grants_;
 }
 
 double
@@ -853,6 +901,16 @@ Soc::planStep(Cycles horizon)
     // remaining quantity shrinks by the same factor as the layer
     // advances).
     probeDemands();
+    // The event kernel over a stateless memory model arbitrates the
+    // probe: the grants give each job's contended progress rate,
+    // which bounds the step (nextStateChange), and a one-quantum step
+    // reuses them.  A stateful model (banked) is arbitrated only by
+    // the committed step, so it keeps the full-service bound.
+    plan_arbitrated_ = cfg_.kernel == SimKernel::Event &&
+        mem_->cyclesUntilNextChange() == 0;
+    if (plan_arbitrated_)
+        plan_grants_ =
+            arbitrate(probe_requests_, cfg_.quantum, plan_mem_stats_);
     plan_end_ = stepEnd();
     planned_ = true;
 #ifndef NDEBUG
@@ -889,17 +947,34 @@ Soc::commitStep()
     const Cycles step = plan_end_ - now_;
 
     // A full-quantum step (every quantum-kernel step, and the tail
-    // step of each layer under the event kernel) reuses the probe;
-    // a longer one rescales the probe's terms to the step.
+    // step of each layer under the event kernel) reuses the probe,
+    // and its grants when the plan arbitrated them; any other step
+    // rescales the probe's terms to the step.
     const std::vector<mem::MemRequest> *requests = &probe_requests_;
+    StepBinds binds;
     if (step != cfg_.quantum) {
-        rescaleDemands(step);
+        binds = rescaleDemands(step);
         debugCheckStepPass(step);
         requests = &step_requests_;
     }
-    const std::vector<mem::MemGrant> &grants =
-        arbitrate(*requests, step);
-    const double dram_used = advanceEntries(*requests, grants, step);
+    const std::vector<mem::MemGrant> *grants = &plan_grants_;
+    if (plan_arbitrated_ && step == cfg_.quantum) {
+        accountThrash(plan_mem_stats_, 1.0);
+    } else if (plan_arbitrated_ && step > cfg_.quantum &&
+               (binds.runOut || !binds.probe)) {
+        grants = &scalePlanGrants(step);
+        if (!binds.runOut)
+            debugCheckScaledGrants(step);
+    } else {
+        // The quantum kernel, a stateful memory model, a step shorter
+        // than a quantum (its demand shape may differ from the
+        // probe's), or a throttle that bound the probe (its
+        // allowance is not linear in the step).
+        mem::MemStepStats mem_step;
+        grants = &arbitrate(*requests, step, mem_step);
+        accountThrash(mem_step, 1.0);
+    }
+    const double dram_used = advanceEntries(*requests, *grants, step);
     accountStep(step, dram_used);
     dispatchBoundaries();
 }
@@ -924,22 +999,8 @@ Soc::nextStateChange() const
                 gridCeil(hot_[static_cast<std::size_t>(id)].stallUntil));
             continue;
         }
-        // A layer can never finish before its full-service
-        // remaining time, so step to the grid point strictly
-        // *before* it: the tail quantum then replays the quantum
-        // kernel's end-of-layer demand burst exactly, and no step
-        // ever spans a demand-shape change.
-        const double t = e.tFull;
-        if (t < kInf) {
-            const Cycles dt = static_cast<Cycles>(std::ceil(
-                std::min(t, static_cast<double>(
-                                cfg_.schedPeriod))));
-            const Cycles floor_step = std::max<Cycles>(
-                cfg_.quantum,
-                (dt > 1 ? (dt - 1) / cfg_.quantum : 0) *
-                    cfg_.quantum);
-            next = std::min(next, now_ + floor_step);
-        }
+        if (e.tFull < kInf)
+            next = std::min(next, now_ + layerStep(i));
         if (e.throttleBound) {
             // A binding throttle re-opens at the engine's next
             // state change (window rollover / reconfig-stall
@@ -952,6 +1013,49 @@ Soc::nextStateChange() const
         }
     }
     return next;
+}
+
+Cycles
+Soc::layerStep(std::size_t i) const
+{
+    // A layer can never finish before its full-service remaining
+    // time, so step at most to the grid point strictly *before* it:
+    // the tail quantum then replays the quantum kernel's end-of-layer
+    // demand burst exactly, and no step ever spans a demand-shape
+    // change.
+    const DemandTerms &e = terms_[i];
+    const double t = e.tFull;
+    const Cycles quantum = cfg_.quantum;
+    const Cycles dt = static_cast<Cycles>(
+        std::ceil(std::min(t, static_cast<double>(cfg_.schedPeriod))));
+    Cycles k = std::max<Cycles>(1, dt > 1 ? (dt - 1) / quantum : 0);
+    const double q = static_cast<double>(quantum);
+    if (!plan_arbitrated_ || t <= q)
+        return k * quantum;
+
+    // Contended bound.  Below the tail the job moves a fixed fraction
+    // `frac` of the probe's remaining layer per quantum (advanceJob's
+    // progress under the probe's grants), so its full-service
+    // remaining time after k quanta is t * (1 - k * frac).  Step to
+    // the first grid point where that is at most one quantum: every
+    // quantum before it sees the same demands and grants.
+    const mem::MemRequest &r = probe_requests_[i];
+    const mem::MemGrant &g = plan_grants_[i];
+    const LayerExecState &x = hot_[static_cast<std::size_t>(r.id)].exec;
+    double frac =
+        q / remainingTime(x.computeRem, e.mCap, serviceRatio(r, g));
+    if (x.dramRem > 1e-9)
+        frac = std::min(frac, g.dramBytes / x.dramRem);
+    if (x.l2Rem > 1e-9)
+        frac = std::min(frac, g.l2Bytes / x.l2Rem);
+    // A job with no progress (frac 0) is bounded by the tick alone.
+    const double k_max =
+        std::ceil(static_cast<double>(cfg_.schedPeriod) / q);
+    const double k_rate =
+        std::min(std::ceil((t - q) / (frac * t)), k_max);
+    if (k_rate > static_cast<double>(k))
+        k = static_cast<Cycles>(k_rate);
+    return k * quantum;
 }
 
 Cycles
@@ -995,6 +1099,8 @@ Soc::reserveRunState()
     reserveGeometric(results_, nj);
     probe_requests_.reserve(nr);
     step_requests_.reserve(nr);
+    plan_grants_.reserve(nr);
+    step_grants_.reserve(nr);
     terms_.reserve(nr);
     boundary_scratch_.reserve(nr);
 }
@@ -1005,7 +1111,8 @@ Soc::runStateCapacities() const
     return {waiting_ids_.capacity(),     running_ids_.capacity(),
             results_.capacity(),         probe_requests_.capacity(),
             step_requests_.capacity(),   terms_.capacity(),
-            boundary_scratch_.capacity()};
+            boundary_scratch_.capacity(), plan_grants_.capacity(),
+            step_grants_.capacity()};
 }
 
 void
@@ -1055,6 +1162,34 @@ Soc::debugCheckStepPass(Cycles step) const
                   want.dramBytes, terms_[i].stalled, stalled,
                   terms_[i].throttleBound, bound);
     }
+#else
+    (void)step;
+#endif
+}
+
+void
+Soc::debugCheckScaledGrants(Cycles step) const
+{
+#ifndef NDEBUG
+    // With no throttle bound, every demand and grant is linear in the
+    // step below the layer tails, so the scaled grants equal an
+    // arbitration of the step's requests up to rounding (the model is
+    // stateless).
+    mem::MemStepStats st;
+    const std::vector<mem::MemGrant> &fresh =
+        mem_->arbitrate(step_requests_, step, st);
+    const double tol = 1e-9 * static_cast<double>(step) *
+        (cfg_.dramBytesPerCycle + cfg_.l2BytesPerCycle());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        if (std::abs(fresh[i].dramBytes - step_grants_[i].dramBytes) >
+                tol ||
+            std::abs(fresh[i].l2Bytes - step_grants_[i].l2Bytes) > tol)
+            panic("scaled grants diverged from a step arbitration: job "
+                  "%d, step %llu: dram %.17g vs %.17g, l2 %.17g vs "
+                  "%.17g", step_requests_[i].id,
+                  static_cast<unsigned long long>(step),
+                  step_grants_[i].dramBytes, fresh[i].dramBytes,
+                  step_grants_[i].l2Bytes, fresh[i].l2Bytes);
 #else
     (void)step;
 #endif
@@ -1113,6 +1248,27 @@ Soc::debugCheckParkedPlan() const
                   "tFull %.17g vs %.17g", at, id, got.l2Bytes,
                   want.l2Bytes, got.dramBytes, want.dramBytes, e.tFull,
                   t.tFull);
+    }
+    if (plan_arbitrated_) {
+        // The stored grants are a fresh arbitration of the stored
+        // requests (the model is stateless), bit for bit.
+        mem::MemStepStats st;
+        const std::vector<mem::MemGrant> &fresh =
+            mem_->arbitrate(probe_requests_, cfg_.quantum, st);
+        if (fresh.size() != plan_grants_.size())
+            panic("parked plan at %llu: %zu grants, re-derived %zu", at,
+                  plan_grants_.size(), fresh.size());
+        for (std::size_t i = 0; i < fresh.size(); ++i)
+            if (!same(fresh[i].dramBytes, plan_grants_[i].dramBytes) ||
+                !same(fresh[i].l2Bytes, plan_grants_[i].l2Bytes))
+                panic("parked plan at %llu: job %d grant dram %.17g vs "
+                      "%.17g, l2 %.17g vs %.17g", at,
+                      probe_requests_[i].id, plan_grants_[i].dramBytes,
+                      fresh[i].dramBytes, plan_grants_[i].l2Bytes,
+                      fresh[i].l2Bytes);
+        if (st.thrashed != plan_mem_stats_.thrashed ||
+            !same(st.thrashLostBytes, plan_mem_stats_.thrashLostBytes))
+            panic("parked plan at %llu: thrash diverged", at);
     }
     const Cycles end = stepEnd();
     if (end != plan_end_)

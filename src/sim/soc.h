@@ -20,12 +20,16 @@
  * cycle.  The *quantum* kernel further caps a step at one
  * cfg.quantum, so cost scales with simulated cycles.  The *event*
  * kernel caps it at the earliest in-SoC state change
- * (nextStateChange: memory-model change, stall expiry, layer
- * completion, binding throttle-window rollover) rounded up to the
- * quantum grid; demands, grants, and per-layer rates are
+ * (nextStateChange: memory-model change, stall expiry, the start of
+ * a layer's tail quantum, binding throttle-window rollover) rounded
+ * up to the quantum grid; demands, grants, and per-layer rates are
  * piecewise-constant between those events, so cost scales with
- * scheduling activity instead.  A co-simulator's horizon never
- * shapes a step (see advanceTo).
+ * scheduling activity instead.  Over a stateless memory model the
+ * layer-tail bound uses the job's *contended* progress rate from the
+ * plan's arbitration, so a job served at half bandwidth takes one
+ * step to its tail, not a geometric run of steps that change no
+ * state.  A co-simulator's horizon never shapes a step (see
+ * advanceTo).
  *
  * Idle gaps cost O(1) kernel iterations under both kernels: a SoC
  * with no running and no waiting job jumps straight to its next
@@ -201,6 +205,13 @@ class Soc
     std::size_t jobLayer(int id) const { return hot(id).layerIdx; }
     /** Migration/preemption stall deadline of job `id` (hot array). */
     Cycles jobStallUntil(int id) const { return hot(id).stallUntil; }
+    /**
+     * Byte demand job `id` would issue over a step of `step` cycles
+     * from now(), as the step's demand pass computes it (throttle
+     * allowance included); zero unless the job is running, past its
+     * stall, with its layer begun.
+     */
+    mem::MemRequest stepDemand(int id, Cycles step) const;
 
     /**
      * Ids of jobs waiting (or paused) and visible at `now`, sorted
@@ -460,19 +471,40 @@ class Soc
      */
     void probeDemands();
 
+    /** Which throttles bound a step pass (see rescaleDemands). */
+    struct StepBinds
+    {
+        bool probe = false;  ///< A throttle bound the quantum probe.
+        /** A throttle binds at the step length that did not bind the
+         *  probe: its window budget runs out inside the step. */
+        bool runOut = false;
+    };
+
     /** Demand phase, step pass: the probe's requests at `step` cycles
      *  into step_requests_, from the stored terms. */
-    void rescaleDemands(Cycles step);
+    StepBinds rescaleDemands(Cycles step);
 
     /**
      * Arbitration phase: grant the shared DRAM channel (with the
-     * oversubscription-thrash derate, accumulated into stats_) and
-     * L2 banks over `horizon`.  Returns the memory model's grant
-     * buffer, one grant per request, valid until the next call.
+     * oversubscription-thrash derate, reported in `step`) and L2
+     * banks over `horizon`.  Returns the memory model's grant buffer,
+     * one grant per request, valid until the next call.
      */
     const std::vector<mem::MemGrant> &
     arbitrate(const std::vector<mem::MemRequest> &requests,
-              Cycles horizon);
+              Cycles horizon, mem::MemStepStats &step);
+
+    /** Fold one step's thrash derate into stats_, its lost bytes
+     *  times `scale`. */
+    void accountThrash(const mem::MemStepStats &step, double scale);
+
+    /**
+     * Grants of a step longer than a quantum from the plan's
+     * one-quantum grants: each job keeps step/quantum times its
+     * quantum grant, capped at its step request (the throttle
+     * run-out rule; see plan_grants_).  Written into step_grants_.
+     */
+    const std::vector<mem::MemGrant> &scalePlanGrants(Cycles step);
 
     /** Grant/demand service ratio in (0, 1] for one request. */
     double serviceRatio(const mem::MemRequest &r,
@@ -508,6 +540,28 @@ class Soc
     Cycles plan_end_ = 0;
 
     /**
+     * The plan's arbitration of probe_requests_ over one quantum,
+     * made by the event kernel over a stateless memory model
+     * (cyclesUntilNextChange() == 0) and valid while plan_arbitrated_.
+     * It bounds the step at each layer's contended tail (layerStep),
+     * a one-quantum step reuses it, and a longer step scales it
+     * (scalePlanGrants), so a committed step costs one arbitration.
+     *
+     * Throttle run-out rule: when a MoCA window budget that did not
+     * bind the probe runs out inside a longer step, every job still
+     * keeps its scaled quantum grant, capped at its step request.
+     * Arbitrating the whole step instead would hand the throttled
+     * job's unused bandwidth to its co-runners from the step's first
+     * cycle, before the budget ran out; that smear favoured MoCA.
+     * A step whose probe a throttle already bound is arbitrated at
+     * its own length, as is every step of the quantum kernel and of
+     * a stateful model.
+     */
+    bool plan_arbitrated_ = false;
+    std::vector<mem::MemGrant> plan_grants_;
+    mem::MemStepStats plan_mem_stats_;
+
+    /**
      * Plan the step at now_: scheduling points, then, with jobs
      * running, the quantum-granular demand probe and stepEnd().
      * Returns false when the scheduling points moved idle time
@@ -528,12 +582,21 @@ class Soc
 
     /**
      * Event-kernel step bound: the earliest in-SoC state change after
-     * now_ — memory-model change, stall expiry, layer-completion floor,
+     * now_ — memory-model change, stall expiry, layer-tail floor,
      * binding-throttle rollover — read from the probe's terms_.
      * Every candidate is at or after now_ + quantum; kNoEvent when
      * there is none.
      */
     Cycles nextStateChange() const;
+
+    /**
+     * Layer-tail floor of running job terms_[i], a quantum multiple
+     * of at least one quantum: the grid point strictly before its
+     * full-service remaining time, or, when the plan arbitrated, the
+     * first grid point at which that time has shrunk to one quantum
+     * at the job's contended rate, if that is later.
+     */
+    Cycles layerStep(std::size_t i) const;
 
     /**
      * Smallest quantum-grid point at or after `t`, strictly after
@@ -607,6 +670,7 @@ class Soc
     // buffer reallocated during the run (debugCheckNoRealloc).
     std::vector<mem::MemRequest> probe_requests_; ///< Quantum probe.
     std::vector<mem::MemRequest> step_requests_;  ///< Off-quantum steps.
+    std::vector<mem::MemGrant> step_grants_; ///< scalePlanGrants.
     std::vector<DemandTerms> terms_; ///< Parallel to the requests.
     std::vector<BoundaryEvent> boundary_scratch_;
 
@@ -625,6 +689,10 @@ class Soc
     /** Debug-only: panic unless the rescaled step_requests_ equal a
      *  full demand pass at `step` cycles bit for bit. */
     void debugCheckStepPass(Cycles step) const;
+    /** Debug-only: panic unless step_grants_, scaled from the plan
+     *  with no throttle bound, equal an arbitration of the step's
+     *  requests to within rounding. */
+    void debugCheckScaledGrants(Cycles step) const;
 
 #ifndef NDEBUG
     /** What a plan's scheduling points leave behind (next tick,
@@ -637,8 +705,9 @@ class Soc
     PlanState planState() const;
 #endif
     /** Debug-only: panic unless a parked plan, re-derived at commit
-     *  (scheduling state, probe requests and terms, step end), equals
-     *  the stored one bit for bit. */
+     *  (scheduling state, probe requests and terms, the grants of a
+     *  fresh arbitration, step end), equals the stored one bit for
+     *  bit. */
     void debugCheckParkedPlan() const;
 };
 

@@ -124,11 +124,16 @@ generateTrace(const TraceConfig &cfg,
     Rng rng(cfg.seed);
 
     // Mean isolated single-tile latency over the set's models, for
-    // the arrival-rate calibration.
+    // the arrival-rate calibration.  Each model asks the oracle once;
+    // the tasks below read this memo.
+    std::vector<Cycles> iso(models.size());
     double mean_iso = 0.0;
-    for (dnn::ModelId id : models)
-        mean_iso += static_cast<double>(isolated_latency(id));
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        iso[m] = isolated_latency(models[m]);
+        mean_iso += static_cast<double>(iso[m]);
+    }
     mean_iso /= static_cast<double>(models.size());
+    const std::vector<double> uniform_pick(models.size(), 1.0);
 
     const double mean_interarrival =
         mean_iso / (cfg.loadFactor * cfg.numTiles);
@@ -165,18 +170,16 @@ generateTrace(const TraceConfig &cfg,
             }
             break;
         }
-        const dnn::ModelId mid =
-            models[rng.categorical(
-                std::vector<double>(models.size(), 1.0))];
+        const std::size_t m = rng.categorical(uniform_pick);
 
         sim::JobSpec spec;
         spec.id = i;
-        spec.model = &dnn::getModel(mid);
+        spec.model = &dnn::getModel(models[m]);
         spec.dispatch = static_cast<Cycles>(t);
         spec.priority =
             static_cast<int>(rng.categorical(priorityWeights()));
         spec.slaLatency = static_cast<Cycles>(
-            qos_mult * static_cast<double>(isolated_latency(mid)));
+            qos_mult * static_cast<double>(iso[m]));
         specs.push_back(spec);
     }
     return specs;

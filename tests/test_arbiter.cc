@@ -137,6 +137,101 @@ TEST(Arbiter, PropertyProjectedFormMatchesBwDemandForm)
     }
 }
 
+/** The water-fill rounds alone, without the round-one exit. */
+std::vector<double>
+referenceFill(const std::vector<BwDemand> &d, double capacity,
+              bool proportional)
+{
+    std::vector<double> grant(d.size(), 0.0);
+    std::vector<char> done(d.size(), 0);
+    double remaining = capacity;
+    std::size_t active = d.size();
+    while (active > 0 && remaining > 1e-9) {
+        double denom = 0.0;
+        for (std::size_t i = 0; i < d.size(); ++i)
+            if (!done[i])
+                denom += proportional
+                    ? (d[i].bytes - grant[i]) * d[i].weight
+                    : d[i].weight;
+        if (proportional && denom <= 1e-12)
+            break;
+        const auto share = [&](std::size_t i) {
+            return proportional
+                ? remaining * (d[i].bytes - grant[i]) * d[i].weight / denom
+                : remaining * d[i].weight / denom;
+        };
+        bool any_capped = false;
+        double distributed = 0.0;
+        for (std::size_t i = 0; i < d.size(); ++i) {
+            const double want = d[i].bytes - grant[i];
+            if (!done[i] && want <= share(i)) {
+                grant[i] += want;
+                distributed += want;
+                done[i] = 1;
+                --active;
+                any_capped = true;
+            }
+        }
+        if (!any_capped) {
+            for (std::size_t i = 0; i < d.size(); ++i) {
+                if (done[i])
+                    continue;
+                const double sh = share(i);
+                grant[i] += sh;
+                distributed += sh;
+            }
+            remaining -= distributed;
+            break;
+        }
+        remaining -= distributed;
+    }
+    return grant;
+}
+
+TEST(Arbiter, PropertyRoundOneExitIsBitIdentical)
+{
+    // Demands summing to within about 1e-11 of the capacity, either
+    // side, put requesters on both sides of the exit's margin test:
+    // the fills must equal the plain water-fill rounds bit for bit.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    Rng rng(59);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 8));
+        // Shape 0: random demands and weights; 1: equal weights; 2:
+        // equal demands and weights (every requester at the margin).
+        const int shape = trial % 3;
+        const double bytes = rng.uniform(1.0, 900.0);
+        std::vector<BwDemand> d(n);
+        double total = 0.0;
+        for (auto &b : d) {
+            b.bytes = shape == 2 ? bytes
+                : rng.uniformInt(0, 4) == 0 ? 0.0
+                                            : rng.uniform(1.0, 900.0);
+            b.weight = shape == 0
+                ? static_cast<double>(rng.uniformInt(1, 8)) : 2.0;
+            total += b.bytes;
+        }
+        const double slack = rng.uniform(-1e-11, 1e-11);
+        const double cap = rng.uniformInt(0, 3) == 0
+            ? rng.uniform(1.0, 4000.0)
+            : std::max(1.0, total) * (1.0 + slack);
+        for (bool proportional : {false, true}) {
+            const std::vector<double> got =
+                proportional ? allocateBandwidthProportional(d, cap)
+                             : allocateBandwidth(d, cap);
+            const std::vector<double> want =
+                referenceFill(d, cap, proportional);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(same(got[i], want[i]))
+                    << "trial " << trial << " requester " << i
+                    << (proportional ? " proportional: " : " max-min: ")
+                    << got[i] << " vs " << want[i];
+        }
+    }
+}
+
 /** Property: grants are feasible, demand-bounded and work-conserving. */
 TEST(Arbiter, PropertyFeasibleAndWorkConserving)
 {

@@ -522,7 +522,7 @@ TEST(Cluster, HeterogeneousFleetRuns)
     // the isolated latency of, its *own* config — normalizing the
     // 4-tile SoC by the 8-tile oracle would move every metric below.
     EXPECT_EQ(res.slaRate, 107.0 / 120.0);
-    EXPECT_DOUBLE_EQ(res.stp, 58.686864843764852);
+    EXPECT_DOUBLE_EQ(res.stp, 58.693815151898647);
     EXPECT_DOUBLE_EQ(res.normLatency.p99, 10.048028095502932);
     EXPECT_EQ(res.perSoc[0].makespan, 27'069'120u);
     EXPECT_EQ(res.perSoc[1].makespan, 31'073'216u);

@@ -340,6 +340,43 @@ gridTicks(const Soc &soc, SimKernel k)
     return ticks;
 }
 
+TEST(Soc, StepLongerThanLayerDemandsAtBalancedRate)
+{
+    // The end-of-layer burst belongs to the one quantum in which a
+    // layer can finish at private speed.  A step longer than the
+    // layer's whole full-service remaining time still spends every
+    // quantum before that tail at the balanced rate (the event
+    // kernel's contended steps reach that far), so its demand is the
+    // one-quantum demand scaled to its length, not a burst.
+    SocConfig cfg;
+    exp::SoloPolicy policy(1);
+    Soc soc(cfg, policy);
+    soc.addJob(spec(0, dnn::ModelId::ResNet50));
+    soc.beginRun();
+    soc.advanceTo(4 * cfg.quantum);
+    ASSERT_EQ(soc.jobState(0), JobState::Running);
+    ASSERT_EQ(soc.jobLayer(0), 0u);
+
+    const mem::MemRequest one = soc.stepDemand(0, cfg.quantum);
+    ASSERT_GT(one.l2Bytes, 0.0);
+    ASSERT_GT(one.dramBytes, 0.0);
+    const auto expectScaled = [&](Cycles step) {
+        const double s = static_cast<double>(step) /
+            static_cast<double>(cfg.quantum);
+        const mem::MemRequest r = soc.stepDemand(0, step);
+        EXPECT_NEAR(r.l2Bytes, s * one.l2Bytes, 1e-12 * s * one.l2Bytes)
+            << "step " << step;
+        EXPECT_NEAR(r.dramBytes, s * one.dramBytes,
+                    1e-12 * s * one.dramBytes)
+            << "step " << step;
+    };
+    // Two quanta: the one-quantum demand is itself balanced.
+    expectScaled(2 * cfg.quantum);
+    // Longer than the whole job at private speed, so longer than the
+    // current layer's remaining time.
+    expectScaled(4 * exp::isolatedLatency(dnn::ModelId::ResNet50, 1, cfg));
+}
+
 TEST(Soc, IdleGapCostsConstantIterations)
 {
     // The shape of a rebooted fleet SoC: booted at cycle 0, its first
