@@ -76,6 +76,16 @@ ParallelEngine::wouldStep(Cycles horizon) const
     return false;
 }
 
+Cycles
+ParallelEngine::firstStepHorizon() const
+{
+    Cycles first = sim::kNoHorizon;
+    for (std::size_t i = 0; i < socs_.size(); ++i)
+        if (active_[i] != 0)
+            first = std::min(first, socs_[i]->behindFrom());
+    return first;
+}
+
 void
 ParallelEngine::runShard(Shard &shard)
 {

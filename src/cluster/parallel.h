@@ -209,6 +209,20 @@ class ParallelEngine
     bool wouldStep(Cycles horizon) const;
 
     /**
+     * The least horizon at which an epoch would step some SoC
+     * (wouldStep(h) holds exactly for h >= it below sim::kNoHorizon);
+     * sim::kNoHorizon when no active SoC is unfinished.
+     * Coordinator-only, between epochs.
+     */
+    Cycles firstStepHorizon() const;
+
+    /**
+     * Count `n` horizons below firstStepHorizon() as stalls without
+     * visiting them: advanceFleet at each would only count the stall.
+     */
+    void skipStalls(std::uint64_t n) { stats_.horizonStalls += n; }
+
+    /**
      * Include/exclude SoC `soc_idx` from epochs (serve-layer failure
      * injection).  An inactive SoC is never advanced — its clock
      * freezes wherever the last epoch left it — and never makes an

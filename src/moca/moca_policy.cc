@@ -324,6 +324,39 @@ MocaPolicy::schedule(sim::Soc &soc, sim::SchedEvent event)
                      std::min(soc.freeTiles(), tilesPerSlot(soc)));
         reconfigure(soc, id);
     }
+    if (!tickCanAct(soc))
+        soc.quietTicks();
+}
+
+bool
+MocaPolicy::tickCanAct(const sim::Soc &soc) const
+{
+    // Every branch of schedule() that can act on a PeriodicTick; the
+    // shrink branch runs only on JobArrival.
+    const std::size_t waiting = soc.waitingCount();
+    const std::size_t running = soc.runningCount();
+    const int free = soc.freeTiles();
+    // Admission (admitJobs) needs a waiting job and a free slot.
+    if (waiting > 0 && free >= tilesPerSlot(soc))
+        return true;
+    // The idle-machine fallback start.
+    if (running == 0 && waiting > 0 && free > 0)
+        return true;
+    // Lone-job expansion: its remaining estimate is a suffix sum over
+    // layers, so once at or below the threshold it stays there until
+    // a control call or completion clears the declaration.
+    if (!cfg_.enableComputeRepartition || waiting > 0 || running != 1 ||
+        free == 0)
+        return false;
+    const int id = soc.runningJobs().front();
+    if (soc.jobStallUntil(id) > soc.now())
+        return true;
+    const double remain = cm_.model()
+        .estimateRemaining(*soc.job(id).spec.model, soc.jobLayer(id),
+                           soc.jobTiles(id))
+        .prediction;
+    return remain > cfg_.repartitionBenefit *
+        static_cast<double>(soc.config().migrationCycles);
 }
 
 void

@@ -209,6 +209,14 @@ class MocaPolicy : public sim::Policy
     /** The rare compute repartition (expand a lone long job / shrink
      *  an expanded job when new work arrives). */
     void maybeRepartition(sim::Soc &soc, sim::SchedEvent event);
+
+    /**
+     * True unless a PeriodicTick in the Soc's current state provably
+     * changes nothing: no admission, no fallback start, no lone-job
+     * expansion.  schedule() declares the ticks quiet
+     * (Soc::quietTicks) when it is false.
+     */
+    bool tickCanAct(const sim::Soc &soc) const;
 };
 
 } // namespace moca

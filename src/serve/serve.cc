@@ -271,6 +271,9 @@ class ServeDriver : private cluster::StreamReplay
     }
 
     Cycles chunkTarget(Cycles limit) const;
+    /** Jump the control clock over the control horizons before
+     *  `limit` at which no SoC would step (see run()). */
+    void skipStalls(Cycles limit);
     Cycles deferDelay() const
     {
         // Deferred/capacity-held requests re-try at the control
@@ -430,6 +433,25 @@ ServeDriver::chunkTarget(Cycles limit) const
     if (cfg_.controlQuantum >= headroom)
         return limit;
     return std::min(limit, now_ + cfg_.controlQuantum);
+}
+
+void
+ServeDriver::skipStalls(Cycles limit)
+{
+    // Every control horizon before the first one some SoC is behind
+    // (and before `limit`) is a stall: nothing steps, so nothing
+    // completes and harvest() reacts to nothing.  Count them and emit
+    // their spans without visiting them one by one.
+    const Cycles quantum = cfg_.controlQuantum;
+    const Cycles stop = std::min(limit, engine_->firstStepHorizon());
+    if (quantum == 0 || stop == sim::kNoHorizon || stop <= now_)
+        return;
+    const Cycles stalls = (stop - now_ - 1) / quantum;
+    if (cfg_.capture)
+        for (Cycles k = 0; k < stalls; ++k)
+            captureEpoch(now_ + k * quantum, now_ + (k + 1) * quantum, 0);
+    engine_->skipStalls(stalls);
+    now_ += stalls * quantum;
 }
 
 void
@@ -832,11 +854,13 @@ ServeDriver::run()
                   static_cast<unsigned long long>(total));
         if (queue_.empty()) {
             // Nothing scheduled: only in-flight fleet work remains.
+            skipStalls(sim::kNoHorizon);
             advanceTo(chunkTarget(sim::kNoHorizon));
             continue;
         }
         const Event ev = queue_.top();
         if (pool_ && ev.at > now_) {
+            skipStalls(ev.at);
             advanceTo(chunkTarget(ev.at));
             continue; // Harvest may have scheduled earlier events.
         }

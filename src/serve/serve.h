@@ -20,6 +20,9 @@
  * completions, the defining property of a closed loop; every
  * front-end decision happens on the coordinator between epochs, so
  * the whole run is bit-identical for every ServeConfig::jobs value.
+ * A control horizon at which every busy SoC is parked past it steps
+ * nothing (a horizon stall), so the driver counts a run of them and
+ * jumps over it at once.
  *
  * Capacity churn.  A fleet slot is Up (taking placements) or Failed
  * (frozen in the engine; its queue is lost).  Recovery swaps a

@@ -38,10 +38,15 @@ class Policy
      * Main scheduling hook.  Inspect the Soc's job queues and issue
      * control calls (startJob / resizeJob / pauseJob /
      * configureThrottle).  Invoked whenever `event` occurs, with
-     * one exception: PeriodicTick is not delivered while the SoC has
-     * no running and no waiting job, so an idle gap costs O(1)
-     * however long it is.  A policy must therefore be a no-op on
-     * such a tick, read time from soc.now(), and never count ticks.
+     * two exceptions for PeriodicTick:
+     *  - it is not delivered while the SoC has no running and no
+     *    waiting job, so an idle gap costs O(1) however long it is;
+     *  - the event kernel does not deliver it while the policy's
+     *    Soc::quietTicks() declaration holds: a policy that proves at
+     *    the end of schedule() that a tick in the current state cannot
+     *    act may say so, and steps then cross its ticks.
+     * A policy must therefore be a no-op on such a tick, read time
+     * from soc.now(), and never count ticks.
      */
     virtual void schedule(Soc &soc, SchedEvent event) = 0;
 

@@ -28,6 +28,21 @@ reserveGeometric(std::vector<T> &v, std::size_t n)
         v.reserve(std::max(n, 2 * v.capacity()));
 }
 
+/**
+ * a / b rounded down, through a double division below 2^52, where it
+ * is exact: far cheaper than a 64-bit integer division, and the
+ * tick-restarted grid runs it for nearly every job of a plan while
+ * ticks are quiet.
+ */
+Cycles
+gridQuotient(Cycles a, Cycles b)
+{
+    if (a >= (Cycles{1} << 52))
+        return a / b;
+    return static_cast<Cycles>(static_cast<double>(a) /
+                               static_cast<double>(b));
+}
+
 } // anonymous namespace
 
 void
@@ -226,6 +241,7 @@ Soc::addRunning(int id, int tiles)
     insertSorted(running_ids_, id);
     used_tiles_ += tiles;
     ++running_epoch_;
+    quiet_ticks_ = false;
     debugCheckCounters();
 }
 
@@ -235,6 +251,7 @@ Soc::dropRunning(int id, int tiles)
     eraseSorted(running_ids_, id);
     used_tiles_ -= tiles;
     ++running_epoch_;
+    quiet_ticks_ = false;
     debugCheckCounters();
 }
 
@@ -284,6 +301,9 @@ Soc::startJob(int id, int num_tiles, Cycles resume_penalty)
               id, num_tiles, freeTiles());
 
     planned_ = false;
+#ifndef NDEBUG
+    ++debug_controls_;
+#endif
     h.state = JobState::Running;
     h.numTiles = num_tiles;
     waitingRemove(id);
@@ -318,6 +338,10 @@ Soc::resizeJob(int id, int num_tiles, bool charge_migration)
               id, num_tiles, avail);
 
     planned_ = false;
+    quiet_ticks_ = false;
+#ifndef NDEBUG
+    ++debug_controls_;
+#endif
     used_tiles_ += num_tiles - h.numTiles;
     h.numTiles = num_tiles;
     // A tile-allocation change invalidates running-set-derived memos
@@ -342,6 +366,9 @@ Soc::pauseJob(int id)
     if (h.state != JobState::Running)
         panic("pauseJob(%d): job is not running", id);
     planned_ = false;
+#ifndef NDEBUG
+    ++debug_controls_;
+#endif
     h.state = JobState::Paused;
     waitingAdd(id);
     dropRunning(id, h.numTiles);
@@ -356,6 +383,9 @@ Soc::configureThrottle(int id, const hw::ThrottleConfig &tcfg)
 {
     Job &j = job(id);
     planned_ = false;
+#ifndef NDEBUG
+    ++debug_controls_;
+#endif
     j.throttle.configure(tcfg);
     trace_.record(now_, TraceEventKind::ThrottleConfig, id,
                   static_cast<long long>(tcfg.windowCycles));
@@ -514,11 +544,32 @@ void
 Soc::invokePolicy(SchedEvent event)
 {
     stats_.schedInvocations++;
+    quiet_ticks_ = false;
     policy_.schedule(*this, event);
 }
 
 void
-Soc::skipIdleTicks(Cycles limit)
+Soc::deliverTick()
+{
+#ifndef NDEBUG
+    // A quiet tick must be a no-op.  The quantum kernel delivers every
+    // tick, so this checks the policy's declaration at each of them.
+    const bool quiet = quiet_ticks_;
+    const std::uint64_t epoch = running_epoch_;
+    const std::uint64_t controls = debug_controls_;
+#endif
+    invokePolicy(SchedEvent::PeriodicTick);
+#ifndef NDEBUG
+    if (quiet && (running_epoch_ != epoch || debug_controls_ != controls))
+        panic("policy '%s' declared ticks quiet, but its tick at %llu "
+              "made %llu control call(s)", policy_.name(),
+              static_cast<unsigned long long>(now_),
+              static_cast<unsigned long long>(debug_controls_ - controls));
+#endif
+}
+
+void
+Soc::skipTicks(Cycles limit)
 {
     if (limit <= next_sched_tick_)
         return;
@@ -542,7 +593,9 @@ Soc::schedulingPoints(Cycles horizon)
         invokePolicy(SchedEvent::JobArrival);
     if (now_ >= next_sched_tick_) {
         trace_.record(now_, TraceEventKind::SchedTick, -1);
-        invokePolicy(SchedEvent::PeriodicTick);
+        // A quiet tick cannot act: the event kernel skips it.
+        if (!quiet_ticks_ || cfg_.kernel != SimKernel::Event)
+            deliverTick();
         next_sched_tick_ = now_ + cfg_.schedPeriod;
     }
 
@@ -559,7 +612,7 @@ Soc::schedulingPoints(Cycles horizon)
             // (see Policy), so skip the ticks strictly before `limit`
             // in closed form.  The grid stays 0-based, so the first
             // real tick fires where it would had every tick fired.
-            skipIdleTicks(limit);
+            skipTicks(limit);
             jumpIdle(limit);
             return false;
         }
@@ -664,6 +717,8 @@ Soc::probeJob(int id, mem::MemRequest &r, DemandTerms &t) const
         t.stalled = true;
     } else {
         t = demandTerms(j);
+        t.throttled =
+            jobs_[static_cast<std::size_t>(id)].throttle.config().enabled();
         t.throttleBound = demandAt(t, cfg_.quantum, r);
     }
 }
@@ -927,12 +982,18 @@ Soc::stepEnd() const
     // tick fires at the exact schedPeriod cadence and arrivals are
     // admitted at their exact dispatch cycle.  Both lie strictly
     // after now_.
-    const Cycles next = std::min(next_sched_tick_, nextArrivalCycle());
+    const Cycles arrival = nextArrivalCycle();
     // The kernel only picks how far the step may reach: one quantum,
-    // or the next in-SoC state change (never short of a quantum).
-    return std::min(next, cfg_.kernel == SimKernel::Event
-                              ? nextStateChange()
-                              : now_ + cfg_.quantum);
+    // or the next in-SoC state change (never short of the first grid
+    // point).
+    if (cfg_.kernel != SimKernel::Event)
+        return std::min({next_sched_tick_, arrival, now_ + cfg_.quantum});
+    const Cycles change = nextStateChange();
+    // A quiet tick cannot act, so on the event kernel it bounds only
+    // a step with no state change pending.
+    if (quiet_ticks_ && change != kNoEvent)
+        return std::min(arrival, change);
+    return std::min({next_sched_tick_, arrival, change});
 }
 
 void
@@ -976,13 +1037,18 @@ Soc::commitStep()
     }
     const double dram_used = advanceEntries(*requests, *grants, step);
     accountStep(step, dram_used);
+    // The quiet ticks the step crossed; one at its end is due at the
+    // next scheduling points.
+    skipTicks(now_);
     dispatchBoundaries();
 }
 
 Cycles
 Soc::nextStateChange() const
 {
-    // Every candidate lies at or after now_ + quantum.
+    // Every candidate lies at or after the first grid point, so the
+    // scan stops once one reaches it.
+    const Cycles least = firstGridPoint();
     Cycles next = kNoEvent;
     // A stateful memory model (e.g. banked row-locality) bounds the
     // step so its internal state is re-sampled often enough; the
@@ -990,7 +1056,7 @@ Soc::nextStateChange() const
     const Cycles mem_change = mem_->cyclesUntilNextChange();
     if (mem_change > 0)
         next = std::min(next, gridCeil(now_ + mem_change));
-    for (std::size_t i = 0; i < terms_.size(); ++i) {
+    for (std::size_t i = 0; i < terms_.size() && next != least; ++i) {
         const int id = probe_requests_[i].id;
         const DemandTerms &e = terms_[i];
         if (e.stalled) {
@@ -1000,7 +1066,7 @@ Soc::nextStateChange() const
             continue;
         }
         if (e.tFull < kInf)
-            next = std::min(next, now_ + layerStep(i));
+            next = std::min(next, layerEnd(i));
         if (e.throttleBound) {
             // A binding throttle re-opens at the engine's next
             // state change (window rollover / reconfig-stall
@@ -1016,7 +1082,7 @@ Soc::nextStateChange() const
 }
 
 Cycles
-Soc::layerStep(std::size_t i) const
+Soc::layerEnd(std::size_t i) const
 {
     // A layer can never finish before its full-service remaining
     // time, so step at most to the grid point strictly *before* it:
@@ -1026,12 +1092,17 @@ Soc::layerStep(std::size_t i) const
     const DemandTerms &e = terms_[i];
     const double t = e.tFull;
     const Cycles quantum = cfg_.quantum;
-    const Cycles dt = static_cast<Cycles>(
-        std::ceil(std::min(t, static_cast<double>(cfg_.schedPeriod))));
-    Cycles k = std::max<Cycles>(1, dt > 1 ? (dt - 1) / quantum : 0);
     const double q = static_cast<double>(quantum);
-    if (!plan_arbitrated_ || t <= q)
-        return k * quantum;
+    const double period = static_cast<double>(cfg_.schedPeriod);
+    // The one-period cap.  A tick ends every step unless ticks are
+    // quiet; then only a throttled job keeps it, since its window
+    // budget may run out inside a longer step.
+    const bool capped = !quiet_ticks_ || e.throttled;
+    const double limit = static_cast<double>(cfg_.maxCycles);
+    const Cycles dt = static_cast<Cycles>(
+        std::ceil(std::min(t, capped ? period : limit)));
+    const Cycles k_floor = dt > 1 ? (dt - 1) / quantum : 0;
+    Cycles k = std::max<Cycles>(1, k_floor);
 
     // Contended bound.  Below the tail the job moves a fixed fraction
     // `frac` of the probe's remaining layer per quantum (advanceJob's
@@ -1039,33 +1110,92 @@ Soc::layerStep(std::size_t i) const
     // remaining time after k quanta is t * (1 - k * frac).  Step to
     // the first grid point where that is at most one quantum: every
     // quantum before it sees the same demands and grants.
-    const mem::MemRequest &r = probe_requests_[i];
-    const mem::MemGrant &g = plan_grants_[i];
-    const LayerExecState &x = hot_[static_cast<std::size_t>(r.id)].exec;
-    double frac =
-        q / remainingTime(x.computeRem, e.mCap, serviceRatio(r, g));
-    if (x.dramRem > 1e-9)
-        frac = std::min(frac, g.dramBytes / x.dramRem);
-    if (x.l2Rem > 1e-9)
-        frac = std::min(frac, g.l2Bytes / x.l2Rem);
-    // A job with no progress (frac 0) is bounded by the tick alone.
-    const double k_max =
-        std::ceil(static_cast<double>(cfg_.schedPeriod) / q);
-    const double k_rate =
-        std::min(std::ceil((t - q) / (frac * t)), k_max);
-    if (k_rate > static_cast<double>(k))
-        k = static_cast<Cycles>(k_rate);
-    return k * quantum;
+    double k_rate = 0.0; // Quanta to that point, unrounded.
+    if (plan_arbitrated_ && t > q) {
+        const mem::MemRequest &r = probe_requests_[i];
+        const mem::MemGrant &g = plan_grants_[i];
+        const LayerExecState &x =
+            hot_[static_cast<std::size_t>(r.id)].exec;
+        double frac =
+            q / remainingTime(x.computeRem, e.mCap, serviceRatio(r, g));
+        if (x.dramRem > 1e-9)
+            frac = std::min(frac, g.dramBytes / x.dramRem);
+        if (x.l2Rem > 1e-9)
+            frac = std::min(frac, g.l2Bytes / x.l2Rem);
+        k_rate = (t - q) / (frac * t);
+        if (capped) {
+            // A job with no progress (frac 0) is bounded by the cap.
+            k_rate = std::min(k_rate, std::ceil(period / q));
+        } else if (!(k_rate * q < limit)) {
+            // No progress, and no cap: bounded by the next tick.
+            return next_sched_tick_;
+        }
+        const double k_ceil = std::ceil(k_rate);
+        if (k_ceil > static_cast<double>(k))
+            k = static_cast<Cycles>(k_ceil);
+    }
+    const Cycles end = now_ + k * quantum;
+    const Cycles tick = next_sched_tick_;
+    if (!quiet_ticks_ || (end <= tick && now_ + dt <= tick))
+        return end;
+
+    // Past a quiet tick, both bounds round on the tick-restarted grid.
+    // The floor is the last point strictly before now_ + dt (at least
+    // the first one), the rate bound the first at or after its target.
+    Cycles bound = now_ + dt > tick
+        ? tickGridFloor(now_ + dt - 1)
+        : std::max(firstGridPoint(), now_ + k_floor * quantum);
+    if (k_rate > 0.0)
+        bound = std::max(bound, gridCeil(now_ + static_cast<Cycles>(
+                                             std::ceil(k_rate * q))));
+    return bound;
 }
 
 Cycles
 Soc::gridCeil(Cycles t) const
 {
-    if (t <= now_)
-        return now_ + cfg_.quantum;
-    const Cycles k =
-        (t - now_ + cfg_.quantum - 1) / cfg_.quantum;
-    return now_ + k * cfg_.quantum;
+    if (quiet_ticks_ && t > next_sched_tick_)
+        return tickGridCeil(t);
+    const Cycles quantum = cfg_.quantum;
+    const Cycles c = t <= now_
+        ? now_ + quantum
+        : now_ + (t - now_ + quantum - 1) / quantum * quantum;
+    return quiet_ticks_ && c > next_sched_tick_ ? next_sched_tick_ : c;
+}
+
+Cycles
+Soc::tickGridCeil(Cycles t) const
+{
+    // The quantum kernel cuts a step at each tick and restarts its
+    // grid there, so a grid point is a tick plus a whole number of
+    // quanta short of the next tick, or a tick.
+    const Cycles tick = next_sched_tick_;
+    if (t <= tick)
+        return tick;
+    const Cycles period = cfg_.schedPeriod;
+    const Cycles quantum = cfg_.quantum;
+    const Cycles base = tickBase(t);
+    return std::min(
+        base + gridQuotient(t - base + quantum - 1, quantum) * quantum,
+        base + period);
+}
+
+Cycles
+Soc::tickGridFloor(Cycles t) const
+{
+    const Cycles base = tickBase(t);
+    return base + gridQuotient(t - base, cfg_.quantum) * cfg_.quantum;
+}
+
+Cycles
+Soc::tickBase(Cycles t) const
+{
+    // Most candidates lie within a period of the next tick.
+    const Cycles tick = next_sched_tick_;
+    const Cycles period = cfg_.schedPeriod;
+    return t - tick < period
+        ? tick
+        : tick + gridQuotient(t - tick, period) * period;
 }
 
 void
@@ -1201,7 +1331,7 @@ Soc::planState() const
 {
     return PlanState{next_sched_tick_, next_arrival_,
                      waiting_ids_.size(), used_tiles_, running_epoch_,
-                     stats_.schedInvocations};
+                     stats_.schedInvocations, quiet_ticks_};
 }
 #endif
 
@@ -1221,6 +1351,12 @@ Soc::debugCheckParkedPlan() const
         next_sched_tick_ <= now_ || nextArrivalCycle() <= now_)
         panic("parked plan at %llu: scheduling state moved while it "
               "was parked", at);
+    // Only quiet ticks (still declared: planState) let a step pass a
+    // tick.
+    if (plan_end_ > next_sched_tick_ && !quiet_ticks_)
+        panic("parked plan at %llu ends at %llu, past the tick at %llu",
+              at, static_cast<unsigned long long>(plan_end_),
+              static_cast<unsigned long long>(next_sched_tick_));
     if (probe_requests_.size() != running_ids_.size())
         panic("parked plan at %llu: %zu requests for %zu running jobs",
               at, probe_requests_.size(), running_ids_.size());
@@ -1238,7 +1374,7 @@ Soc::debugCheckParkedPlan() const
         if (got.id != want.id || got.weight != want.weight ||
             !same(got.l2Bytes, want.l2Bytes) ||
             !same(got.dramBytes, want.dramBytes) ||
-            e.stalled != t.stalled ||
+            e.stalled != t.stalled || e.throttled != t.throttled ||
             e.throttleBound != t.throttleBound ||
             !same(e.tFull, t.tFull) || !same(e.mCap, t.mCap) ||
             !same(e.l2Rate, t.l2Rate) ||

@@ -14,8 +14,9 @@
  * combining compute and memory progress with the overlap factor
  * (latency = max(C, M) + f * min(C, M), Algorithm 1 semantics).
  *
- * Every step ends at or before the next periodic scheduler tick and
- * the next arrival, so both kernels fire the tick at the exact
+ * Every step ends at or before the next arrival and, unless the
+ * policy declared ticks quiet (quietTicks), the next periodic
+ * scheduler tick, so both kernels fire the tick at the exact
  * schedPeriod cadence and admit arrivals at their exact dispatch
  * cycle.  The *quantum* kernel further caps a step at one
  * cfg.quantum, so cost scales with simulated cycles.  The *event*
@@ -28,8 +29,9 @@
  * layer-tail bound uses the job's *contended* progress rate from the
  * plan's arbitration, so a job served at half bandwidth takes one
  * step to its tail, not a geometric run of steps that change no
- * state.  A co-simulator's horizon never shapes a step (see
- * advanceTo).
+ * state.  An event step may cross quiet ticks; it still ends on the
+ * grid the quantum kernel steps on, which restarts at every tick.
+ * A co-simulator's horizon never shapes a step (see advanceTo).
  *
  * Idle gaps cost O(1) kernel iterations under both kernels: a SoC
  * with no running and no waiting job jumps straight to its next
@@ -47,6 +49,7 @@
 #ifndef MOCA_SIM_SOC_H
 #define MOCA_SIM_SOC_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <tuple>
@@ -157,6 +160,15 @@ class Soc
     {
         return !allDone() &&
             (planned_ ? plan_end_ <= horizon : now_ < horizon);
+    }
+
+    /** The least horizon the SoC is behind (behind(h) holds exactly
+     *  for h >= it below kNoHorizon); kNoHorizon once done(). */
+    Cycles behindFrom() const
+    {
+        if (allDone())
+            return kNoHorizon;
+        return planned_ ? plan_end_ : now_ + 1;
     }
 
     /**
@@ -286,6 +298,22 @@ class Soc
     /** Program the job's MoCA throttle engines (Algorithm 2 output). */
     void configureThrottle(int id, const hw::ThrottleConfig &cfg);
 
+    /**
+     * Declare that a PeriodicTick in the current scheduling state
+     * cannot act: the policy would start, resize, pause or throttle
+     * nothing.  Call it at the end of Policy::schedule(), and only
+     * when nothing but a control call, an arrival or a completion can
+     * make a tick act.  The event kernel then delivers no tick and
+     * lets a step cross them, on the quantum kernel's grid; the
+     * quantum kernel ignores it.  startJob, resizeJob, pauseJob, a
+     * completion and every schedule() call clear it.  Debug builds
+     * panic when a tick delivered while ticks are quiet changes
+     * anything.
+     */
+    void quietTicks() { quiet_ticks_ = true; }
+    /** True while the policy's quietTicks() declaration holds. */
+    bool ticksQuiet() const { return quiet_ticks_; }
+
     /** Results of completed jobs (valid after run()). */
     const std::vector<JobResult> &results() const { return results_; }
 
@@ -360,6 +388,13 @@ class Soc
     std::size_t done_jobs_ = 0;
     double dram_busy_cycles_ = 0.0;
     Cycles next_sched_tick_ = 0;
+    /**
+     * The policy declared ticks quiet (quietTicks).  On the event
+     * kernel a quiet tick is not delivered and does not end a step;
+     * every tick a step crosses is still traced at its cycle, and
+     * next_sched_tick_ stays on its grid (skipTicks).
+     */
+    bool quiet_ticks_ = false;
     bool sorted_ = false;
     bool began_ = false;       ///< beginRun() has armed the stepping.
     std::uint64_t running_epoch_ = 0; ///< See runningEpoch().
@@ -411,6 +446,9 @@ class Soc
         double l2Rate = 0.0;   ///< L2 bytes per cycle over tFull.
         double dramRate = 0.0; ///< DRAM bytes per cycle over tFull.
         bool stalled = false;
+        /** The job's throttle engine is enabled: with quiet ticks it
+         *  alone keeps the one-period step cap (layerEnd). */
+        bool throttled = false;
         /** The MoCA throttle allowance clamped the latest demand pass
          *  (the probe's flag feeds nextStateChange: the engine's next
          *  window rollover is then a scheduling event). */
@@ -427,22 +465,27 @@ class Soc
 
     /**
      * Handle the scheduling points at `now_`: admit due arrivals,
-     * fire the periodic tick, and — when nothing is running — advance
-     * idle time to the next tick (jobs waiting) or straight to the
-     * next arrival (nothing waiting either: skipIdleTicks), clamped
-     * to `horizon`, or invoke the policy one last time before
-     * declaring deadlock.  Returns true when jobs are running (the
+     * fire the periodic tick (the event kernel skips a quiet one), and
+     * — when nothing is running — advance idle time to the next tick
+     * (jobs waiting) or straight to the next arrival (nothing waiting
+     * either: skipTicks), clamped to `horizon`, or invoke the policy
+     * one last time before declaring deadlock.  Returns true when jobs are running (the
      * caller may plan a step); false re-enters the caller's loop.
      */
     bool schedulingPoints(Cycles horizon);
 
     /**
      * Advance next_sched_tick_ past every tick strictly before
-     * `limit` without invoking the policy (the idle branch of
-     * schedulingPoints on a SoC with no running and no waiting job).
-     * O(1) unless tracing, which still logs each skipped tick.
+     * `limit` without invoking the policy: the idle branch of
+     * schedulingPoints on a SoC with no running and no waiting job,
+     * and the quiet ticks an event step crossed.  O(1) unless
+     * tracing, which still logs each skipped tick at its cycle.
      */
-    void skipIdleTicks(Cycles limit);
+    void skipTicks(Cycles limit);
+
+    /** Deliver the PeriodicTick due at now_ (Debug: panic when a tick
+     *  delivered while ticks are quiet changes anything). */
+    void deliverTick();
 
     /** Move the clock forward to `to` over a stretch with nothing
      *  running, sampling the grid points before `to` with that idle
@@ -543,7 +586,7 @@ class Soc
      * The plan's arbitration of probe_requests_ over one quantum,
      * made by the event kernel over a stateless memory model
      * (cyclesUntilNextChange() == 0) and valid while plan_arbitrated_.
-     * It bounds the step at each layer's contended tail (layerStep),
+     * It bounds the step at each layer's contended tail (layerEnd),
      * a one-quantum step reuses it, and a longer step scales it
      * (scalePlanGrants), so a committed step costs one arbitration.
      *
@@ -572,7 +615,8 @@ class Soc
     /**
      * End of the step planned at now_: min(next tick, next arrival),
      * capped at one quantum (quantum kernel) or at nextStateChange()
-     * (event kernel).  No horizon term.
+     * (event kernel, which drops the tick term while ticks are quiet
+     * and a state change is pending).  No horizon term.
      */
     Cycles stepEnd() const;
 
@@ -584,26 +628,46 @@ class Soc
      * Event-kernel step bound: the earliest in-SoC state change after
      * now_ — memory-model change, stall expiry, layer-tail floor,
      * binding-throttle rollover — read from the probe's terms_.
-     * Every candidate is at or after now_ + quantum; kNoEvent when
+     * Every candidate is at or after firstGridPoint(); kNoEvent when
      * there is none.
      */
     Cycles nextStateChange() const;
 
     /**
-     * Layer-tail floor of running job terms_[i], a quantum multiple
-     * of at least one quantum: the grid point strictly before its
-     * full-service remaining time, or, when the plan arbitrated, the
-     * first grid point at which that time has shrunk to one quantum
-     * at the job's contended rate, if that is later.
+     * Layer-tail floor of running job terms_[i], a grid point: the
+     * last one strictly before its full-service remaining time, or,
+     * when the plan arbitrated, the first one at which that time has
+     * shrunk to one quantum at the job's contended rate, if that is
+     * later.  Both are capped one scheduler period from now_ unless
+     * ticks are quiet and the job is not throttled; such a job that
+     * makes no progress ends its step at the next tick.
      */
-    Cycles layerStep(std::size_t i) const;
+    Cycles layerEnd(std::size_t i) const;
 
-    /**
-     * Smallest quantum-grid point at or after `t`, strictly after
-     * now_: the event kernel lands on the same time grid the quantum
-     * kernel would, so per-job timing matches it to within a quantum.
-     */
+    // The grid the quantum kernel steps on from now_: now_ + k *
+    // quantum up to the next tick and, past a quiet tick, restarted
+    // at every tick (the quantum kernel cuts a step at each one).
+    // The event kernel ends steps only on it, so per-job timing
+    // matches the quantum kernel to within a quantum.
+
+    /** Smallest grid point at or after `t`, strictly after now_. */
     Cycles gridCeil(Cycles t) const;
+    /** gridCeil(t) once its now_-based ceiling lies past a quiet
+     *  next tick. */
+    Cycles tickGridCeil(Cycles t) const;
+    /** Largest grid point at or before `t`, for `t` at or past a
+     *  quiet next tick. */
+    Cycles tickGridFloor(Cycles t) const;
+    /** The last tick at or before `t`, for `t` at or past the next
+     *  tick. */
+    Cycles tickBase(Cycles t) const;
+    /** The least end a step can have: now_ + quantum, or a quiet next
+     *  tick inside the first quantum. */
+    Cycles firstGridPoint() const
+    {
+        const Cycles q_end = now_ + cfg_.quantum;
+        return quiet_ticks_ ? std::min(q_end, next_sched_tick_) : q_end;
+    }
 
     /**
      * Advance a running job by up to `quantum` cycles.
@@ -697,17 +761,20 @@ class Soc
 #ifndef NDEBUG
     /** What a plan's scheduling points leave behind (next tick,
      *  arrivals admitted, waiting jobs, used tiles, running epoch,
-     *  policy calls); none of it may move while the plan is parked. */
+     *  policy calls, quiet ticks); none of it may move while the plan
+     *  is parked. */
     using PlanState = std::tuple<Cycles, std::size_t, std::size_t, int,
-                                 std::uint64_t, std::uint64_t>;
+                                 std::uint64_t, std::uint64_t, bool>;
     PlanState debug_plan_state_;
     bool debug_parked_ = false; ///< The plan outlived an advanceTo.
     PlanState planState() const;
+    /** startJob/resizeJob/pauseJob/configureThrottle calls so far. */
+    std::uint64_t debug_controls_ = 0;
 #endif
     /** Debug-only: panic unless a parked plan, re-derived at commit
-     *  (scheduling state, probe requests and terms, the grants of a
-     *  fresh arbitration, step end), equals the stored one bit for
-     *  bit. */
+     *  (scheduling state and quiet flag, probe requests and terms,
+     *  the grants of a fresh arbitration, step end, which may lie
+     *  past quiet ticks), equals the stored one bit for bit. */
     void debugCheckParkedPlan() const;
 };
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dnn/model_zoo.h"
@@ -173,7 +174,7 @@ TEST(EventKernel, Fig5CellMetricsMatchWithinBound)
     // exactly.  MoCA's throttle pacing interacts with step lengths
     // (intra-window budget exhaustion is resolved per step), so its
     // metrics may drift by a small bounded amount; measured deltas on
-    // these cells are <= 0.034 sla / 0.071 stp / 0.069 makespan.
+    // these cells are <= 0.033 sla / 0.084 stp / 0.058 makespan.
     const std::vector<std::pair<workload::WorkloadSet,
                                 workload::QosLevel>> cells = {
         {workload::WorkloadSet::C, workload::QosLevel::Medium},
@@ -251,6 +252,48 @@ TEST(EventKernel, MocaGapOnFig5GridNoWiderThanBefore)
     EXPECT_LE(signed_sla / cells, 0.020370);
     EXPECT_LE(abs_sla / cells, 0.033951);
     EXPECT_LE(abs_stp_pct / cells, 6.0266);
+}
+
+TEST(EventKernel, QuietTicksKeepThrottleFreeMocaExact)
+{
+    // Throttle-free MoCA declares its ticks quiet whenever no tick can
+    // act, so event steps cross them; they still end on the grid the
+    // quantum kernel steps on (restarted at every tick), so the event
+    // kernel stays on the reference kernel.  The nine Fig. 5 cells,
+    // 60 tasks, seeds 11-13.  Before quiet ticks the event kernel took
+    // 206,358 steps here.
+    std::uint64_t event_steps = 0;
+    double abs_stp_pct = 0.0;
+    int cells = 0;
+    for (std::uint64_t seed : {11, 12, 13}) {
+        for (auto set : {workload::WorkloadSet::A, workload::WorkloadSet::B,
+                         workload::WorkloadSet::C}) {
+            for (auto qos : {workload::QosLevel::Light,
+                             workload::QosLevel::Medium,
+                             workload::QosLevel::Hard}) {
+                auto t = cellTrace(set, qos, 60);
+                t.seed = seed;
+                const sim::SocConfig qcfg = kernelCfg(SimKernel::Quantum);
+                const auto stream = exp::makeTrace(t, qcfg);
+                const auto rq =
+                    exp::runTrace("moca:throttle=0", stream, t, qcfg);
+                const auto re = exp::runTrace(
+                    "moca:throttle=0", stream, t,
+                    kernelCfg(SimKernel::Event));
+                EXPECT_EQ(re.metrics.slaRate, rq.metrics.slaRate)
+                    << workload::workloadSetName(set) << " "
+                    << workload::qosLevelName(qos) << " seed " << seed;
+                abs_stp_pct += 100.0 *
+                    std::abs(re.metrics.stp - rq.metrics.stp) /
+                    rq.metrics.stp;
+                event_steps += re.simSteps;
+                ++cells;
+            }
+        }
+    }
+    ASSERT_EQ(cells, 27);
+    EXPECT_LE(abs_stp_pct / cells, 0.01);
+    EXPECT_LE(event_steps, 160'000u);
 }
 
 TEST(EventKernel, StepCountScalesWithEventsNotCycles)
@@ -405,32 +448,103 @@ TEST(EventKernel, ParallelSweepBitIdenticalToSerial)
 
 // --- Periodic tick cadence (regression for the late-tick bug) ----------
 
+/**
+ * SoloPolicy that declares its ticks quiet whenever they cannot act
+ * (no job waits, or too few tiles are free) and counts the ticks it
+ * receives.  It checks that every schedule() call and every
+ * completion clears the declaration, and that a start does.
+ */
+struct QuietSolo : exp::SoloPolicy
+{
+    std::size_t ticks = 0;
+    QuietSolo() : exp::SoloPolicy(4) {}
+    void
+    schedule(sim::Soc &soc, sim::SchedEvent ev) override
+    {
+        EXPECT_FALSE(soc.ticksQuiet()) << "at " << soc.now();
+        if (ev == sim::SchedEvent::PeriodicTick)
+            ++ticks;
+        const std::size_t running = soc.runningCount();
+        soc.quietTicks();
+        exp::SoloPolicy::schedule(soc, ev);
+        EXPECT_EQ(soc.ticksQuiet(), soc.runningCount() == running);
+        if (soc.waitingCount() == 0 || soc.freeTiles() < 4)
+            soc.quietTicks();
+    }
+    void
+    onJobComplete(sim::Soc &soc, int) override
+    {
+        EXPECT_FALSE(soc.ticksQuiet()) << "at " << soc.now();
+    }
+};
+
 TEST(TickCadence, PeriodicTickFiresOnExactCadenceUnderBothKernels)
 {
     // schedPeriod is deliberately not a quantum multiple: before the
-    // clamp fix the tick drifted by up to a quantum per period.
+    // clamp fix the tick drifted by up to a quantum per period.  Quiet
+    // ticks keep the cadence too: the event kernel steps across them
+    // but still traces each one, in time order.
     for (SimKernel k : {SimKernel::Quantum, SimKernel::Event}) {
-        sim::SocConfig cfg = kernelCfg(k);
-        cfg.schedPeriod = 100'000; // 100000 % 512 != 0
-        exp::SoloPolicy policy(4);
-        sim::Soc soc(cfg, policy);
-        soc.trace().enable();
-        soc.addJob(spec(0, dnn::ModelId::SqueezeNet));
-        soc.addJob(spec(1, dnn::ModelId::SqueezeNet, 1'300'000));
-        soc.run();
+        for (bool quiet : {false, true}) {
+            sim::SocConfig cfg = kernelCfg(k);
+            cfg.schedPeriod = 100'000; // 100000 % 512 != 0
+            exp::SoloPolicy solo(4);
+            QuietSolo quiet_solo;
+            sim::Policy &policy = quiet ? quiet_solo : solo;
+            sim::Soc soc(cfg, policy);
+            soc.trace().enable();
+            soc.addJob(spec(0, dnn::ModelId::SqueezeNet));
+            soc.addJob(spec(1, dnn::ModelId::SqueezeNet, 1'300'000));
+            soc.run();
+            const std::string what = std::string(simKernelName(k)) +
+                (quiet ? " quiet" : "");
 
-        std::size_t ticks = 0;
-        for (const auto &e : soc.trace().events()) {
-            if (e.kind != sim::TraceEventKind::SchedTick)
-                continue;
-            EXPECT_EQ(e.cycle % cfg.schedPeriod, 0u)
-                << simKernelName(k) << " tick at " << e.cycle;
-            ++ticks;
+            std::size_t ticks = 0;
+            Cycles last = 0;
+            for (const auto &e : soc.trace().events()) {
+                EXPECT_GE(e.cycle, last) << what;
+                last = e.cycle;
+                if (e.kind != sim::TraceEventKind::SchedTick)
+                    continue;
+                EXPECT_EQ(e.cycle, ticks * cfg.schedPeriod)
+                    << what << " tick at " << e.cycle;
+                ++ticks;
+            }
+            // One tick per period from 0 through the makespan.
+            EXPECT_EQ(ticks, soc.now() / cfg.schedPeriod + 1) << what;
+            // The quantum kernel delivers every tick of a busy SoC;
+            // the event kernel none while they are quiet (always,
+            // here).
+            if (quiet) {
+                EXPECT_EQ(quiet_solo.ticks == 0, k == SimKernel::Event)
+                    << what << ": " << quiet_solo.ticks << " ticks";
+            }
         }
-        // One tick per period from 0 through the makespan.
-        EXPECT_EQ(ticks, soc.now() / cfg.schedPeriod + 1)
-            << simKernelName(k);
     }
+}
+
+TEST(TickCadence, ControlCallsClearQuietTicks)
+{
+    // Start, resize and pause each clear a quiet-tick declaration.
+    exp::SoloPolicy policy(4);
+    sim::Soc soc(kernelCfg(SimKernel::Event), policy);
+    soc.addJob(spec(0, dnn::ModelId::SqueezeNet));
+    soc.addJob(spec(1, dnn::ModelId::SqueezeNet, 50'000));
+    soc.beginRun();
+    soc.advanceTo(100'000);
+    ASSERT_EQ(soc.runningCount(), 2u);
+    soc.quietTicks();
+    soc.resizeJob(0, 2);
+    EXPECT_FALSE(soc.ticksQuiet());
+    soc.quietTicks();
+    soc.pauseJob(1);
+    EXPECT_FALSE(soc.ticksQuiet());
+    soc.quietTicks();
+    soc.startJob(1, 2);
+    EXPECT_FALSE(soc.ticksQuiet());
+    soc.advanceTo(sim::kNoHorizon);
+    soc.finishRun();
+    EXPECT_EQ(soc.results().size(), 2u);
 }
 
 } // namespace
